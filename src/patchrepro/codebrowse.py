@@ -4,10 +4,16 @@ Indexing is lexical, not a C parse: definition patterns for functions,
 struct/union/enum tags, macros, typedefs, and file-scope globals.  All
 preprocessor branches are indexed.  Misses are acceptable because callers
 can always fall back to line-range reads.
+
+Every tool numbers lines by one rule: a line ends at "\\n" (files are read
+with universal newlines, so "\\r\\n" or a lone "\\r" ends one too).  A form
+feed, vertical tab or U+2028 stays inside its line, as it does for git and
+gcc.
 """
 
 import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -16,6 +22,9 @@ from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBe
 
 DEFAULT_MAX_LINES = 400
 DEFAULT_QUERY_LIMIT = 200
+
+# First field of a saved index's header line.
+_INDEX_FORMAT = "patchrepro-code-index/1"
 
 _SOURCE_EXTS = (".c", ".h")
 
@@ -62,12 +71,53 @@ class CodeIndex:
     root: str
     entries: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
     by_file: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
-    file_count: int = 0
+    files: List[str] = field(default_factory=list)  # indexed, in walk order
     build_time_ms: int = 0
+
+    @property
+    def file_count(self) -> int:
+        return len(self.files)
 
     def add(self, entry: SymbolEntry):
         self.entries.setdefault(entry.name, []).append(entry)
         self.by_file.setdefault(entry.file, []).append(entry)
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return fh.read()
+
+
+def _split_lines(text: str) -> List[str]:
+    """Lines by the module's numbering rule; a final "\\n" ends the last
+    line rather than starting an empty one."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _resolve(root: str, file: str) -> str:
+    """``file`` as a normalised path under ``root``; a path that leads
+    outside the root, by "..", as an absolute path or through a symlink,
+    is refused."""
+    root = os.path.abspath(root)
+    full = os.path.normpath(os.path.join(root, file))
+    below = os.path.join(root, "")
+    if full != root and not full.startswith(below):
+        raise FileNotIndexed(file)
+    # Only a symlink below the root can still lead out of it.  Resolving
+    # every component of the path costs tens of microseconds per call, so
+    # that is done only once a link is found.
+    part = root
+    for name in full[len(below):].split(os.sep):
+        part = os.path.join(part, name)
+        if os.path.islink(part):
+            real_root = os.path.realpath(root)
+            if os.path.commonpath([real_root, os.path.realpath(full)]) != real_root:
+                raise FileNotIndexed(file)
+            break
+    return full
 
 
 def _index_file(relpath: str, lines: List[str], index: CodeIndex):
@@ -105,7 +155,8 @@ def _index_file(relpath: str, lines: List[str], index: CodeIndex):
 def build_index(source_root: str) -> CodeIndex:
     """Walk the tree and index every definition-pattern match.
 
-    Deterministic for a fixed tree: files are visited in sorted order.
+    Deterministic for a fixed tree: files are visited in sorted order, and
+    that order is kept in ``files``, the list reference queries scan.
     """
     if not os.path.isdir(source_root):
         raise RootUnreadable(source_root)
@@ -121,29 +172,34 @@ def build_index(source_root: str) -> CodeIndex:
             full = os.path.join(dirpath, fname)
             rel = os.path.relpath(full, source_root)
             try:
-                with open(full, "r", encoding="utf-8", errors="replace") as fh:
-                    lines = fh.read().splitlines()
-            except OSError:
+                # A link out of the tree is not source; indexing it would
+                # leak its text through reference hits.
+                if os.path.islink(full):
+                    _resolve(source_root, rel)
+                lines = _split_lines(_read_text(full))
+            except (OSError, FileNotIndexed):
                 continue
             _index_file(rel, lines, index)
-            index.file_count += 1
+            index.files.append(rel)
     index.build_time_ms = int((time.monotonic() - started) * 1000)
     return index
 
 
 def list_symbols(index: CodeIndex, file: str) -> List[SymbolEntry]:
     """Symbols defined in one indexed file, sorted by line."""
-    rel = os.path.normpath(file)
-    if rel.startswith("..") or os.path.isabs(rel):
+    full = _resolve(index.root, file)
+    if not os.path.exists(full):
         raise FileNotIndexed(file)
-    if not os.path.exists(os.path.join(index.root, rel)):
-        raise FileNotIndexed(file)
-    return sorted(index.by_file.get(rel, []), key=lambda e: e.line)
+    return sorted(index.by_file.get(os.path.relpath(full, index.root), []),
+                  key=lambda e: e.line)
 
 
 def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
                  limit: int = DEFAULT_QUERY_LIMIT) -> Tuple[List[dict], bool]:
-    """Global definition or whole-word reference lookup, capped at ``limit``."""
+    """Global definition or whole-word reference lookup, capped at ``limit``.
+
+    References are read from the indexed files, not from a new tree walk.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if mode == "definitions":
@@ -156,25 +212,21 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
     defining = {(e.file, e.line) for e in index.entries.get(name, [])}
     word = re.compile(r"\b%s\b" % re.escape(name))
     hits = []
-    truncated = False
-    for dirpath, dirnames, filenames in os.walk(index.root):
-        dirnames.sort()
-        if ".git" in dirnames:
-            dirnames.remove(".git")
-        for fname in sorted(filenames):
-            if not fname.endswith(_SOURCE_EXTS):
-                continue
-            rel = os.path.relpath(os.path.join(dirpath, fname), index.root)
-            with open(os.path.join(dirpath, fname), "r",
-                      encoding="utf-8", errors="replace") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if word.search(line) and (rel, lineno) not in defining:
-                        if len(hits) >= limit:
-                            truncated = True
-                            return hits, truncated
-                        hits.append({"file": rel, "line": lineno,
-                                     "text": line.rstrip("\n")})
-    return hits, truncated
+    for rel in index.files:
+        try:
+            text = _read_text(os.path.join(index.root, rel))
+        except OSError:
+            continue
+        # Every whole-word hit contains the name, so a file without it as a
+        # substring is skipped before any per-line work.
+        if name not in text:
+            continue
+        for lineno, line in enumerate(_split_lines(text), start=1):
+            if word.search(line) and (rel, lineno) not in defining:
+                if len(hits) >= limit:
+                    return hits, True
+                hits.append({"file": rel, "line": lineno, "text": line})
+    return hits, False
 
 
 def read_range(source_root: str, file: str, start: int, end: int,
@@ -182,11 +234,10 @@ def read_range(source_root: str, file: str, start: int, end: int,
     """Line-range snippet with true line-number prefixes and clamped bounds."""
     if start < 1:
         raise ValueError("start must be >= 1")
-    full = os.path.join(source_root, file)
+    full = _resolve(source_root, file)
     if not os.path.isfile(full):
         raise SnippetFileNotFound(file)
-    with open(full, "r", encoding="utf-8", errors="replace") as fh:
-        all_lines = fh.read().splitlines()
+    all_lines = _split_lines(_read_text(full))
     if start > len(all_lines):
         raise StartBeyondEof("%s has %d lines" % (file, len(all_lines)))
     capped_end = min(end, len(all_lines), start + max_lines - 1)
@@ -197,21 +248,60 @@ def read_range(source_root: str, file: str, start: int, end: int,
                    lines=numbered, truncated=truncated)
 
 
-def save_index(index: CodeIndex, path: str):
-    """Persist as sorted flat text records: name\\tkind\\tfile\\tline."""
-    records = sorted(
-        "%s\t%s\t%s\t%d" % (e.name, e.kind, e.file, e.line)
-        for entries in index.entries.values() for e in entries)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(records) + ("\n" if records else ""))
+def save_index(index: CodeIndex, path: str, digest: str = ""):
+    """Persist in build order, streamed line by line: a header (format,
+    ``digest``, file count), then per indexed file ``file\\tcount`` followed
+    by ``count`` records ``name\\tkind\\tline``, then ``end``.  The file is
+    written beside ``path`` and renamed over it only once complete."""
+    fd, tmp = tempfile.mkstemp(prefix=".index-", dir=os.path.dirname(path) or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("%s\t%s\t%d\n" % (_INDEX_FORMAT, digest, len(index.files)))
+            for rel in index.files:
+                if "\t" in rel or "\n" in rel:
+                    raise ValueError("cannot save file name %r" % rel)
+                entries = index.by_file.get(rel, ())
+                fh.write("%s\t%d\n" % (rel, len(entries)))
+                fh.writelines("%s\t%s\t%d\n" % (e.name, e.kind, e.line)
+                              for e in entries)
+            fh.write("end\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_index(root: str, path: str) -> CodeIndex:
+def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
+    """An index saved by ``save_index`` under ``digest``.  Raises
+    ValueError for another format or digest, or a truncated file."""
     index = CodeIndex(root=os.path.abspath(root))
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            name, kind, file, lineno = line.rstrip("\n").split("\t")
-            index.add(SymbolEntry(name, kind, file, int(lineno)))
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        head = fh.readline().rstrip("\n").split("\t")
+        if head[:2] != [_INDEX_FORMAT, digest] or len(head) != 3:
+            raise ValueError("%s is not a code index for digest %r"
+                             % (path, digest))
+        for _ in range(int(head[2])):
+            rel, count = fh.readline().rstrip("\n").split("\t")
+            index.files.append(rel)
+            for _ in range(int(count)):
+                name, kind, lineno = fh.readline().rstrip("\n").split("\t")
+                index.add(SymbolEntry(name, kind, rel, int(lineno)))
+        if fh.readline() != "end\n":
+            raise ValueError("%s is truncated" % path)
+    return index
+
+
+def cached_index(source_root: str, path: str, digest: str) -> CodeIndex:
+    """The index saved at ``path`` for ``digest``; when that file is
+    missing, unreadable, corrupt or for another digest, a fresh build,
+    saved there for the next session with the same digest."""
+    try:
+        return load_index(source_root, path, digest)
+    except (OSError, ValueError):
+        pass
+    index = build_index(source_root)
+    try:
+        save_index(index, path, digest)
+    except (OSError, ValueError):
+        pass  # not persisted; this session still has its index
     return index

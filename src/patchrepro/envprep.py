@@ -7,13 +7,14 @@ starts from.  The whole pipeline is deterministic and never contacts the
 network.
 """
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Dict, List, Optional, Set
 
 from . import guestvm
@@ -91,6 +92,13 @@ class ReproEnvironment:
     builder_id: str
     prep_log: str
     content_digest: str
+    env_dir: str
+
+    @property
+    def index_path(self) -> str:
+        """Where sessions save the code index and later sessions with the
+        same content digest load it."""
+        return os.path.join(self.env_dir, "code_index.tsv")
 
 
 def _git(repo, *args):
@@ -245,7 +253,13 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
         builder_id=builder.builder_id,
         prep_log=prep_log,
         content_digest=digest,
+        env_dir=env_dir,
     )
+    if "source_root" in builder.parameters:
+        # The digest pins only a tree checked out here: an index saved from
+        # the builder's own tree at an earlier preparation may be stale.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(env.index_path)
     _write_env_dir(env_dir, task, env)
     return env
 
@@ -285,13 +299,6 @@ def apply_capability_profile(env: ReproEnvironment, profile_id: str,
                             blocked_utilities=sorted(blocked_utilities)),
     }
     snap = guestvm.create_snapshot(state)
-    return ReproEnvironment(
-        env_id=env.env_id,
-        source_root=env.source_root,
-        guest_image_ref=env.guest_image_ref + "+no_utils",
-        config_manifest=env.config_manifest,
-        snapshot_ref=snap,
-        builder_id=env.builder_id,
-        prep_log=env.prep_log + "\napplied profile no_utils",
-        content_digest=env.content_digest,
-    )
+    return replace(env, guest_image_ref=env.guest_image_ref + "+no_utils",
+                   snapshot_ref=snap,
+                   prep_log=env.prep_log + "\napplied profile no_utils")

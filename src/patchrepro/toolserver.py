@@ -171,8 +171,12 @@ class ToolServer:
     # --- tool implementations ----------------------------------------------
 
     def _index(self):
+        """Built or loaded on the first code.* call, not at set-up; an env
+        directory keeps it for later sessions with the same content digest."""
         if self.code_index is None:
-            self.code_index = codebrowse.build_index(self.env.source_root)
+            self.code_index = codebrowse.cached_index(
+                self.env.source_root, self.env.index_path,
+                self.env.content_digest)
         return self.code_index
 
     def _require_guest(self) -> guestvm.GuestHandle:

@@ -95,6 +95,8 @@ def test_list_symbols_sorted_and_errors(tree):
     entries = codebrowse.list_symbols(idx, "net/main.c")
     assert entries == sorted(entries, key=lambda e: e.line)
     assert entries
+    assert codebrowse.list_symbols(idx, os.path.join(tree, "net", "main.c")) \
+        == codebrowse.list_symbols(idx, "net/../net/main.c") == entries
     with pytest.raises(errors.FileNotIndexed):
         codebrowse.list_symbols(idx, "missing.c")
     with pytest.raises(errors.FileNotIndexed):
@@ -157,6 +159,125 @@ def test_save_load_round_trip(tree, tmp_path):
     again = codebrowse.load_index(tree, path)
     assert sorted(str(e) for es in idx.entries.values() for e in es) == \
         sorted(str(e) for es in again.entries.values() for e in es)
+
+
+def _answers(idx):
+    """Every query's answer on an index, in the order the tools give it."""
+    names = list(idx.entries)
+    return {
+        "files": idx.files,
+        "definitions": [codebrowse.query_symbol(idx, n) for n in names],
+        "symbols": [codebrowse.list_symbols(idx, f) for f in idx.files],
+        "references": [codebrowse.query_symbol(idx, n, mode="references")
+                       for n in names],
+        "truncated": [codebrowse.query_symbol(idx, n, mode="references",
+                                              limit=1) for n in names],
+    }
+
+
+def test_saved_index_answers_like_a_fresh_build(kernel_repo, tmp_path):
+    root = kernel_repo["repo"]
+    fresh = codebrowse.build_index(root)
+    path = str(tmp_path / "index.tsv")
+    codebrowse.save_index(fresh, path, "d1")
+    loaded = codebrowse.load_index(root, path, "d1")
+    assert loaded.entries == fresh.entries
+    assert list(loaded.entries) == list(fresh.entries)
+    assert _answers(loaded) == _answers(fresh)
+    assert any(t for _hits, t in _answers(fresh)["truncated"])
+
+
+def test_definitions_order_survives_save(tmp_path):
+    """Build order, not string order: line 10 stays after line 9."""
+    body = "".join("#define DUP %d\n" % n for n in range(1, 12))
+    (tmp_path / "a.c").write_text(body)
+    fresh = codebrowse.build_index(str(tmp_path))
+    path = str(tmp_path / "index.tsv")
+    codebrowse.save_index(fresh, path)
+    hits, _ = codebrowse.query_symbol(codebrowse.load_index(str(tmp_path), path),
+                                      "DUP")
+    assert [h["line"] for h in hits] == list(range(1, 12))
+
+
+@pytest.mark.parametrize("spoil", ["missing", "wrong_digest", "truncated",
+                                   "bad_version"])
+def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
+    saved = tmp_path / "index.tsv"
+    path = str(saved)
+    if spoil != "missing":
+        saved_digest = "other" if spoil == "wrong_digest" else "d1"
+        codebrowse.save_index(codebrowse.build_index(tree), path, saved_digest)
+        text = saved.read_text()
+        if spoil == "truncated":
+            text = text[:len(text) // 2]
+        elif spoil == "bad_version":
+            text = text.replace("code-index/1", "code-index/0", 1)
+        saved.write_text(text)
+    builds = []
+    real_build = codebrowse.build_index
+    monkeypatch.setattr(codebrowse, "build_index",
+                        lambda root: builds.append(root) or real_build(root))
+    idx = codebrowse.cached_index(tree, path, "d1")
+    assert builds == [tree]
+    assert _answers(idx) == _answers(real_build(tree))
+    # The rebuilt index was written back and is reused from now on.
+    assert _answers(codebrowse.cached_index(tree, path, "d1")) == _answers(idx)
+    assert builds == [tree]
+
+
+def test_references_do_not_walk_the_tree(tree, monkeypatch):
+    idx = codebrowse.build_index(tree)
+
+    def no_walk(*_a, **_k):
+        raise AssertionError("os.walk called after the index was built")
+
+    monkeypatch.setattr(os, "walk", no_walk)
+    refs, truncated = codebrowse.query_symbol(idx, "lookup_chain",
+                                              mode="references")
+    assert [(r["file"], r["line"]) for r in refs] == \
+        [(os.path.join("net", "main.c"), 24)]
+    assert not truncated
+
+
+def test_form_feed_does_not_shift_line_numbers(tmp_path):
+    """Definitions, references and code.read count lines the same way when
+    a file carries a form feed, as kernel sources often do."""
+    (tmp_path / "ff.c").write_text(
+        "static int helper;\n"
+        "\f\n"
+        "int target(void)\n"
+        "{\n"
+        "\treturn helper;\n"
+        "}\n"
+        "int user(void) { return target(); }\n")
+    root = str(tmp_path)
+    idx = codebrowse.build_index(root)
+    defs, _ = codebrowse.query_symbol(idx, "target")
+    assert [(d["line"], d["kind"]) for d in defs] == [(3, "function")]
+    refs, _ = codebrowse.query_symbol(idx, "target", mode="references")
+    assert [r["line"] for r in refs] == [7]
+    snip = codebrowse.read_range(root, "ff.c", 3, 3)
+    assert snip.lines == ["3\tint target(void)"]
+    assert codebrowse.read_range(root, "ff.c", 2, 2).lines == ["2\t\f"]
+    assert [e.line for e in codebrowse.list_symbols(idx, "ff.c")] == [1, 3, 7]
+
+
+def test_read_range_stays_inside_the_root(tree, tmp_path_factory):
+    outside = tmp_path_factory.mktemp("outside")
+    (outside / "secret.c").write_text("int secret;\n")
+    os.symlink(str(outside / "secret.c"), os.path.join(tree, "link.c"))
+    for path in ("../" * 12 + "etc/hostname", str(outside / "secret.c"),
+                 "link.c", "net/../../secret.c"):
+        with pytest.raises(errors.FileNotIndexed):
+            codebrowse.read_range(tree, path, 1, 5)
+    assert codebrowse.read_range(tree, "net/../util.h", 1, 1).lines == \
+        ["1\t#ifndef UTIL_H"]
+    # Nor does the index read through the link; a link within the tree is
+    # still indexed.
+    os.symlink("util.h", os.path.join(tree, "alias.h"))
+    idx = codebrowse.build_index(tree)
+    assert "link.c" not in idx.files and "alias.h" in idx.files
+    assert codebrowse.query_symbol(idx, "secret", mode="references") == ([], False)
 
 
 _IDENT = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchrepro import envprep, toolserver
+from patchrepro import codebrowse, envprep, toolserver
 from patchrepro.envprep import BuilderSpec
 from patchrepro.trace import Trace
 from tests.conftest import SCENARIOS, SENTINEL_MESSAGE
@@ -90,6 +90,54 @@ def test_harness_error_becomes_tool_error(env_and_task):
     out = srv.dispatch_call("code.read",
                             {"file": "nope.c", "start": 1, "end": 5})
     assert out["error"]["name"] == "FileNotFound"
+
+
+def test_code_read_outside_source_root_is_refused(env_and_task):
+    srv = _server(env_and_task)
+    out = srv.dispatch_call("code.read", {"file": "../" * 12 + "etc/hostname",
+                                          "start": 1, "end": 5})
+    assert out == {"error": {"name": "FileNotIndexed",
+                             "message": "../" * 12 + "etc/hostname"}}
+
+
+def test_code_index_reused_by_the_next_session(env_and_task, monkeypatch):
+    """The first code.* call builds the index and saves it in the env dir;
+    a later session on the same environment loads it instead."""
+    env, _ = env_and_task
+    builds = []
+    real_build = codebrowse.build_index
+    monkeypatch.setattr(codebrowse, "build_index",
+                        lambda root: builds.append(root) or real_build(root))
+    assert not os.path.exists(env.index_path)
+    answers = []
+    for _ in range(2):
+        srv = _server(env_and_task)
+        answers.append([srv.dispatch_call("code.query", {"name": n, "mode": m})
+                        for n in ("nft_chain_lookup", "chain")
+                        for m in ("definitions", "references")])
+    assert builds == [env.source_root]
+    assert answers[0] == answers[1]
+    assert answers[0][0]["result"]["locations"]
+
+
+def test_builder_supplied_tree_is_reindexed_after_prepare(kernel_repo,
+                                                          tmp_path):
+    """The content digest does not pin a tree the builder supplies, so a
+    new preparation does not reuse an index saved from it."""
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    own = tmp_path / "own"
+    own.mkdir()
+    builder = BuilderSpec("fixture-kasan", "fixture",
+                          {"scenario": os.path.join(SCENARIOS, "crash_uaf.json"),
+                           "source_root": str(own)})
+    found = []
+    for name in ("first_fn", "second_fn"):
+        (own / "x.c").write_text("int %s(void)\n{\n}\n" % name)
+        env = envprep.prepare_environment(task, builder, str(tmp_path / "env"))
+        srv = toolserver.ToolServer(env, task, toolserver.PROFILES["baseline"])
+        found.append(srv.dispatch_call("code.query", {"name": name})
+                     ["result"]["locations"])
+    assert found == [[{"file": "x.c", "line": 1, "kind": "function"}]] * 2
 
 
 def test_unknown_tool_raises_before_any_trace_event(env_and_task):
