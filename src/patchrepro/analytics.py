@@ -17,7 +17,6 @@ from scipy.stats import chi2
 
 from .errors import (
     AllStrataDegenerate,
-    DegenerateMargins,
     EmptyGroup,
     UnpairedCases,
 )
@@ -87,9 +86,8 @@ def fisher_exact(t: ContingencyTable2x2) -> FisherResult:
     observed = _hypergeom_pmf(t.a, r1, r2, c1)
     cutoff = observed * (1 + FISHER_REL_TOL)
     lo, hi = max(0, c1 - r2), min(r1, c1)
-    p = sum((_hypergeom_pmf(k, r1, r2, c1)
-             for k in range(lo, hi + 1)
-             if _hypergeom_pmf(k, r1, r2, c1) <= cutoff), Fraction(0))
+    terms = (_hypergeom_pmf(k, r1, r2, c1) for k in range(lo, hi + 1))
+    p = sum((pk for pk in terms if pk <= cutoff), Fraction(0))
     return FisherResult(odds_ratio, float(min(p, Fraction(1))), undefined)
 
 
@@ -144,9 +142,7 @@ def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
 class RunRecord:
     case_id: str
     success: bool
-    model_label: str = ""
     profile: str = "baseline"
-    run_index: int = 0
     elapsed_min: float = 0.0
     cost: float = 0.0
     tool_counts: Dict[str, int] = field(default_factory=dict)

@@ -4,7 +4,6 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 
 from . import analytics, envprep, sessionrunner, toolserver, verdict
 from .sessionrunner import Budget, PriceTable, ScriptedModelClient
@@ -16,11 +15,7 @@ def _cmd_run(args):
         metadata = envprep.load_case_metadata(args.metadata).get(args.case_id)
     if metadata is None and args.case_id:
         metadata = {"case_id": args.case_id}
-    ablations = set()
-    if args.profile == "no_commit_message":
-        ablations.add("no_commit_message")
-    task = envprep.resolve_task(args.repo, args.commit, ablations=ablations,
-                                metadata=metadata)
+    task = envprep.resolve_task(args.repo, args.commit, metadata=metadata)
     builder = envprep.BuilderSpec(
         builder_id=args.builder_id, kind="fixture",
         parameters={"scenario": args.scenario})

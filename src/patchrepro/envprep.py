@@ -15,7 +15,7 @@ import shutil
 import subprocess
 import time
 from dataclasses import dataclass, field, asdict, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from . import guestvm
 from .errors import (
@@ -28,8 +28,35 @@ from .errors import (
 )
 from .guestvm import SnapshotRef
 
-VALID_PROFILES = ("baseline", "degraded_prompt", "no_utils", "no_gdb",
-                  "no_commit_message")
+
+@dataclass(frozen=True)
+class CapabilityProfile:
+    """One capability surface for the agent: every field is something the
+    profile takes away from the baseline, or the prompt rule that says so."""
+    id: str
+    filtered_categories: Tuple[str, ...] = ()  # tool categories not offered
+    minimal_guidance: bool = False  # workflow guidance cut to the goal
+    withhold_commit_message: bool = False
+    blocked_utilities: Tuple[str, ...] = ()  # binaries missing in the guest
+    constraint: Optional[str] = None  # extra prompt rule
+
+
+PROFILES: Dict[str, CapabilityProfile] = {p.id: p for p in (
+    CapabilityProfile("baseline"),
+    CapabilityProfile("degraded_prompt", minimal_guidance=True),
+    CapabilityProfile(
+        "no_utils", blocked_utilities=("nft", "tc", "ip"),
+        constraint="Do not use subsystem-specific command-line utilities "
+                   "(nft, tc, ip, ...); they are not available in the guest."),
+    CapabilityProfile(
+        "no_gdb", filtered_categories=("debugging",),
+        constraint="Do not install or invoke a debugger or other interactive "
+                   "debugging tools."),
+    CapabilityProfile(
+        "no_commit_message", withhold_commit_message=True,
+        constraint="Do not retrieve or infer the commit message (e.g., via "
+                   "git log)."),
+)}
 
 # "syzbot-like" build manifest: memory-error detector and debug symbols on,
 # dynamic-probe facilities off.  The exact upstream fuzzing config is not
@@ -60,19 +87,14 @@ class PatchTask:
     is_race: Optional[bool] = None
     commit_msg_level: Optional[int] = None  # 1 | 2 | 3
     submit_time: Optional[str] = None  # UTC ISO-8601
-    ablations: Set[str] = field(default_factory=set)
     repo_ref: Optional[str] = None
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["ablations"] = sorted(self.ablations)
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PatchTask":
-        d = json.loads(text)
-        d["ablations"] = set(d.get("ablations", []))
-        return cls(**d)
+        return cls(**json.loads(text))
 
 
 @dataclass
@@ -118,18 +140,15 @@ def load_case_metadata(path) -> Dict[str, dict]:
     return records
 
 
-def resolve_task(repo_ref, commit_id, ablations=None,
+def resolve_task(repo_ref, commit_id,
                  metadata: Optional[dict] = None) -> PatchTask:
     """Turn a fix-commit id into a PatchTask.
 
     The parent is the commit's sole first parent; merge commits are rejected
-    because "one commit prior" is ambiguous for them.
+    because "one commit prior" is ambiguous for them.  The task always
+    carries the commit message; a profile that withholds it does so when the
+    prompt is assembled.
     """
-    ablations = set(ablations or ())
-    for a in ablations:
-        if a not in VALID_PROFILES:
-            raise UnknownProfile(a)
-
     full_id = _git(repo_ref, "rev-parse", "%s^{commit}" % commit_id).strip()
     parents = _git(repo_ref, "log", "-1", "--format=%P", full_id).split()
     if len(parents) != 1:
@@ -141,9 +160,7 @@ def resolve_task(repo_ref, commit_id, ablations=None,
     if not diff.strip():
         raise EmptyDiff(full_id)
 
-    message = None
-    if "no_commit_message" not in ablations:
-        message = _git(repo_ref, "log", "-1", "--format=%B", full_id).rstrip("\n")
+    message = _git(repo_ref, "log", "-1", "--format=%B", full_id).rstrip("\n")
 
     meta = dict(metadata or {})
     return PatchTask(
@@ -157,7 +174,6 @@ def resolve_task(repo_ref, commit_id, ablations=None,
         is_race=meta.get("is_race"),
         commit_msg_level=meta.get("commit_msg_level"),
         submit_time=meta.get("submit_time"),
-        ablations=ablations,
         repo_ref=os.path.abspath(repo_ref),
     )
 
@@ -280,25 +296,29 @@ def _write_env_dir(env_dir, task, env):
         fh.write(env.prep_log + "\n")
 
 
-def apply_capability_profile(env: ReproEnvironment, profile_id: str,
-                             blocked_utilities=guestvm.DEFAULT_BLOCKED_UTILITIES
-                             ) -> ReproEnvironment:
-    """Apply a guest-image transform for the given profile.
-
-    Only ``no_utils`` changes the image (the named utility binaries become
-    unavailable inside the guest); every other profile is an identity here
-    and acts on the prompt/tool surface instead.
-    """
-    if profile_id not in VALID_PROFILES:
+def apply_capability_profile(env: ReproEnvironment,
+                             profile_id: str) -> ReproEnvironment:
+    """``shape_guest_image`` for the profile named ``profile_id``; raises
+    ``UnknownProfile`` for an id not in ``PROFILES``."""
+    if profile_id not in PROFILES:
         raise UnknownProfile(profile_id)
-    if profile_id != "no_utils":
+    return shape_guest_image(env, PROFILES[profile_id])
+
+
+def shape_guest_image(env: ReproEnvironment,
+                      profile: CapabilityProfile) -> ReproEnvironment:
+    """Make the profile's blocked utility binaries unavailable inside the
+    guest.  A profile that blocks nothing acts only on the prompt and tool
+    surface and gets ``env`` itself back."""
+    if not profile.blocked_utilities:
         return env
     state = {
         "scenario_path": env.snapshot_ref.state["scenario_path"],
         "guest_state": dict(env.snapshot_ref.state["guest_state"],
-                            blocked_utilities=sorted(blocked_utilities)),
+                            blocked_utilities=sorted(profile.blocked_utilities)),
     }
     snap = guestvm.create_snapshot(state)
-    return replace(env, guest_image_ref=env.guest_image_ref + "+no_utils",
+    return replace(env, guest_image_ref="%s+%s" % (env.guest_image_ref,
+                                                   profile.id),
                    snapshot_ref=snap,
-                   prep_log=env.prep_log + "\napplied profile no_utils")
+                   prep_log=env.prep_log + "\napplied profile " + profile.id)

@@ -14,6 +14,11 @@ class HarnessError(Exception):
         super().__init__(message or self.name)
 
 
+class InvalidParams(HarnessError):
+    """A tool call whose arguments do not match the registry schema."""
+    name = "InvalidParams"
+
+
 # --- envprep ---------------------------------------------------------------
 
 class UnknownCommit(HarnessError):
@@ -128,20 +133,12 @@ class NotStopped(HarnessError):
 
 # --- sessionrunner / verdict / analytics -----------------------------------
 
-class FatalToolServerError(HarnessError):
-    name = "FatalToolServerError"
-
-
 class MalformedTrace(HarnessError):
     name = "MalformedTrace"
 
 
 class ArtifactsIncomplete(HarnessError):
     name = "ArtifactsIncomplete"
-
-
-class DegenerateMargins(HarnessError):
-    name = "DegenerateMargins"
 
 
 class AllStrataDegenerate(HarnessError):

@@ -33,7 +33,6 @@ from .errors import (
 )
 
 DEFAULT_EXEC_TIMEOUT_S = 30.0
-DEFAULT_BLOCKED_UTILITIES = ("nft", "tc", "ip")
 
 # Lexical recognizers for kernel log lines: a printk timestamp prefix or a
 # known severity/banner token at line start.
@@ -252,7 +251,6 @@ class GuestHandle:
         self.gate = gate or DebugGate()
         self.transcript: List[dict] = []  # {t, origin, line}
         self.poc_iterations = 0
-        self._origin_seq = 0
 
     # transcript -------------------------------------------------------------
 
@@ -260,9 +258,6 @@ class GuestHandle:
         now = time.time()
         for line in lines:
             self.transcript.append({"t": now, "origin": origin, "line": line})
-
-    def transcript_text(self) -> str:
-        return "\n".join(e["line"] for e in self.transcript)
 
     def state_digest(self) -> str:
         if self.backend == "mock":

@@ -22,9 +22,6 @@ from .errors import (
 )
 from .guestvm import DebugGate, GuestHandle
 
-MUTATION_CATEGORIES = (
-    "memory_write", "register_write", "function_call", "expression_assignment")
-
 # A single "=" that is not part of ==, !=, <=, >= marks an assignment
 # expression.
 _ASSIGN_RE = re.compile(r"(?<![=!<>])=(?!=)")

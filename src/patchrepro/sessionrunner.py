@@ -14,8 +14,7 @@ from decimal import Decimal
 from typing import Dict, List, Optional, Sequence
 
 from . import envprep, toolserver
-from .errors import FatalToolServerError, MalformedTrace
-from .toolserver import CapabilityProfile, PROFILES
+from .envprep import CapabilityProfile
 from .trace import Trace, read_trace
 
 DEFAULT_WALL_CLOCK_LIMIT_S = 10 * 3600.0
@@ -122,8 +121,7 @@ def run_session(task: envprep.PatchTask, env: envprep.ReproEnvironment,
     """Loop the model over the tool server until finalize, give-up, or
     budget exhaustion; always flush the artifact set."""
     os.makedirs(out_dir, exist_ok=True)
-    if profile.image_transform:
-        env = envprep.apply_capability_profile(env, profile.image_transform)
+    env = envprep.shape_guest_image(env, profile)
 
     trace = Trace()
     server = toolserver.ToolServer(env, task, profile, trace=trace)

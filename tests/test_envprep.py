@@ -33,14 +33,6 @@ def test_resolve_task_merge_rejected(kernel_repo):
         envprep.resolve_task(kernel_repo["repo"], kernel_repo["merge"])
 
 
-def test_resolve_task_ablation_strips_commit_message(kernel_repo):
-    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"],
-                                ablations={"no_commit_message"})
-    assert task.commit_message is None
-    # Diff survives the ablation.
-    assert task.diff_text.strip()
-
-
 def test_task_round_trip(kernel_repo):
     task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
     again = envprep.PatchTask.from_json(task.to_json())

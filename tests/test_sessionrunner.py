@@ -172,3 +172,22 @@ def test_replay_counts_utilities_and_procfs(env_and_task, tmp_path):
     assert measures["utility_invocations"] == {"nft": 1}
     assert measures["procfs_accesses"] == 1
     assert measures["sysfs_accesses"] == 1
+
+
+@pytest.mark.parametrize("profile,blocked", [("no_utils", True),
+                                             ("baseline", False)])
+def test_no_utils_session_guest_lacks_utilities(env_and_task, tmp_path,
+                                                profile, blocked):
+    env, task = env_and_task
+    actions = [
+        ModelAction(kind="tool_call", name="vm.start", args={}),
+        ModelAction(kind="tool_call", name="vm.exec",
+                    args={"command": "nft list ruleset"}),
+        ModelAction(kind="give_up"),
+    ]
+    artifacts = run_session(task, env, ScriptedModelClient(actions),
+                            toolserver.PROFILES[profile], Budget(),
+                            str(tmp_path / "run"))
+    console = open(artifacts.console_path, encoding="utf-8").read()
+    assert "nft list ruleset" in console
+    assert ("nft: command not found" in console) == blocked

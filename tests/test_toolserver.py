@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -224,3 +225,81 @@ def test_every_profile_prompt_has_no_internet_rule(profile_id):
     bundle = toolserver.assemble_prompts(task, toolserver.PROFILES[profile_id])
     assert toolserver.NO_INTERNET_CONSTRAINT in bundle.constraints
     assert bundle.task_text and bundle.technical_text
+
+
+# --- registry-checked arguments ---------------------------------------------
+
+_VALID = {"string": "x", "integer": 1, "number": 1.5}
+_WRONG = {"string": [7], "integer": ["1", True, 1.5], "number": ["1.5", True]}
+
+
+def _bad_calls():
+    """(tool, args) pairs the registry schema rejects: each required
+    argument left out, each argument given a wrong JSON type, and an
+    argument the tool does not declare."""
+    for tool in toolserver.load_registry():
+        ok = {k: _VALID[spec["type"]] for k, spec in tool.parameters.items()
+              if spec.get("required")}
+        for key, spec in tool.parameters.items():
+            if spec.get("required"):
+                yield pytest.param(
+                    tool.name, {k: v for k, v in ok.items() if k != key},
+                    id="%s-missing-%s" % (tool.name, key))
+            for wrong in _WRONG[spec["type"]]:
+                yield pytest.param(tool.name, dict(ok, **{key: wrong}),
+                                   id="%s-%s=%r" % (tool.name, key, wrong))
+        yield pytest.param(tool.name, dict(ok, bogus="x"),
+                           id="%s-unknown" % tool.name)
+
+
+@pytest.mark.parametrize("name,args", list(_bad_calls()))
+def test_schema_violation_is_invalid_params_and_traced(name, args):
+    task = envprep.PatchTask(case_id="c", commit_id="a" * 40,
+                             parent_commit_id="b" * 40, diff_text="--- x")
+    # The check runs before any handler, so no environment is needed.
+    srv = toolserver.ToolServer(None, task, toolserver.PROFILES["baseline"])
+    out = srv.dispatch_call(name, args)
+    assert out["error"]["name"] == "InvalidParams"
+    call, result = srv.trace.events
+    assert (call["kind"], call["name"], call["args"]) == ("tool_call", name, args)
+    assert result["kind"] == "tool_result"
+    assert result["call_seq"] == call["seq"]
+    assert result["error"] == out["error"]
+
+
+def test_handlers_match_registry_names():
+    handlers = {n for n in vars(toolserver.ToolServer) if n.startswith("_tool_")}
+    assert handlers == {"_tool_" + t.name.replace(".", "_")
+                        for t in toolserver.load_registry()}
+
+
+def test_action_arguments_are_required_per_action(env_and_task):
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    for name, args in [("dbg.breakpoint", {"action": "set"}),
+                       ("dbg.breakpoint", {"action": "delete"}),
+                       ("dbg.inspect", {"what": "memory", "address": "0x0"}),
+                       ("dbg.inspect", {"what": "expression"})]:
+        assert srv.dispatch_call(name, args)["error"]["name"] == "InvalidParams"
+    assert srv.dispatch_call("dbg.breakpoint", {"action": "list"}) == {
+        "result": {"breakpoints": []}}
+
+
+@pytest.mark.parametrize("profile_id", sorted(toolserver.PROFILES))
+def test_profile_behaviour_follows_its_fields_not_its_id(profile_id):
+    """A profile under a new id with another profile's fields offers the same
+    tools, the same prompts and the same JSON-RPC answers."""
+    task = envprep.PatchTask(case_id="c", commit_id="a" * 40,
+                             parent_commit_id="b" * 40, diff_text="--- x",
+                             commit_message="msg")
+    known = toolserver.PROFILES[profile_id]
+    twin = dataclasses.replace(known, id="renamed")
+    assert toolserver.list_tools(twin) == toolserver.list_tools(known)
+    assert (toolserver.assemble_prompts(task, twin)
+            == toolserver.assemble_prompts(task, known))
+    requests = [{"jsonrpc": "2.0", "id": 1, "method": "tools/list"},
+                {"jsonrpc": "2.0", "id": 2, "method": "tools/call",
+                 "params": {"name": "dbg.resume", "arguments": {}}}]
+    answers = [[toolserver.ToolServer(None, task, p).dispatch(r)
+                for r in requests] for p in (twin, known)]
+    assert answers[0] == answers[1]
