@@ -13,10 +13,12 @@ gcc.
 
 import os
 import re
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import islice, repeat
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBeyondEof
 
@@ -48,9 +50,21 @@ _KEYWORDS = {
     "int", "char", "long", "short", "unsigned", "signed", "float", "double",
 }
 
+# A line can match one of the rules above only if, after leading whitespace,
+# it starts with "#", "typedef", "struct", "union" or "enum", or if it starts
+# with a word character in column 0.  Searched for in the file text with a
+# "\n" in front, so each match starts at the "\n" before a candidate line
+# (a literal first character lets the search skip ahead quickly).
+_RX_CANDIDATE = re.compile(r"\n(?:[^\S\n]*(?:#|typedef|struct|union|enum)|\w)")
 
-@dataclass(frozen=True)
-class SymbolEntry:
+# Every byte but the two braces; brace bytes never occur inside a multibyte
+# UTF-8 sequence.
+_NOT_BRACES = bytes(sorted(set(range(256)) - set(b"{}")))
+# Brace nesting deeper than this sends a file to the line-by-line indexer.
+_NESTING_CHECKED = 64
+
+
+class SymbolEntry(NamedTuple):
     name: str
     kind: str  # function | struct | union | enum | macro | typedef | global
     file: str  # relative path
@@ -78,14 +92,33 @@ class CodeIndex:
     def file_count(self) -> int:
         return len(self.files)
 
-    def add(self, entry: SymbolEntry):
-        self.entries.setdefault(entry.name, []).append(entry)
-        self.by_file.setdefault(entry.file, []).append(entry)
+    def add_file(self, rel: str, entries: List[SymbolEntry]):
+        """Append an indexed file and the entries it defines, in line order."""
+        self.files.append(rel)
+        if not entries:
+            return
+        self.by_file[rel] = entries
+        add = self.entries.setdefault
+        for entry in entries:
+            add(entry.name, []).append(entry)
+
+
+def _decode(raw: bytes) -> str:
+    """File bytes as text read with universal newlines, invalid UTF-8
+    replaced."""
+    text = raw.decode("utf-8", errors="replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return fh.read()
+    return _decode(_read_bytes(path))
 
 
 def _split_lines(text: str) -> List[str]:
@@ -120,36 +153,83 @@ def _resolve(root: str, file: str) -> str:
     return full
 
 
-def _index_file(relpath: str, lines: List[str], index: CodeIndex):
-    brace_depth = 0
-    for lineno, line in enumerate(lines, start=1):
-        at_top = brace_depth == 0
-        m = _RX_DEFINE.match(line)
-        if m:
-            index.add(SymbolEntry(m.group(1), "macro", relpath, lineno))
-        elif at_top:
-            m = _RX_TAG.match(line)
-            if m and (m.group(3) == "{" or "{" in line):
-                index.add(SymbolEntry(m.group(2), m.group(1), relpath, lineno))
-            else:
-                m = _RX_TYPEDEF.match(line)
-                if m and m.group(1) not in _KEYWORDS:
-                    index.add(SymbolEntry(m.group(1), "typedef", relpath, lineno))
-                else:
-                    m = _RX_FUNC.match(line)
-                    stripped = line.rstrip()
-                    if (m and m.group(1) not in _KEYWORDS
-                            and not stripped.endswith(";")
-                            and "=" not in line.split("(")[0]):
-                        index.add(SymbolEntry(m.group(1), "function", relpath, lineno))
-                    else:
-                        m = _RX_GLOBAL.match(line)
-                        if (m and m.group(1) not in _KEYWORDS
-                                and "(" not in line.split(m.group(1))[0]):
-                            index.add(SymbolEntry(m.group(1), "global", relpath, lineno))
+def _definition(line: str, at_top: bool) -> Optional[Tuple[str, str]]:
+    """(name, kind) of the definition ``line`` opens, or None.  Only macros
+    are found below brace depth 0, where ``at_top`` is false."""
+    m = _RX_DEFINE.match(line)
+    if m:
+        return m.group(1), "macro"
+    if not at_top:
+        return None
+    m = _RX_TAG.match(line)
+    if m and (m.group(3) == "{" or "{" in line):
+        return m.group(2), m.group(1)
+    m = _RX_TYPEDEF.match(line)
+    if m and m.group(1) not in _KEYWORDS:
+        return m.group(1), "typedef"
+    m = _RX_FUNC.match(line)
+    if (m and m.group(1) not in _KEYWORDS
+            and not line.rstrip().endswith(";")
+            and "=" not in line.split("(")[0]):
+        return m.group(1), "function"
+    m = _RX_GLOBAL.match(line)
+    if (m and m.group(1) not in _KEYWORDS
+            and "(" not in line.split(m.group(1))[0]):
+        return m.group(1), "global"
+    return None
+
+
+def _closes_early(raw: bytes) -> bool:
+    """Whether some prefix of the file closes more braces than it opens.
+    True also when braces nest too deep to tell in a few passes."""
+    braces = raw.translate(None, _NOT_BRACES)
+    for _ in range(_NESTING_CHECKED):
+        inner = braces.replace(b"{}", b"")
+        if len(inner) == len(braces):
+            return braces.startswith(b"}")
+        braces = inner
+    return True
+
+
+def _index_lines(rel: str, text: str) -> List[SymbolEntry]:
+    """Every line through the rules, tracking brace depth line by line and
+    clamping it at 0 after each line."""
+    found = []
+    depth = 0
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        hit = _definition(line, depth == 0)
+        if hit:
+            found.append(SymbolEntry(hit[0], hit[1], rel, lineno))
         # Track nesting outside strings/comments well enough for fixtures.
-        brace_depth += line.count("{") - line.count("}")
-        brace_depth = max(brace_depth, 0)
+        depth = max(depth + line.count("{") - line.count("}"), 0)
+    return found
+
+
+def _index_file(rel: str, raw: bytes, text: str) -> List[SymbolEntry]:
+    """The definitions in one file, in line order.
+
+    Only candidate lines (``_RX_CANDIDATE``) go through the rules; a line's
+    number and brace depth are counted in the text since the previous
+    candidate.  Those counts equal the line-by-line depth only while the
+    clamp at 0 never fires, so a file where some prefix closes more braces
+    than it opens is indexed line by line instead.
+    """
+    if _closes_early(raw):
+        return _index_lines(rel, text)
+    found = []
+    count, find = text.count, text.find
+    lineno, depth, pos = 1, 0, 0
+    for m in _RX_CANDIDATE.finditer("\n" + text):
+        start = m.start()  # of the line in ``text``
+        lineno += count("\n", pos, start)
+        depth += count("{", pos, start) - count("}", pos, start)
+        pos = start
+        end = find("\n", start)
+        hit = _definition(text[start:end] if end >= 0 else text[start:],
+                          depth == 0)
+        if hit:
+            found.append(SymbolEntry(hit[0], hit[1], rel, lineno))
+    return found
 
 
 def build_index(source_root: str) -> CodeIndex:
@@ -176,11 +256,10 @@ def build_index(source_root: str) -> CodeIndex:
                 # leak its text through reference hits.
                 if os.path.islink(full):
                     _resolve(source_root, rel)
-                lines = _split_lines(_read_text(full))
+                raw = _read_bytes(full)
             except (OSError, FileNotIndexed):
                 continue
-            _index_file(rel, lines, index)
-            index.files.append(rel)
+            index.add_file(rel, _index_file(rel, raw, _decode(raw)))
     index.build_time_ms = int((time.monotonic() - started) * 1000)
     return index
 
@@ -282,11 +361,20 @@ def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
                              % (path, digest))
         for _ in range(int(head[2])):
             rel, count = fh.readline().rstrip("\n").split("\t")
-            index.files.append(rel)
-            for _ in range(int(count)):
-                name, kind, lineno = fh.readline().rstrip("\n").split("\t")
-                index.add(SymbolEntry(name, kind, rel, int(lineno)))
-        if fh.readline() != "end\n":
+            n = int(count)
+            # The file's n records as one flat list of fields; the last
+            # record ends in "\n", which leaves one empty field at the end.
+            fields = "".join(islice(fh, n)).replace("\n", "\t").split("\t")
+            if fields.pop() or len(fields) != 3 * n:
+                raise ValueError("%s is truncated" % path)
+            # tuple.__new__ builds the same SymbolEntry as the class call,
+            # without running Python code per entry; interning keeps one
+            # string per kind instead of one per entry.
+            index.add_file(rel, list(map(
+                tuple.__new__, repeat(SymbolEntry),
+                zip(fields[0::3], map(sys.intern, fields[1::3]), repeat(rel),
+                    map(int, fields[2::3])))))
+        if fh.read() != "end\n":
             raise ValueError("%s is truncated" % path)
     return index
 

@@ -71,7 +71,6 @@ SYZBOT_LIKE_MANIFEST = [
     "CONFIG_FUNCTION_TRACER=n",
 ]
 
-BOOT_DEADLINE_EXTERNAL_S = 120.0
 BOOT_DEADLINE_MOCK_S = 1.0
 
 
@@ -184,13 +183,30 @@ def content_digest(commit_id, builder_id, config_manifest) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _reset_checkout(dest: str, commit: str) -> bool:
+    """Put an existing checkout back to exactly ``commit``: tracked files
+    restored, untracked and ignored ones removed.  False when git fails."""
+    # Name the repository outright: with a broken dest/.git, git would
+    # otherwise search upwards and reset an enclosing repository.
+    git = ["git", "--git-dir", os.path.join(dest, ".git"), "--work-tree", dest]
+    for args in (["reset", "--hard", "--quiet", commit], ["clean", "-ffdxq"]):
+        if subprocess.run(git + args, capture_output=True).returncode != 0:
+            return False
+    return True
+
+
 def _checkout_parent(task: PatchTask, dest: str, log: List[str]):
     repo = task.repo_ref
     if repo is None or not os.path.isdir(repo):
         os.makedirs(dest, exist_ok=True)
         log.append("no repository reference; source_root left empty")
         return
-    # Re-preparing the same environment starts from a clean checkout.
+    # Re-preparing the same environment resets its checkout in place, and
+    # re-clones only when that fails.
+    if (os.path.isdir(os.path.join(dest, ".git"))
+            and _reset_checkout(dest, task.parent_commit_id)):
+        log.append("reset checkout to %s" % task.parent_commit_id)
+        return
     if os.path.isdir(dest) and os.listdir(dest):
         shutil.rmtree(dest)
     os.makedirs(dest, exist_ok=True)

@@ -7,12 +7,13 @@ records every call in the session trace.  Host-side shell execution is
 intentionally not a registered tool.
 """
 
+import functools
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, asdict
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import codebrowse, guestvm, kdbg
 # Re-exported: callers take a profile and its tools from this module.
@@ -80,14 +81,23 @@ class PromptBundle:
     constraints: List[str] = field(default_factory=list)
 
 
-def load_registry() -> List[ToolDescriptor]:
+@functools.lru_cache(maxsize=None)
+def _registry_records() -> tuple:
+    """The registry's tool records, parsed once per process.  Never handed
+    out: callers get copies from ``load_registry``."""
     raw = json.loads(
         resources.files("patchrepro").joinpath("data/tool_registry.json")
         .read_text(encoding="utf-8"))
-    tools = [ToolDescriptor(**t) for t in raw["tools"]]
-    names = [t.name for t in tools]
+    names = [t["name"] for t in raw["tools"]]
     assert len(names) == len(set(names)), "duplicate tool names in registry"
-    return tools
+    return tuple(raw["tools"])
+
+
+def load_registry() -> List[ToolDescriptor]:
+    """Fresh descriptors of every registry tool, in registry order."""
+    return [ToolDescriptor(**dict(t, parameters={
+        key: dict(spec) for key, spec in t["parameters"].items()}))
+        for t in _registry_records()]
 
 
 def check_args(tool: ToolDescriptor, args: dict):
@@ -153,6 +163,7 @@ class ToolServer:
         self.handle: Optional[guestvm.GuestHandle] = None
         self.debug_session: Optional[kdbg.DebugSession] = None
         self.code_index: Optional[codebrowse.CodeIndex] = None
+        self._query_memo: Dict[tuple, Tuple[List[dict], bool]] = {}
         self._gate_was_stopped = False
         self._transcript_cursor = 0
 
@@ -228,13 +239,18 @@ class ToolServer:
 
     def _tool_code_list_symbols(self, file):
         entries = codebrowse.list_symbols(self._index(), file)
-        return {"symbols": [asdict(e) for e in entries]}
+        return {"symbols": [e._asdict() for e in entries]}
 
     def _tool_code_query(self, name, mode="definitions",
                          limit=codebrowse.DEFAULT_QUERY_LIMIT):
-        hits, truncated = codebrowse.query_symbol(self._index(), name,
-                                                  mode=mode, limit=limit)
-        return {"locations": hits, "truncated": truncated}
+        # The source tree does not change during a session, so a repeated
+        # query has the same answer; each caller gets its own copy.
+        key = (name, mode, limit)
+        if key not in self._query_memo:
+            self._query_memo[key] = codebrowse.query_symbol(
+                self._index(), name, mode=mode, limit=limit)
+        hits, truncated = self._query_memo[key]
+        return {"locations": [dict(h) for h in hits], "truncated": truncated}
 
     def _tool_code_read(self, file, start, end):
         return asdict(codebrowse.read_range(self.env.source_root, file,

@@ -22,9 +22,6 @@ from .sessionrunner import (
 )
 from .trace import iter_console_lines, read_trace
 
-CRASH_CLASSES = ("UAF", "OOB", "DF", "GPF", "NULL_DEREF", "PANIC", "BUG_ON",
-                 "OTHER")
-
 # Banner table: recognizer -> class.  WARNING:, RCU stalls, hung tasks, and
 # soft lockups are deliberately NOT crashes.
 _KASAN_BANNER = re.compile(r"BUG: KASAN: ([\w-]+)(?: in (\S+))?")

@@ -299,3 +299,132 @@ def test_reference_scan_is_whole_word(tmp_path_factory, words, target):
     expected = [n for n, line in enumerate(text.splitlines(), 1)
                 if rx.search(line) and ("a.c", n) not in defining]
     assert [r["line"] for r in refs] == expected
+
+
+# --- the candidate-line indexer against a line-by-line oracle -------------------
+
+def _oracle_index(root):
+    """``build_index`` as one loop over every line of every file, with the
+    brace depth clamped at 0 after each line: the reference the indexer
+    must agree with, entry for entry and in the same order.  Files are read
+    through Python's text layer, which ``codebrowse._decode`` must equal."""
+    entries, by_file, files = {}, {}, []
+    SymbolEntry = codebrowse.SymbolEntry
+
+    def add(entry):
+        entries.setdefault(entry.name, []).append(entry)
+        by_file.setdefault(entry.file, []).append(entry)
+
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        if ".git" in dirnames:
+            dirnames.remove(".git")
+        for fname in sorted(filenames):
+            if not fname.endswith((".c", ".h")):
+                continue
+            full = os.path.join(dirpath, fname)
+            relpath = os.path.relpath(full, root)
+            with open(full, "r", encoding="utf-8", errors="replace") as fh:
+                lines = fh.read().split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            files.append(relpath)
+            brace_depth = 0
+            for lineno, line in enumerate(lines, start=1):
+                at_top = brace_depth == 0
+                m = codebrowse._RX_DEFINE.match(line)
+                if m:
+                    add(SymbolEntry(m.group(1), "macro", relpath, lineno))
+                elif at_top:
+                    m = codebrowse._RX_TAG.match(line)
+                    if m and (m.group(3) == "{" or "{" in line):
+                        add(SymbolEntry(m.group(2), m.group(1), relpath, lineno))
+                    else:
+                        m = codebrowse._RX_TYPEDEF.match(line)
+                        if m and m.group(1) not in codebrowse._KEYWORDS:
+                            add(SymbolEntry(m.group(1), "typedef", relpath, lineno))
+                        else:
+                            m = codebrowse._RX_FUNC.match(line)
+                            stripped = line.rstrip()
+                            if (m and m.group(1) not in codebrowse._KEYWORDS
+                                    and not stripped.endswith(";")
+                                    and "=" not in line.split("(")[0]):
+                                add(SymbolEntry(m.group(1), "function", relpath,
+                                                lineno))
+                            else:
+                                m = codebrowse._RX_GLOBAL.match(line)
+                                if (m and m.group(1) not in codebrowse._KEYWORDS
+                                        and "(" not in line.split(m.group(1))[0]):
+                                    add(SymbolEntry(m.group(1), "global", relpath,
+                                                    lineno))
+                brace_depth += line.count("{") - line.count("}")
+                brace_depth = max(brace_depth, 0)
+    return entries, by_file, files
+
+
+def _assert_same_index(idx, root):
+    entries, by_file, files = _oracle_index(root)
+    assert list(idx.entries.items()) == list(entries.items())
+    assert list(idx.by_file.items()) == list(by_file.items())
+    assert idx.files == files
+
+
+_C_LINES = (
+    "#define MAX_%d 16", "#  define FLAG_%d(x) (x)", "#include <linux/x.h>",
+    "struct s_%d {", "union u_%d {", "enum e_%d { E_%d };", "struct fwd_%d;",
+    "typedef struct t_%d {", "typedef unsigned long v%d_t;", "} w%d_t;",
+    "static int g_%d = 1;", "int arr_%d[4] = { 1, 2 };", "extern long x_%d;",
+    "int proto_%d(int a);", "int fn_%d(int a)", "static struct s *get_%d(void) {",
+    "\treturn %d;", "\tif (a) {", "out_%d:", "{", "}", "};", "}}", "{ {",
+    "int inline_%d(void) { return 0; }", "", "/* comment %d */",
+)
+_LEADS = ("", "", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0")
+_RAW_LEADS = (b"", b"", b"\xff", b"\xe2\x82", b"\xc3{")
+_ENDINGS = (b"\n", b"\n", b"\n", b"\r\n", b"\r")
+
+_line = st.tuples(st.sampled_from(_LEADS), st.sampled_from(_C_LINES),
+                  st.integers(0, 3), st.sampled_from(_RAW_LEADS),
+                  st.sampled_from(_ENDINGS))
+_file = st.tuples(st.lists(_line, max_size=25), st.booleans())
+
+
+def _render(lines, final_newline):
+    out = b""
+    for lead, text, n, raw, end in lines:
+        out += raw + (lead + text.replace("%d", str(n))).encode() + end
+    if out and not final_newline:
+        out = out.rstrip(b"\r\n")
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(files=st.lists(_file, max_size=3))
+def test_index_matches_line_by_line_oracle(tmp_path_factory, files):
+    """Same entries (key and list order), by_file and files as the
+    line-by-line oracle, also after a save and load; covers stray and
+    unbalanced braces, #define inside bodies, indented tags, unusual
+    whitespace, CRLF, lone CR, no final newline and empty files."""
+    root = tmp_path_factory.mktemp("gen")
+    (root / "sub").mkdir()
+    for i, (lines, final_newline) in enumerate(files):
+        (root / ("sub" if i % 2 else ".") / ("f%d.c" % i)).write_bytes(
+            _render(lines, final_newline))
+    idx = codebrowse.build_index(str(root))
+    _assert_same_index(idx, str(root))
+    path = str(root / "index.tsv")
+    codebrowse.save_index(idx, path, "d")
+    _assert_same_index(codebrowse.load_index(str(root), path, "d"), str(root))
+
+
+@pytest.mark.parametrize("text", [
+    # A leading "}" clamps the depth, so the function after it is at the top.
+    "}\nint after_clamp(void)\n{\n}\n",
+    "int a(void)\n{\n}\n}\n}\nstatic int b;\nint c(void)\n{\n#define IN_BODY 1\n}\n",
+    # Nesting deeper than the brace check follows, then one "}" too many.
+    "int deep(void)\n" + "{\n" * 70 + "}\n" * 71 + "int next(void)\n{\n}\n",
+], ids=["leading_close", "close_after_body", "deep_nesting"])
+def test_index_clamped_files_match_oracle(tmp_path, text):
+    (tmp_path / "a.c").write_text(text)
+    idx = codebrowse.build_index(str(tmp_path))
+    _assert_same_index(idx, str(tmp_path))
+    assert idx.entries

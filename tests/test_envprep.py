@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -92,3 +93,98 @@ def test_apply_profile_unknown(kernel_repo, tmp_path):
     env = envprep.prepare_environment(task, _fixture_builder(), str(tmp_path / "env"))
     with pytest.raises(errors.UnknownProfile):
         envprep.apply_capability_profile(env, "bogus")
+
+
+def _git_out(root, *args):
+    return subprocess.run(["git", "-C", root, *args], capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _tree_bytes(root):
+    """Every file below ``root`` outside .git, by relative path."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        if ".git" in dirnames:
+            dirnames.remove(".git")
+        for name in filenames:
+            full = os.path.join(dirpath, name)
+            with open(full, "rb") as fh:
+                found[os.path.relpath(full, root)] = fh.read()
+    return found
+
+
+def _spoil_checkout(src):
+    """Edit, delete, add and ignore files in a checkout."""
+    with open(os.path.join(src, "net/netfilter/nf_tables_api.c"), "a") as fh:
+        fh.write("int planted;\n")
+    os.remove(os.path.join(src, "include/nft_fixture.h"))
+    os.makedirs(os.path.join(src, "scratch", "deep"))
+    with open(os.path.join(src, "scratch", "deep", "new.c"), "w") as fh:
+        fh.write("int added;\n")
+    with open(os.path.join(src, ".gitignore"), "w") as fh:
+        fh.write("*.o\n")
+    with open(os.path.join(src, "net", "built.o"), "w") as fh:
+        fh.write("object\n")
+
+
+def _git_commands(monkeypatch):
+    """The git subcommand of each subprocess started from now on."""
+    seen = []
+    real_run = subprocess.run
+
+    def run(cmd, *args, **kwargs):
+        seen.append(next(a for a in cmd[1:] if a in
+                         ("clone", "checkout", "reset", "clean", "status",
+                          "rev-parse")))
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(envprep.subprocess, "run", run)
+    return seen
+
+
+def test_reprepare_resets_the_checkout_in_place(kernel_repo, tmp_path,
+                                                monkeypatch):
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    commands = _git_commands(monkeypatch)
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    # A first preparation clones; it starts no reset.
+    assert commands == ["clone", "checkout"]
+    _spoil_checkout(env.source_root)
+    assert _git_out(env.source_root, "status", "--porcelain", "--ignored",
+                    "--untracked-files=all")
+    commands.clear()
+    again = envprep.prepare_environment(task, _fixture_builder(),
+                                        str(tmp_path / "env"))
+    assert commands == ["reset", "clean"]
+    assert again.source_root == env.source_root
+    assert _git_out(env.source_root, "status", "--porcelain", "--ignored",
+                    "--untracked-files=all") == ""
+    fresh = str(tmp_path / "fresh")
+    _git_out(str(tmp_path), "clone", "--quiet", kernel_repo["repo"], fresh)
+    _git_out(fresh, "checkout", "--quiet", task.parent_commit_id)
+    assert _tree_bytes(env.source_root) == _tree_bytes(fresh)
+
+
+def test_broken_checkout_is_cloned_again(kernel_repo, monkeypatch):
+    """A corrupted .git falls back to a fresh clone.  The env dir here lies
+    inside the task's own repository, which the reset must not touch."""
+    repo = kernel_repo["repo"]
+    task = envprep.resolve_task(repo, kernel_repo["fix"])
+    workdir = os.path.join(repo, "envs")
+    env = envprep.prepare_environment(task, _fixture_builder(), workdir)
+    outer = (_git_out(repo, "rev-parse", "HEAD"), _git_out(repo, "status",
+                                                           "--porcelain"))
+    _spoil_checkout(env.source_root)
+    with open(os.path.join(env.source_root, ".git", "HEAD"), "w") as fh:
+        fh.write("garbage\n")
+    commands = _git_commands(monkeypatch)
+    again = envprep.prepare_environment(task, _fixture_builder(), workdir)
+    assert commands == ["reset", "clone", "checkout"]
+    assert _git_out(again.source_root, "status", "--porcelain", "--ignored",
+                    "--untracked-files=all") == ""
+    assert _git_out(again.source_root, "rev-parse", "HEAD").strip() == \
+        task.parent_commit_id
+    assert not os.path.exists(os.path.join(again.source_root, "scratch"))
+    assert (_git_out(repo, "rev-parse", "HEAD"),
+            _git_out(repo, "status", "--porcelain")) == outer
