@@ -7,13 +7,12 @@ records every call in the session trace.  Host-side shell execution is
 intentionally not a registered tool.
 """
 
-import functools
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, asdict
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import codebrowse, guestvm, kdbg
 # Re-exported: callers take a profile and its tools from this module.
@@ -81,23 +80,14 @@ class PromptBundle:
     constraints: List[str] = field(default_factory=list)
 
 
-@functools.lru_cache(maxsize=None)
-def _registry_records() -> tuple:
-    """The registry's tool records, parsed once per process.  Never handed
-    out: callers get copies from ``load_registry``."""
+def load_registry() -> List[ToolDescriptor]:
     raw = json.loads(
         resources.files("patchrepro").joinpath("data/tool_registry.json")
         .read_text(encoding="utf-8"))
-    names = [t["name"] for t in raw["tools"]]
+    tools = [ToolDescriptor(**t) for t in raw["tools"]]
+    names = [t.name for t in tools]
     assert len(names) == len(set(names)), "duplicate tool names in registry"
-    return tuple(raw["tools"])
-
-
-def load_registry() -> List[ToolDescriptor]:
-    """Fresh descriptors of every registry tool, in registry order."""
-    return [ToolDescriptor(**dict(t, parameters={
-        key: dict(spec) for key, spec in t["parameters"].items()}))
-        for t in _registry_records()]
+    return tools
 
 
 def check_args(tool: ToolDescriptor, args: dict):
@@ -163,7 +153,6 @@ class ToolServer:
         self.handle: Optional[guestvm.GuestHandle] = None
         self.debug_session: Optional[kdbg.DebugSession] = None
         self.code_index: Optional[codebrowse.CodeIndex] = None
-        self._query_memo: Dict[tuple, Tuple[List[dict], bool]] = {}
         self._gate_was_stopped = False
         self._transcript_cursor = 0
 
@@ -243,14 +232,9 @@ class ToolServer:
 
     def _tool_code_query(self, name, mode="definitions",
                          limit=codebrowse.DEFAULT_QUERY_LIMIT):
-        # The source tree does not change during a session, so a repeated
-        # query has the same answer; each caller gets its own copy.
-        key = (name, mode, limit)
-        if key not in self._query_memo:
-            self._query_memo[key] = codebrowse.query_symbol(
-                self._index(), name, mode=mode, limit=limit)
-        hits, truncated = self._query_memo[key]
-        return {"locations": [dict(h) for h in hits], "truncated": truncated}
+        hits, truncated = codebrowse.query_symbol(self._index(), name,
+                                                  mode=mode, limit=limit)
+        return {"locations": hits, "truncated": truncated}
 
     def _tool_code_read(self, file, start, end):
         return asdict(codebrowse.read_range(self.env.source_root, file,

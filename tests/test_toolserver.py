@@ -305,38 +305,6 @@ def test_profile_behaviour_follows_its_fields_not_its_id(profile_id):
     assert answers[0] == answers[1]
 
 
-def test_repeated_code_query_is_answered_once(env_and_task, monkeypatch):
-    """An exact repeat of a code.query call gets an equal answer without a
-    second scan and leaves the same trace; errors are not remembered."""
-    srv = _server(env_and_task)
-    scans = []
-    real_query = codebrowse.query_symbol
-    monkeypatch.setattr(codebrowse, "query_symbol",
-                        lambda *a, **k: scans.append(a[1]) or real_query(*a, **k))
-    args = {"name": "chain", "mode": "references", "limit": 3}
-    first = srv.dispatch_call("code.query", dict(args))
-    expected = json.loads(json.dumps(first))
-    # What one caller does to its answer does not reach the next caller.
-    first["result"]["locations"][0]["text"] = "changed"
-    first["result"]["locations"].clear()
-    second = srv.dispatch_call("code.query", dict(args))
-    assert second == expected and expected["result"]["locations"]
-    assert scans == ["chain"]
-    call_a, result_a, call_b, result_b = [
-        {k: v for k, v in e.items() if k not in ("seq", "call_seq", "t_rel_ms")}
-        for e in srv.trace.events]
-    assert (call_a, result_a) == (call_b, result_b)
-
-    srv.dispatch_call("code.query", {"name": "chain", "limit": 3})
-    assert scans == ["chain", "chain"]
-    for bad in ({"name": "chain", "mode": "callers"},
-                {"name": "chain", "limit": 0}):
-        for _ in range(2):
-            out = srv.dispatch_call("code.query", bad)
-            assert out["error"]["name"] == "InvalidParams"
-    assert scans == ["chain"] * 6
-
-
 def test_list_symbols_answer_is_plain_json(env_and_task):
     srv = _server(env_and_task)
     path = "net/netfilter/nf_tables_api.c"
@@ -348,17 +316,3 @@ def test_list_symbols_answer_is_plain_json(env_and_task):
         for e in entries]
     assert [list(s) for s in out["result"]["symbols"]] == \
         [["name", "kind", "file", "line"]] * len(entries)
-
-
-def test_registry_answers_cannot_be_changed_by_a_caller():
-    baseline = toolserver.PROFILES["baseline"]
-    expected = [dataclasses.asdict(t) for t in toolserver.list_tools(baseline)]
-    tools = toolserver.list_tools(baseline)
-    tools.pop()
-    tools[0].parameters.clear()
-    tools[1].parameters["name"]["type"] = "integer"
-    tools[2].name = "renamed"
-    toolserver.load_registry()[3].parameters["extra"] = {"type": "string"}
-    assert [dataclasses.asdict(t) for t in toolserver.list_tools(baseline)] \
-        == expected
-    assert [dataclasses.asdict(t) for t in toolserver.load_registry()] == expected
