@@ -40,19 +40,10 @@ def _cmd_run(args):
 
 
 def _cmd_serve_tools(args):
-    with open(os.path.join(args.env, "task.json"), "r", encoding="utf-8") as fh:
-        task = envprep.PatchTask.from_json(fh.read())
-    with open(os.path.join(args.env, "manifest.json"), "r",
-              encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    scenario = manifest["guest_image_ref"].split(":", 1)[-1]
-    builder = envprep.BuilderSpec(
-        builder_id=manifest["builder_id"], kind="fixture",
-        parameters={"scenario": os.path.join(args.env, scenario)
-                    if not os.path.isabs(scenario) else scenario})
-    env = envprep.prepare_environment(task, builder, args.env)
-    server = toolserver.ToolServer(env, task, toolserver.PROFILES[args.profile])
-    server.serve()
+    task, env = envprep.load_environment(args.env)
+    profile = toolserver.PROFILES[args.profile]
+    env = envprep.shape_guest_image(env, profile)
+    toolserver.ToolServer(env, task, profile).serve()
     return 0
 
 

@@ -99,7 +99,7 @@ class PatchTask:
 @dataclass
 class BuilderSpec:
     builder_id: str
-    kind: str  # "external_kernel_build" | "fixture"
+    kind: str  # "fixture", the one kind: a mock-guest scenario
     parameters: Dict[str, str] = field(default_factory=dict)
 
 
@@ -227,10 +227,11 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
                         workdir: str) -> ReproEnvironment:
     """Deterministically build the reproduction environment.
 
-    Fixture builders load a mock-guest scenario; external builders run the
-    documented subprocess contract.  Either way the guest must pass the boot
-    smoke test (answer ``echo ready``) before the snapshot is captured.
+    The fixture builder loads a mock-guest scenario; the guest must pass the
+    boot smoke test (answer ``echo ready``) before the snapshot is captured.
     """
+    if builder.kind != "fixture":
+        raise BuildFailed("unknown builder kind %r" % builder.kind)
     log: List[str] = []
     digest = content_digest(task.commit_id, builder.builder_id,
                             SYZBOT_LIKE_MANIFEST)
@@ -242,48 +243,25 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
     if "source_root" not in builder.parameters:
         _checkout_parent(task, source_root, log)
 
-    if builder.kind == "fixture":
-        scenario_path = builder.parameters["scenario"]
-        scenario = guestvm.GuestScenario.load(scenario_path)
-        guest = guestvm.MockGuest(scenario)
-        handle = guestvm.GuestHandle(
-            "mock",
-            SnapshotRef("boot", "mock",
-                        state={"scenario_path": scenario_path,
-                               "guest_state": guest.state}),
-            mock_guest=guest)
-        deadline = time.monotonic() + BOOT_DEADLINE_MOCK_S
-        out = guestvm.exec_console(handle, "echo ready", timeout_s=1.0)
-        if "ready" not in out.text or out.timed_out or time.monotonic() > deadline:
-            raise EnvBootFailed("guest never answered the boot sentinel")
-        log.append("boot smoke test passed")
-        snap = guestvm.create_snapshot(handle, scenario_path=scenario_path)
-        image_ref = "mock:%s" % os.path.basename(scenario_path)
-    elif builder.kind == "external_kernel_build":
-        cmd = builder.parameters.get("command")
-        if not cmd:
-            raise BuildFailed("external builder requires a 'command' parameter")
-        proc = subprocess.run(
-            [cmd, "--source", source_root, "--out", env_dir,
-             "--config", ",".join(SYZBOT_LIKE_MANIFEST)],
-            capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise BuildFailed("external build failed", prep_log=proc.stderr)
-        log.append(proc.stdout)
-        raise EnvBootFailed(
-            "external backend boot validation requires a live hypervisor")
-    else:
-        raise BuildFailed("unknown builder kind %r" % builder.kind)
+    scenario_path = os.path.abspath(builder.parameters["scenario"])
+    guest = guestvm.MockGuest(guestvm.GuestScenario.load(scenario_path))
+    handle = guestvm.GuestHandle(
+        SnapshotRef("boot", {"scenario_path": scenario_path,
+                             "guest_state": guest.state}), guest)
+    deadline = time.monotonic() + BOOT_DEADLINE_MOCK_S
+    out = guestvm.exec_console(handle, "echo ready", timeout_s=1.0)
+    if "ready" not in out.text or out.timed_out or time.monotonic() > deadline:
+        raise EnvBootFailed("guest never answered the boot sentinel")
+    log.append("boot smoke test passed")
 
-    prep_log = "\n".join(log)
     env = ReproEnvironment(
         env_id=env_id,
         source_root=source_root,
-        guest_image_ref=image_ref,
+        guest_image_ref="mock:%s" % os.path.basename(scenario_path),
         config_manifest=list(SYZBOT_LIKE_MANIFEST),
-        snapshot_ref=snap,
+        snapshot_ref=guestvm.create_snapshot(handle),
         builder_id=builder.builder_id,
-        prep_log=prep_log,
+        prep_log="\n".join(log),
         content_digest=digest,
         env_dir=env_dir,
     )
@@ -297,19 +275,43 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
 
 
 def _write_env_dir(env_dir, task, env):
-    with open(os.path.join(env_dir, "task.json"), "w", encoding="utf-8") as fh:
-        fh.write(task.to_json())
     manifest = {
         "builder_id": env.builder_id,
         "config_manifest": env.config_manifest,
         "content_digest": env.content_digest,
         "guest_image_ref": env.guest_image_ref,
-        "snapshot_id": env.snapshot_ref.snapshot_id,
+        "snapshot": {"snapshot_id": env.snapshot_ref.snapshot_id,
+                     "state": env.snapshot_ref.state},
+        "source_root": os.path.abspath(env.source_root),
     }
-    with open(os.path.join(env_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    with open(os.path.join(env_dir, "prep.log"), "w", encoding="utf-8") as fh:
-        fh.write(env.prep_log + "\n")
+    for name, text in (
+            ("task.json", task.to_json()),
+            ("manifest.json", json.dumps(manifest, indent=2, sort_keys=True)),
+            ("prep.log", env.prep_log + "\n")):
+        with open(os.path.join(env_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def load_environment(env_dir) -> Tuple[PatchTask, ReproEnvironment]:
+    """The task and environment that ``prepare_environment`` recorded in
+    ``env_dir``; nothing is checked out, built or booted again."""
+    def read(name):
+        with open(os.path.join(env_dir, name), "r", encoding="utf-8") as fh:
+            return fh.read()
+    manifest = json.loads(read("manifest.json"))
+    snap = manifest["snapshot"]
+    env = ReproEnvironment(
+        env_id=os.path.basename(os.path.normpath(env_dir)),
+        source_root=manifest["source_root"],
+        guest_image_ref=manifest["guest_image_ref"],
+        config_manifest=manifest["config_manifest"],
+        snapshot_ref=SnapshotRef(snap["snapshot_id"], snap["state"]),
+        builder_id=manifest["builder_id"],
+        prep_log=read("prep.log")[:-1],
+        content_digest=manifest["content_digest"],
+        env_dir=env_dir,
+    )
+    return PatchTask.from_json(read("task.json")), env
 
 
 def apply_capability_profile(env: ReproEnvironment,

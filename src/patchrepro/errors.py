@@ -73,14 +73,6 @@ class StartBeyondEof(HarnessError):
 
 # --- guestvm ---------------------------------------------------------------
 
-class BackendUnavailable(HarnessError):
-    name = "BackendUnavailable"
-
-
-class RestoreFailed(HarnessError):
-    name = "RestoreFailed"
-
-
 class GuestUnavailable(HarnessError):
     name = "GuestUnavailable"
 

@@ -1,9 +1,8 @@
 """Guest lifecycle and console interaction.
 
-Two backends share one interface: an external hypervisor (QEMU launched from
-a config file, serial console on a local stream) and a deterministic mock
-driven by a scenario file.  The mock is what the test suite and the bundled
-fixtures use; it never shells out except for PoC compilation.
+The guest is a deterministic mock driven by a scenario file: restored from
+a frozen snapshot, answering console commands from the scenario's rules and
+a tiny builtin shell, and shelling out only to compile PoCs on the host.
 
 A single multiplexed channel carries both command output and kernel log
 lines.  Kernel lines are recognized lexically and are never dropped, even
@@ -20,14 +19,12 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
-    BackendUnavailable,
     CompileFailed,
     DebuggeeHalted,
     GuestUnavailable,
-    RestoreFailed,
     SnapshotFailed,
     UploadFailed,
 )
@@ -98,22 +95,14 @@ class DebugGate:
 
 @dataclass
 class SnapshotRef:
-    """Reference to a restorable guest state.
-
-    For the mock backend the full scenario-derived state is frozen inline;
-    for the external backend this is an opaque hypervisor snapshot tag.
-    """
+    """A restorable guest state: the scenario path and the frozen guest
+    state every restore starts from."""
 
     snapshot_id: str
-    backend: str  # "mock" | "external_hypervisor"
-    state: Optional[dict] = None  # mock: frozen guest state
-    external_tag: Optional[str] = None
-
-    def initial_state_digest(self) -> str:
-        if self.backend == "mock":
-            blob = json.dumps(self.state, sort_keys=True).encode()
-            return hashlib.sha256(blob).hexdigest()
-        return self.external_tag or ""
+    state: dict
+    # Restores so far; guest ids count them, so repeat sessions over the
+    # same environment produce identical traces.
+    restores: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -238,19 +227,17 @@ class MockGuest:
 class GuestHandle:
     """Live guest plus its append-only, timestamped console transcript."""
 
-    def __init__(self, backend, snapshot_ref, mock_guest=None, gate=None):
-        # Ids count restores of one snapshot, so repeat sessions over the
-        # same environment produce identical traces.
-        counter = getattr(snapshot_ref, "_restore_counter", 0) + 1
-        snapshot_ref._restore_counter = counter
-        self.guest_id = "guest-%d" % counter
-        self.backend = backend  # "mock" | "external_hypervisor"
+    def __init__(self, snapshot_ref, mock_guest):
+        snapshot_ref.restores += 1
+        self.guest_id = "guest-%d" % snapshot_ref.restores
         self.state = "running"
         self.snapshot_ref = snapshot_ref
         self.mock = mock_guest
-        self.gate = gate or DebugGate()
+        self.gate = DebugGate()
         self.transcript: List[dict] = []  # {t, origin, line}
         self.poc_iterations = 0
+        self.debug_stub = None  # MI responder a debug session talks to
+        self.debug_session = None  # the one attached kdbg.DebugSession
 
     # transcript -------------------------------------------------------------
 
@@ -260,38 +247,27 @@ class GuestHandle:
             self.transcript.append({"t": now, "origin": origin, "line": line})
 
     def state_digest(self) -> str:
-        if self.backend == "mock":
-            return self.mock.state_digest()
-        return self.snapshot_ref.initial_state_digest()
+        return self.mock.state_digest()
 
 
 # --- lifecycle operations ---------------------------------------------------
 
 def start_guest(env) -> GuestHandle:
     """Restore a fresh guest from the environment's snapshot."""
-    snap = getattr(env, "snapshot_ref", None) if not isinstance(env, SnapshotRef) else env
-    if snap is None:
-        raise RestoreFailed("environment has no snapshot")
-    return restore_from_snapshot(snap)
+    return restore_from_snapshot(env.snapshot_ref)
 
 
 def restore_from_snapshot(snap: SnapshotRef) -> GuestHandle:
-    if snap.backend == "mock":
-        if snap.state is None:
-            raise RestoreFailed("mock snapshot carries no state")
-        scenario = GuestScenario.load(snap.state["scenario_path"])
-        guest = MockGuest(scenario, state=copy.deepcopy(snap.state["guest_state"]))
-        handle = GuestHandle("mock", snap, mock_guest=guest)
-        handle.append_transcript(scenario.boot_banner.splitlines())
-        handle.append_transcript([scenario.prompt + "# ready"])
-        return handle
-    raise BackendUnavailable("external hypervisor backend not configured")
+    scenario = GuestScenario.load(snap.state["scenario_path"])
+    guest = MockGuest(scenario, state=copy.deepcopy(snap.state["guest_state"]))
+    handle = GuestHandle(snap, guest)
+    handle.append_transcript(scenario.boot_banner.splitlines())
+    handle.append_transcript([scenario.prompt + "# ready"])
+    return handle
 
 
 def restart_guest(handle: GuestHandle) -> GuestHandle:
     """Discard the guest and restore from the same snapshot."""
-    if handle.backend == "mock" and handle.snapshot_ref.state is None:
-        raise RestoreFailed("snapshot lost")
     handle.state = "dead"
     handle.gate.resume()  # a dead debuggee cannot hold the gate
     fresh = restore_from_snapshot(handle.snapshot_ref)
@@ -306,8 +282,6 @@ def create_snapshot(handle_or_state, scenario_path=None) -> SnapshotRef:
     """Freeze the current guest state for identical restores."""
     if isinstance(handle_or_state, GuestHandle):
         handle = handle_or_state
-        if handle.backend != "mock":
-            raise SnapshotFailed("external snapshotting requires a hypervisor")
         if not handle.mock.state.get("booted"):
             raise SnapshotFailed("guest not booted")
         state = {
@@ -320,7 +294,7 @@ def create_snapshot(handle_or_state, scenario_path=None) -> SnapshotRef:
             raise SnapshotFailed("guest not booted")
     snap_id = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
-    return SnapshotRef(snapshot_id=snap_id, backend="mock", state=state)
+    return SnapshotRef(snapshot_id=snap_id, state=state)
 
 
 # --- console operations -----------------------------------------------------

@@ -2,9 +2,8 @@
 
 Owns the breakpoint table, the interaction gate (console tools are suspended
 while the debuggee is halted), and the mutation ledger used downstream for
-cheat detection.  The wire side is abstracted behind a stub object so the
-same session logic runs against a hypervisor debug port or the scripted
-responder the fixtures use.
+cheat detection.  The wire side is a stub object with one ``send`` method;
+the mock guest's is the scripted responder below.
 """
 
 import re
@@ -226,17 +225,16 @@ class DebugSession:
 def attach(handle: GuestHandle, stub=None,
            seq_source: Optional[Callable[[], int]] = None) -> DebugSession:
     """Connect the single debug session for this guest."""
-    if getattr(handle, "_debug_session", None) is not None:
+    if handle.debug_session is not None:
         raise AlreadyAttached(handle.guest_id)
     if handle.state == "dead":
         raise StubUnavailable("guest is dead")
     if stub is None:
-        stub = getattr(handle, "debug_stub", None)
+        stub = handle.debug_stub
     if stub is None:
-        raise StubUnavailable("no debugger stub exposed by backend")
-    session = DebugSession(handle, stub, seq_source=seq_source)
-    handle._debug_session = session
-    return session
+        raise StubUnavailable("no debugger stub exposed by the guest")
+    handle.debug_session = DebugSession(handle, stub, seq_source=seq_source)
+    return handle.debug_session
 
 
 class ScriptedMiStub:

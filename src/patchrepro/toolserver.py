@@ -179,11 +179,8 @@ class ToolServer:
             return
         entries = self.handle.transcript[self._transcript_cursor:]
         self._transcript_cursor = len(self.handle.transcript)
-        lines = [e["line"] for e in entries]
-        if lines:
-            self.trace.record(
-                "console", lines=lines,
-                kernel_lines=[ln for ln in lines if guestvm.is_kernel_line(ln)])
+        if entries:
+            self.trace.record("console", lines=[e["line"] for e in entries])
 
     def _note_gate(self):
         gate = self.handle.gate if self.handle else None
@@ -199,30 +196,20 @@ class ToolServer:
     def _attach_debugger(self) -> kdbg.DebugSession:
         if self.debug_session is None:
             handle = self._require_guest()
-            stub = getattr(handle, "debug_stub", None)
-            if stub is None and handle.backend == "mock":
+            if handle.debug_stub is None:
                 dbg = handle.mock.scenario.debug
-                stub = kdbg.ScriptedMiStub(
+                handle.debug_stub = kdbg.ScriptedMiStub(
                     symbols=dbg.get("symbols", ()),
                     memory=dbg.get("memory"),
                     expressions=dbg.get("expressions"),
                     scripted=dbg.get("scripted"),
                 )
-                handle.debug_stub = stub
             self.debug_session = kdbg.attach(
-                handle, stub, seq_source=self.trace.next_seq)
-            self.debug_session.on_mutation = self._record_mutation
+                handle, seq_source=self.trace.next_seq)
+            # Bound to the trace, not to self: the session must not keep
+            # the server (and its code index) alive.
+            self.debug_session.on_mutation = self.trace.record_mutation
         return self.debug_session
-
-    def _record_mutation(self, event: kdbg.MutationEvent):
-        self.trace.events.append({
-            "seq": event.seq,
-            "t_rel_ms": self.trace.t_rel_ms(),
-            "kind": "mutation",
-            "command": event.command_text,
-            "category": event.category,
-            "stopped_episode": event.stopped_episode,
-        })
 
     # --- tool handlers: _tool_<registry name with "." as "_">(**args) -------
 
@@ -250,9 +237,7 @@ class ToolServer:
     def _tool_vm_restart(self):
         old = self._require_guest()
         self.handle = guestvm.restart_guest(old)
-        self.debug_session = None
-        if hasattr(old, "_debug_session"):
-            old._debug_session = None
+        self.debug_session = old.debug_session = None
         self.trace.record("lifecycle", event="guest_restarted",
                           guest_id=self.handle.guest_id)
         return {"guest_id": self.handle.guest_id}

@@ -31,11 +31,17 @@ class Trace:
     def record(self, kind: str, **fields) -> dict:
         if kind not in EVENT_KINDS:
             raise ValueError("unknown event kind %r" % kind)
-        event = {
-            "seq": self.next_seq(),
-            "t_rel_ms": int((time.monotonic() - self._t0) * 1000),
-            "kind": kind,
-        }
+        return self._append(self.next_seq(), kind, fields)
+
+    def record_mutation(self, mutation) -> dict:
+        """Log a ``kdbg.MutationEvent`` under the seq its ledger entry
+        already drew from ``next_seq``."""
+        return self._append(mutation.seq, "mutation", {
+            "command": mutation.command_text, "category": mutation.category,
+            "stopped_episode": mutation.stopped_episode})
+
+    def _append(self, seq: int, kind: str, fields: dict) -> dict:
+        event = {"seq": seq, "t_rel_ms": self.t_rel_ms(), "kind": kind}
         event.update(fields)
         self.events.append(event)
         return event

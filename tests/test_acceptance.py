@@ -156,9 +156,9 @@ def test_criterion_gate_invariant():
         scn = guestvm.GuestScenario.load(path)
         guest = guestvm.MockGuest(scn)
         h = guestvm.GuestHandle(
-            "mock", guestvm.SnapshotRef("boot", "mock",
-                                        state={"scenario_path": path,
-                                               "guest_state": guest.state}),
+            guestvm.SnapshotRef("boot",
+                                state={"scenario_path": path,
+                                       "guest_state": guest.state}),
             mock_guest=guest)
         s = kdbg.attach(h, kdbg.ScriptedMiStub(symbols=["nft_chain_lookup"]))
         return h, s

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -87,3 +89,38 @@ def test_analyze_tsv_and_json(kernel_repo, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("## overall")
     assert "n=2" in out
+
+
+@pytest.mark.parametrize("profile, nft_answer", [
+    ("baseline", "table inet filter"),
+    ("no_utils", "sh: nft: command not found"),
+])
+def test_serve_tools_on_a_run_env_dir(kernel_repo, tmp_path, capsys,
+                                      monkeypatch, profile, nft_answer):
+    _run_cli(kernel_repo, tmp_path)
+    envs = tmp_path / "envs"
+    (env_dir,) = envs.iterdir()
+    before = sorted(p.name for p in env_dir.iterdir())
+    requests = [
+        {"jsonrpc": "2.0", "id": 1, "method": "tools/list"},
+        {"jsonrpc": "2.0", "id": 2, "method": "tools/call",
+         "params": {"name": "vm.start", "arguments": {}}},
+        {"jsonrpc": "2.0", "id": 3, "method": "tools/call",
+         "params": {"name": "vm.exec",
+                    "arguments": {"command": "nft list ruleset"}}},
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "".join(json.dumps(r) + "\n" for r in requests)))
+    capsys.readouterr()
+
+    code = cli.main(["serve-tools", "--env", str(env_dir),
+                     "--profile", profile])
+    assert code == 0
+    listed, started, ran = [json.loads(line) for line in
+                            capsys.readouterr().out.splitlines()]
+    assert "vm.exec" in {t["name"] for t in listed["result"]["tools"]}
+    assert started["result"]["guest_id"]
+    assert ran["result"]["text"].startswith(nft_answer)
+    # The env dir is loaded, not prepared again inside itself.
+    assert sorted(p.name for p in env_dir.iterdir()) == before
+    assert [p.name for p in envs.iterdir()] == [env_dir.name]

@@ -60,6 +60,32 @@ def test_prepare_environment_boot_failure(kernel_repo, tmp_path):
         envprep.prepare_environment(task, builder, str(tmp_path / "env"))
 
 
+def test_non_fixture_builder_kind_fails_before_any_subprocess(
+        kernel_repo, tmp_path, monkeypatch):
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("subprocess started: %r" % (args,))
+
+    monkeypatch.setattr(subprocess, "run", no_subprocess)
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    builder = envprep.BuilderSpec("ext", "external_kernel_build",
+                                  {"command": "/bin/true"})
+    with pytest.raises(errors.BuildFailed):
+        envprep.prepare_environment(task, builder, str(tmp_path / "env"))
+    assert not (tmp_path / "env").exists()
+
+
+def test_load_environment_gives_back_the_prepared_one(kernel_repo, tmp_path):
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    loaded_task, loaded = envprep.load_environment(env.env_dir)
+    assert loaded_task == task
+    assert loaded == env
+    assert os.path.isabs(loaded.snapshot_ref.state["scenario_path"])
+
+
 def test_content_digest_deterministic(kernel_repo):
     task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
     builder = _fixture_builder()

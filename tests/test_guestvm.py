@@ -11,8 +11,7 @@ def _boot(name="crash_uaf.json"):
     scn = guestvm.GuestScenario.load(path)
     guest = guestvm.MockGuest(scn)
     handle = guestvm.GuestHandle(
-        "mock",
-        guestvm.SnapshotRef("boot", "mock",
+        guestvm.SnapshotRef("boot",
                             state={"scenario_path": path,
                                    "guest_state": guest.state}),
         mock_guest=guest)

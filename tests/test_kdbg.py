@@ -39,8 +39,7 @@ def _guest():
     scn = guestvm.GuestScenario.load(path)
     guest = guestvm.MockGuest(scn)
     return guestvm.GuestHandle(
-        "mock",
-        guestvm.SnapshotRef("boot", "mock",
+        guestvm.SnapshotRef("boot",
                             state={"scenario_path": path,
                                    "guest_state": guest.state}),
         mock_guest=guest)

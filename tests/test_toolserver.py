@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import io
 import json
 import os
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +206,21 @@ def test_debugger_flow_records_mutations(env_and_task):
     assert "result" in out
     muts = [e for e in srv.trace.events if e["kind"] == "mutation"]
     assert len(muts) == 1 and muts[0]["category"] == "memory_write"
+
+
+def test_server_with_debugger_is_freed_without_a_collection(env_and_task):
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    srv.dispatch_call("dbg.raw", {"command": "set var obj->len = 64"})
+    assert srv.debug_session is not None
+    assert [e["kind"] for e in srv.trace.events].count("mutation") == 1
+    ref = weakref.ref(srv)
+    gc.disable()
+    try:
+        del srv
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_console_trace_mirrors_transcript(env_and_task):
