@@ -58,17 +58,14 @@ class FisherResult:
     degenerate: bool = False  # a zero margin; p fixed at 1
 
 
-def _hypergeom_pmf(k, r1, r2, c1) -> Fraction:
-    return Fraction(math.comb(r1, k) * math.comb(r2, c1 - k),
-                    math.comb(r1 + r2, c1))
-
-
 def fisher_exact(t: ContingencyTable2x2) -> FisherResult:
     """Exact two-sided test with fixed margins.
 
     p = sum of hypergeometric probabilities of every margin-preserving table
     whose probability is <= the observed one (with a small relative slack).
-    All arithmetic is exact until the final float conversion.
+    Every table's probability is comb(r1, k) * comb(r2, c1 - k) over the one
+    denominator comb(n, c1), so the numerators are compared and summed as
+    integers and p is a single exact fraction until the final float.
     """
     ad, bc = t.a * t.d, t.b * t.c
     if ad == 0 and bc == 0:
@@ -83,12 +80,18 @@ def fisher_exact(t: ContingencyTable2x2) -> FisherResult:
     if r1 == 0 or r2 == 0 or c1 == 0 or c1 == t.n:
         return FisherResult(odds_ratio, 1.0, undefined, degenerate=True)
 
-    observed = _hypergeom_pmf(t.a, r1, r2, c1)
-    cutoff = observed * (1 + FISHER_REL_TOL)
     lo, hi = max(0, c1 - r2), min(r1, c1)
-    terms = (_hypergeom_pmf(k, r1, r2, c1) for k in range(lo, hi + 1))
-    p = sum((pk for pk in terms if pk <= cutoff), Fraction(0))
-    return FisherResult(odds_ratio, float(min(p, Fraction(1))), undefined)
+    numerators = [math.comb(r1, lo) * math.comb(r2, c1 - lo)]
+    for k in range(lo, hi):
+        numerators.append(numerators[-1] * (r1 - k) * (c1 - k)
+                          // ((k + 1) * (r2 - c1 + k + 1)))
+    # x <= observed * (1 + tol), with tol = num / den, in integers.
+    tol = FISHER_REL_TOL
+    cutoff = numerators[t.a - lo] * (tol.denominator + tol.numerator)
+    kept = sum(x for x in numerators if x * tol.denominator <= cutoff)
+    # The kept numerators are a subset of Vandermonde's sum, so p <= 1.
+    p = Fraction(kept, math.comb(t.n, c1))
+    return FisherResult(odds_ratio, float(p), undefined)
 
 
 def mantel_haenszel_or(strata: Sequence[ContingencyTable2x2]) -> float:
@@ -154,6 +157,7 @@ class RunRecord:
     vuln_type: Optional[str] = None
     commit_msg_level: Optional[int] = None
     submit_time: Optional[str] = None
+    runs_dir: Optional[str] = None  # the directory it was loaded from
 
 
 def summarize_runs(records: Sequence[RunRecord],
@@ -281,6 +285,7 @@ def load_run_records(runs_dirs: Sequence[str],
                 vuln_type=meta.get("vuln_type"),
                 commit_msg_level=meta.get("commit_msg_level"),
                 submit_time=meta.get("submit_time"),
+                runs_dir=runs_dir,
             ))
     return records
 

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import sys
 
 from . import analytics, envprep, sessionrunner, toolserver, verdict
@@ -94,18 +93,11 @@ def _cmd_analyze(args):
              "successes": sum(1 for r in rs if r.success)}
             for lvl, rs in sorted(by_level.items())]
     if "convergence" in wanted:
-        sets = []
-        for runs_dir in args.runs_dirs:
-            verdicts = {}
-            for name in sorted(os.listdir(runs_dir)):
-                path = os.path.join(runs_dir, name, "verdict.json")
-                if os.path.isfile(path):
-                    with open(path, "r", encoding="utf-8") as fh:
-                        v = json.load(fh)
-                    verdicts[v["case_id"]] = v["success"]
-            if verdicts:
-                sets.append(verdicts)
-        tables["convergence"] = analytics.convergence_curve(sets)
+        by_dir = {}
+        for r in records:
+            by_dir.setdefault(r.runs_dir, {})[r.case_id] = r.success
+        tables["convergence"] = analytics.convergence_curve(
+            [by_dir[d] for d in args.runs_dirs if d in by_dir])
 
     if args.format == "json":
         print(json.dumps(tables, indent=2, sort_keys=True, default=str))

@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional
 from . import mi
 from .errors import (
     AlreadyAttached,
+    MalformedRecord,
     NotStopped,
     StubError,
     StubUnavailable,
@@ -85,7 +86,6 @@ class DebugSession:
     def __init__(self, handle: GuestHandle, stub, seq_source: Optional[Callable[[], int]] = None):
         DebugSession._counter += 1
         self.session_id = "dbg-%d" % DebugSession._counter
-        self.handle = handle
         self.stub = stub
         self.gate: DebugGate = handle.gate
         self.breakpoints: Dict[str, Breakpoint] = {}
@@ -195,7 +195,8 @@ class DebugSession:
             category = classify_mutation("-data-evaluate-expression %s" % expr)
             if category:
                 self._ledger("expression: %s" % expr, category)
-            records = self._send('-data-evaluate-expression "%s"' % expr)
+            records = self._send("-data-evaluate-expression %s"
+                                 % mi.quote_cstring(expr))
         else:
             raise ValueError("unknown inspect target %r" % what)
         for rec in records:
@@ -288,7 +289,13 @@ class ScriptedMiStub:
             return ['^done,memory=[{begin="%s",offset="0x0",end="%s",'
                     'contents="%s"}]' % (addr, addr, contents), mi.TERMINATOR]
         if command.startswith("-data-evaluate-expression"):
-            expr = command.split(None, 1)[1].strip().strip('"')
+            expr = command.split(None, 1)[1].strip()
+            if expr.startswith('"'):
+                try:
+                    expr = mi.parse_cstring(expr)
+                except MalformedRecord as exc:
+                    return ["^error,msg=%s" % mi.quote_cstring(str(exc)),
+                            mi.TERMINATOR]
             if expr in self.expressions:
                 value = self.expressions[expr]
                 if value == "<optimized out>":

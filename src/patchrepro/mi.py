@@ -116,6 +116,22 @@ def _parse_cstring(cur: _Cursor) -> str:
     return _unescape("".join(out))
 
 
+def quote_cstring(text: str) -> str:
+    """``text`` as one MI c-string: quoted, with backslash, double quote,
+    newline, tab and carriage return escaped, so it stays one argument on
+    one line."""
+    return '"%s"' % _escape(text)
+
+
+def parse_cstring(text: str) -> str:
+    """The value of one whole c-string such as ``quote_cstring`` makes."""
+    cur = _Cursor(text)
+    value = _parse_cstring(cur)
+    if not cur.done:
+        raise MalformedRecord("trailing junk in %r" % text)
+    return value
+
+
 def _parse_value(cur: _Cursor) -> MiValue:
     ch = cur.peek()
     if ch == '"':
@@ -212,7 +228,7 @@ def parse_mi_record(line: str) -> MiRecord:
 
 def _serialize_value(value: MiValue) -> str:
     if isinstance(value, str):
-        return '"%s"' % _escape(value)
+        return quote_cstring(value)
     if isinstance(value, dict):
         return "{%s}" % ",".join(
             "%s=%s" % (k, _serialize_value(v)) for k, v in value.items())

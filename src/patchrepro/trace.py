@@ -52,18 +52,30 @@ class Trace:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
+# The scanner behind ``json.loads``, without its per-call wrapper.  A line
+# that starts with a value and ends with it (or with its newline) decodes
+# here; every other line goes through ``json.loads`` itself, so what is
+# accepted, skipped or rejected, and each error's wording, are its own.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def read_trace(path: str) -> List[dict]:
     events = []
     last_seq = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    event = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedTrace("line %d: %s" % (lineno, exc))
+                    event, end = _scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    end = None
+                if end is None or line[end:] not in ("\n", ""):
+                    if not line.strip():
+                        continue
+                    try:
+                        event = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise MalformedTrace("line %d: %s" % (lineno, exc))
                 if not isinstance(event, dict) or "seq" not in event \
                         or "kind" not in event:
                     raise MalformedTrace("line %d: not a trace event" % lineno)

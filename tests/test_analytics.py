@@ -120,6 +120,27 @@ def test_fisher_against_brute_force_oracle():
             break
 
 
+def _large_tables(rng, count):
+    """Non-degenerate tables with n up to 1200, the size of a corpus of
+    400 cases run three times: lopsided row or column margins or neither,
+    and ``a`` at either end of its range or inside it."""
+    for i in range(count):
+        n = 1200 if i % 5 == 0 else rng.randint(200, 1200)
+        small, mid = rng.randint(1, 12), rng.randint(n // 4, 3 * n // 4)
+        r1 = (small, n - small, mid, mid)[i % 4]
+        c1 = (rng.randint(1, n - 1), mid, small, n - mid)[i % 4]
+        lo, hi = max(0, c1 - (n - r1)), min(r1, c1)
+        a = (lo, hi, rng.randint(lo, hi))[i // 4 % 3]
+        yield T(a, r1 - a, c1 - a, n - r1 - c1 + a)
+
+
+def test_fisher_large_tables_against_brute_force_oracle():
+    tables = list(_large_tables(random.Random(20261018), 20))
+    assert max(t.n for t in tables) > 1000
+    for t in tables:
+        assert fisher_exact(t).p_two_sided == _fisher_brute_force(t), t
+
+
 def test_fisher_edge_cases():
     res = fisher_exact(T(5, 0, 0, 5))
     assert res.odds_ratio == float("inf")

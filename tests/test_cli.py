@@ -91,6 +91,30 @@ def test_analyze_tsv_and_json(kernel_repo, tmp_path, capsys):
     assert "n=2" in out
 
 
+def test_analyze_convergence_over_runs_dirs(tmp_path, capsys):
+    """One verdict set per runs dir in command-line order; a case dir
+    without a verdict and a runs dir with none are left out."""
+    outcomes = {"first": {"case-0": True, "case-1": False, "case-2": False},
+                "second": {"case-0": False, "case-1": True, "case-2": False}}
+    for runs, verdicts in outcomes.items():
+        for case_id, success in verdicts.items():
+            case_dir = tmp_path / runs / case_id
+            case_dir.mkdir(parents=True)
+            (case_dir / "verdict.json").write_text(json.dumps(
+                {"case_id": case_id, "success": success}))
+    (tmp_path / "first" / "notes").mkdir()
+    (tmp_path / "empty").mkdir()
+    capsys.readouterr()
+
+    curves = []
+    for order in (("first", "second", "empty"), ("empty", "second", "first")):
+        code = cli.main(["analyze", *(str(tmp_path / d) for d in order),
+                         "--tables", "convergence", "--format", "json"])
+        assert code == 0
+        curves.append(json.loads(capsys.readouterr().out))
+    assert curves == [{"convergence": [1, 2]}, {"convergence": [1, 2]}]
+
+
 @pytest.mark.parametrize("profile, nft_answer", [
     ("baseline", "table inet filter"),
     ("no_utils", "sh: nft: command not found"),

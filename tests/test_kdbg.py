@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchrepro import guestvm, kdbg, errors
+from patchrepro import guestvm, kdbg, errors, mi
 from tests.conftest import SCENARIOS
 
 
@@ -113,6 +113,39 @@ def test_inspect_registers_memory_expression():
         s.inspect_state("expression", "set->use")  # optimized out
     with pytest.raises(errors.StubError):
         s.inspect_state("memory", "0xdeadbeef", 8)
+
+
+class _RecordingStub(kdbg.ScriptedMiStub):
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.sent = []
+
+    def send(self, command):
+        self.sent.append(command)
+        return super().send(command)
+
+
+def test_expression_is_sent_as_one_mi_cstring():
+    expr = 'buf[0] == "a\\"\n-gdb-exit\tx\r'
+    stub = _RecordingStub(expressions={expr: "1"})
+    s = kdbg.attach(_guest(), stub)
+    recs = s.inspect_state("expression", expr)
+    assert any(r.get("value") == "1" for r in recs)
+    (command,) = stub.sent
+    assert "\n" not in command and "\r" not in command
+    op, arg = command.split(None, 1)
+    assert op == "-data-evaluate-expression"
+    assert mi.parse_cstring(arg) == expr
+
+
+def test_plain_expression_is_sent_unchanged():
+    stub = _RecordingStub(expressions={"set->use": "3"})
+    s = kdbg.attach(_guest(), stub)
+    s.inspect_state("expression", "set->use")
+    assert stub.sent == ['-data-evaluate-expression "set->use"']
+    # An unterminated c-string from a raw command is an MI error reply.
+    (rec,) = s.raw_command('-data-evaluate-expression "set->use')
+    assert rec.kind == "error" and "unterminated" in rec.get("msg")
 
 
 def test_mutation_ledger_orders_before_stub():

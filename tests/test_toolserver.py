@@ -223,6 +223,21 @@ def test_server_with_debugger_is_freed_without_a_collection(env_and_task):
         gc.enable()
 
 
+def test_guest_with_debugger_is_freed_without_a_collection(env_and_task):
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    srv.dispatch_call("dbg.breakpoint",
+                      {"action": "set", "location": "nft_chain_lookup"})
+    assert srv.handle.debug_session is srv.debug_session is not None
+    ref = weakref.ref(srv.handle)
+    gc.disable()
+    try:
+        del srv
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_console_trace_mirrors_transcript(env_and_task):
     srv = _server(env_and_task)
     srv.dispatch_call("vm.start", {})

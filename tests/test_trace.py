@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchrepro.errors import MalformedTrace
 from patchrepro.trace import Trace, iter_console_lines, read_trace
@@ -33,6 +36,127 @@ def test_read_trace_rejects_gaps(tmp_path):
     path.write_text('{"kind": "console"}\n')
     with pytest.raises(MalformedTrace):
         read_trace(str(path))
+
+
+def _oracle_read_trace(path):
+    """The reader as it was before the scanner fast path: ``json.loads``
+    on every line that is not blank."""
+    events = []
+    last_seq = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedTrace("line %d: %s" % (lineno, exc))
+                if not isinstance(event, dict) or "seq" not in event \
+                        or "kind" not in event:
+                    raise MalformedTrace("line %d: not a trace event" % lineno)
+                if event["seq"] != last_seq + 1:
+                    raise MalformedTrace(
+                        "line %d: sequence gap (%d after %d)"
+                        % (lineno, event["seq"], last_seq))
+                last_seq = event["seq"]
+                events.append(event)
+    except OSError as exc:
+        raise MalformedTrace(str(exc))
+    return events
+
+
+def _outcome(reader, path):
+    try:
+        return ("events", reader(path))
+    except MalformedTrace as exc:
+        return ("malformed", str(exc))
+
+
+def _assert_same_as_oracle(path):
+    got = _outcome(read_trace, path)
+    assert got == _outcome(_oracle_read_trace, path)
+    return got
+
+
+_PAD = st.text(alphabet=" \t\x0c\xa0", max_size=3)
+_BLANK = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000",
+                 max_size=4)
+_ODD = st.sampled_from([
+    "[1, 2]", "3", "-0.5", "NaN", "-Infinity", "null", '"text"', "{}",
+    '{"kind": "console"}', '{"seq": 1}', "not json", "{", "\ufeff",
+    "[]", "1 2"])
+_SEPARATORS = st.sampled_from([(", ", ": "), (",", ":")])
+
+
+@st.composite
+def _trace_file(draw):
+    """Text of a trace file mixing valid events with lines a reader must
+    skip or reject."""
+    seq = 0
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(
+            ["event", "event", "event", "blank", "padded", "two", "tail",
+             "bom", "odd", "gap"]))
+        if kind == "blank":
+            lines.append(draw(_BLANK))
+            continue
+        if kind == "odd":
+            lines.append(draw(_ODD))
+            continue
+        seq += 1
+        if kind == "gap":
+            seq += draw(st.sampled_from([-2, -1, 1, 5]))
+        event = json.dumps(
+            {"seq": seq, "kind": "console",
+             "lines": draw(st.lists(st.text(max_size=4), max_size=2))},
+            sort_keys=draw(st.booleans()), separators=draw(_SEPARATORS))
+        if kind == "padded":
+            event = draw(_PAD) + event + draw(_PAD)
+        elif kind == "two":
+            seq += 1
+            second = json.dumps({"seq": seq, "kind": "lifecycle"})
+            event += draw(st.sampled_from(["", ",", " ", ", "])) + second
+        elif kind == "tail":
+            event += draw(st.sampled_from([",", " ,", "x", " //", "}", "]"]))
+        elif kind == "bom":
+            event = "\ufeff" + event
+        lines.append(event)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if lines and draw(st.booleans()):
+        text += newline
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_trace_file())
+def test_read_trace_matches_json_loads_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_as_oracle(str(path))
+
+
+@pytest.mark.parametrize("line", [
+    '{"seq": 2, "kind": "a"}{"seq": 3, "kind": "b"}',
+    '{"seq": 2, "kind": "a"},{"seq": 3, "kind": "b"}',
+    '{"seq": 2, "kind": "a"} {"seq": 3, "kind": "b"}',
+    '{"seq": 2, "kind": "a"},',
+])
+def test_read_trace_rejects_more_than_one_value_on_a_line(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"seq": 1, "kind": "a"}\n\n' + line + "\n")
+    kind, message = _assert_same_as_oracle(str(path))
+    assert kind == "malformed" and message.startswith("line 3: Extra data")
+
+
+def test_read_trace_accepts_json_whitespace_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(' \t{"seq": 1, "kind": "a"}\t \n\x0c\n\xa0 \n'
+                    '{"seq": 2, "kind": "b"}')
+    kind, events = _assert_same_as_oracle(str(path))
+    assert kind == "events" and [e["seq"] for e in events] == [1, 2]
 
 
 def test_iter_console_lines_global_index():
