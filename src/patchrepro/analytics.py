@@ -6,8 +6,10 @@ paired discordant deltas, convergence curves, and timeout-filled runtime
 aggregation.  Descriptive summaries use nearest-rank percentiles.
 """
 
+import contextlib
 import json
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -251,25 +253,68 @@ def expected_overall_time(success_durations: Sequence[float], n_fail: int,
 
 # --- corpus ingestion -------------------------------------------------------
 
+# Run dirs handed to a worker at a time.  A corpus of at most this many is
+# read in-process: forking a pool costs more than it saves there.
+RUNS_PER_TASK = 64
+
+
+def _read_case_dir(case_dir):
+    """(verdict dict, trace measures) of one run dir, or None when it has no
+    verdict.  Runs in a worker process for a corpus of several tasks."""
+    from . import sessionrunner
+
+    verdict_path = os.path.join(case_dir, "verdict.json")
+    if not os.path.isfile(verdict_path):
+        return None
+    with open(verdict_path, "r", encoding="utf-8") as fh:
+        v = json.load(fh)
+    trace_path = os.path.join(case_dir, "trace.jsonl")
+    if not os.path.isfile(trace_path):
+        return v, {}
+    return v, sessionrunner.replay_trace(trace_path)
+
+
+@contextlib.contextmanager
+def _read_case_dirs(case_dirs):
+    """An iterator of ``_read_case_dir`` over every dir, in order.  Dirs go
+    to forked workers in tasks of ``RUNS_PER_TASK``, one worker per CPU but
+    no more than there are tasks; a single worker's share is read
+    in-process.  A worker's exception reaches the caller with its type and
+    message, the first one in dir order, and no worker outlives the
+    ``with`` block."""
+    workers = min(len(os.sched_getaffinity(0)),
+                  math.ceil(len(case_dirs) / RUNS_PER_TASK))
+    if workers <= 1:
+        yield map(_read_case_dir, case_dirs)
+        return
+    # Fork, not spawn: a spawned worker imports the package and scipy
+    # afresh, which takes longer than reading its share.  The package
+    # starts no threads of its own for a fork to leave behind.
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap(_read_case_dir, case_dirs, chunksize=RUNS_PER_TASK)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
 def load_run_records(runs_dirs: Sequence[str],
                      metadata: Optional[dict] = None) -> List[RunRecord]:
     """Ingest directories of per-case artifact sets (verdict.json +
     trace.jsonl + session.json)."""
-    from .sessionrunner import replay_trace
-
+    case_dirs = [(runs_dir, os.path.join(runs_dir, name))
+                 for runs_dir in runs_dirs
+                 for name in sorted(os.listdir(runs_dir))]
     records = []
-    for runs_dir in runs_dirs:
-        for name in sorted(os.listdir(runs_dir)):
-            case_dir = os.path.join(runs_dir, name)
-            verdict_path = os.path.join(case_dir, "verdict.json")
-            if not os.path.isfile(verdict_path):
+    with _read_case_dirs([d for _, d in case_dirs]) as results:
+        for (runs_dir, _), loaded in zip(case_dirs, results):
+            if loaded is None:
                 continue
-            with open(verdict_path, "r", encoding="utf-8") as fh:
-                v = json.load(fh)
-            measures = {}
-            trace_path = os.path.join(case_dir, "trace.jsonl")
-            if os.path.isfile(trace_path):
-                measures = replay_trace(trace_path)
+            v, measures = loaded
             meta = (metadata or {}).get(v["case_id"], {})
             records.append(RunRecord(
                 case_id=v["case_id"],
@@ -335,3 +380,92 @@ def cutoff_table(records: Sequence[RunRecord], cutoff_date: str) -> ContingencyT
         c=sum(1 for r in post if r.success),
         d=sum(1 for r in post if not r.success),
     )
+
+
+# --- analyze tables ---------------------------------------------------------
+# Each table is a function of (records, runs_dirs, cutoff_date) that returns
+# its rows, or None when the corpus has nothing to show for it.  The public
+# functions above are called through the module's globals, so a caller that
+# replaces one (a tracer, a test double) sees every call.
+
+def _fisher_row(t: ContingencyTable2x2) -> dict:
+    res = fisher_exact(t)
+    return {"a": t.a, "b": t.b, "c": t.c, "d": t.d,
+            "odds_ratio": res.odds_ratio, "p": res.p_two_sided}
+
+
+def _success_count(records) -> dict:
+    return {"n": len(records), "successes": sum(1 for r in records if r.success)}
+
+
+def _overall_table(records, runs_dirs, cutoff_date):
+    return summarize_runs(records)
+
+
+def _subsystem_table(records, runs_dirs, cutoff_date):
+    return [{"subsystem": label, **_fisher_row(t)}
+            for label, t in subsystem_tables(records).items()]
+
+
+def _race_table(records, runs_dirs, cutoff_date):
+    race = [r for r in records if r.is_race]
+    nonrace = [r for r in records if r.is_race is False]
+    return [{"group": "race", **_success_count(race)},
+            {"group": "non_race", **_success_count(nonrace)}]
+
+
+def _type_table(records, runs_dirs, cutoff_date):
+    strata = type_race_strata(records)
+    if not strata:
+        return None
+    return {"mh_odds_ratio": mantel_haenszel_or(strata),
+            "cmh": cmh_test(strata)}
+
+
+def _cutoff_table(records, runs_dirs, cutoff_date):
+    if not cutoff_date:
+        return None
+    return _fisher_row(cutoff_table(records, cutoff_date))
+
+
+def _commitmsg_table(records, runs_dirs, cutoff_date):
+    by_level = {}
+    for r in records:
+        if r.commit_msg_level:
+            by_level.setdefault(r.commit_msg_level, []).append(r)
+    return [{"level": lvl, **_success_count(rs)}
+            for lvl, rs in sorted(by_level.items())]
+
+
+def _convergence_table(records, runs_dirs, cutoff_date):
+    """One verdict set per runs dir that holds runs, in ``runs_dirs`` order."""
+    by_dir = {}
+    for r in records:
+        by_dir.setdefault(r.runs_dir, {})[r.case_id] = r.success
+    return convergence_curve([by_dir[d] for d in runs_dirs if d in by_dir])
+
+
+# Name -> table, in output order.
+TABLES = {
+    "overall": _overall_table,
+    "subsystem": _subsystem_table,
+    "race": _race_table,
+    "type": _type_table,
+    "cutoff": _cutoff_table,
+    "commitmsg": _commitmsg_table,
+    "convergence": _convergence_table,
+}
+
+
+def analysis_tables(records: Sequence[RunRecord], names: Sequence[str],
+                    runs_dirs: Sequence[str],
+                    cutoff_date: Optional[str]) -> dict:
+    """The named tables over ``records``, in ``TABLES`` order; a table with
+    nothing to show is left out."""
+    tables = {}
+    for name, build in TABLES.items():
+        if name in names:
+            table = build(records, runs_dirs, cutoff_date)
+            if table is not None:
+                tables[name] = table
+    return tables

@@ -49,56 +49,8 @@ def _cmd_serve_tools(args):
 def _cmd_analyze(args):
     metadata = envprep.load_case_metadata(args.metadata) if args.metadata else {}
     records = analytics.load_run_records(args.runs_dirs, metadata=metadata)
-    tables = {}
-    wanted = args.tables.split(",")
-    if "overall" in wanted:
-        tables["overall"] = analytics.summarize_runs(records)
-    if "subsystem" in wanted:
-        out = []
-        for label, t in analytics.subsystem_tables(records).items():
-            res = analytics.fisher_exact(t)
-            out.append({"subsystem": label, "a": t.a, "b": t.b, "c": t.c,
-                        "d": t.d, "odds_ratio": res.odds_ratio,
-                        "p": res.p_two_sided})
-        tables["subsystem"] = out
-    if "race" in wanted:
-        race = [r for r in records if r.is_race]
-        nonrace = [r for r in records if r.is_race is False]
-        tables["race"] = [
-            {"group": "race", "n": len(race),
-             "successes": sum(1 for r in race if r.success)},
-            {"group": "non_race", "n": len(nonrace),
-             "successes": sum(1 for r in nonrace if r.success)},
-        ]
-    if "type" in wanted:
-        strata = analytics.type_race_strata(records)
-        if strata:
-            tables["type"] = {
-                "mh_odds_ratio": analytics.mantel_haenszel_or(strata),
-                "cmh": analytics.cmh_test(strata),
-            }
-    if "cutoff" in wanted and args.cutoff_date:
-        t = analytics.cutoff_table(records, args.cutoff_date)
-        res = analytics.fisher_exact(t)
-        tables["cutoff"] = {"a": t.a, "b": t.b, "c": t.c, "d": t.d,
-                            "odds_ratio": res.odds_ratio,
-                            "p": res.p_two_sided}
-    if "commitmsg" in wanted:
-        by_level = {}
-        for r in records:
-            if r.commit_msg_level:
-                by_level.setdefault(r.commit_msg_level, []).append(r)
-        tables["commitmsg"] = [
-            {"level": lvl, "n": len(rs),
-             "successes": sum(1 for r in rs if r.success)}
-            for lvl, rs in sorted(by_level.items())]
-    if "convergence" in wanted:
-        by_dir = {}
-        for r in records:
-            by_dir.setdefault(r.runs_dir, {})[r.case_id] = r.success
-        tables["convergence"] = analytics.convergence_curve(
-            [by_dir[d] for d in args.runs_dirs if d in by_dir])
-
+    tables = analytics.analysis_tables(records, args.tables, args.runs_dirs,
+                                       args.cutoff_date)
     if args.format == "json":
         print(json.dumps(tables, indent=2, sort_keys=True, default=str))
     else:
@@ -112,6 +64,16 @@ def _cmd_analyze(args):
                 else:
                     print(row)
     return 0
+
+
+def _table_names(text):
+    names = text.split(",")
+    unknown = [n for n in names if n not in analytics.TABLES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            "unknown table %s (valid: %s)"
+            % (", ".join(map(repr, unknown)), ",".join(analytics.TABLES)))
+    return names
 
 
 def build_parser():
@@ -149,8 +111,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="statistics over run corpora")
     p.add_argument("runs_dirs", nargs="+")
-    p.add_argument("--tables",
-                   default="overall,subsystem,race,type,cutoff,commitmsg,convergence")
+    p.add_argument("--tables", type=_table_names,
+                   default=",".join(analytics.TABLES))
     p.add_argument("--cutoff-date", dest="cutoff_date", default="2024-09-30")
     p.add_argument("--metadata", help="sidecar case metadata file")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")

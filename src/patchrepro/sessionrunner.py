@@ -242,13 +242,9 @@ def replay_trace(trace_path,
     events = trace_path if isinstance(trace_path, list) else read_trace(trace_path)
 
     by_category: Dict[str, int] = {}
-    result_errors = {}  # call_seq -> error or None
-    for event in events:
-        if event["kind"] == "tool_result":
-            result_errors[event.get("call_seq")] = event.get("error")
-
+    result_errors = {}  # call_seq -> error of its last result
+    set_calls = []  # seqs of dbg.breakpoint "set" calls
     poc_iterations = 0
-    breakpoints_set = 0
     breakpoints_hit = 0
     utility_counts: Dict[str, int] = {u: 0 for u in utility_watchlist}
     procfs_accesses = 0
@@ -263,9 +259,8 @@ def replay_trace(trace_path,
             args = event.get("args", {}) or {}
             if name == "vm.compile_upload":
                 poc_iterations += 1
-            if name == "dbg.breakpoint" and args.get("action") == "set" \
-                    and result_errors.get(event["seq"]) is None:
-                breakpoints_set += 1
+            if name == "dbg.breakpoint" and args.get("action") == "set":
+                set_calls.append(event["seq"])
             if name == "vm.exec":
                 command = str(args.get("command", ""))
                 head = command.split()[0] if command.split() else ""
@@ -273,9 +268,16 @@ def replay_trace(trace_path,
                     utility_counts[head] += 1
                 procfs_accesses += command.count("/proc/")
                 sysfs_accesses += command.count("/sys/")
+        elif kind == "tool_result":
+            result_errors[event.get("call_seq")] = event.get("error")
         elif kind == "lifecycle" and event.get("event") == "gate_stopped" \
                 and event.get("reason") == "stopped_breakpoint":
             breakpoints_hit += 1
+
+    # A set counts unless its last result carries an error; a result may
+    # come before or after its call in the file.
+    breakpoints_set = sum(1 for seq in set_calls
+                          if result_errors.get(seq) is None)
 
     return {
         "tool_counts": by_category,

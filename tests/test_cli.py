@@ -115,6 +115,16 @@ def test_analyze_convergence_over_runs_dirs(tmp_path, capsys):
     assert curves == [{"convergence": [1, 2]}, {"convergence": [1, 2]}]
 
 
+@pytest.mark.parametrize("tables", ["overall,convergnce", "overall,"])
+def test_analyze_rejects_an_unknown_table(tmp_path, capsys, tables):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", str(tmp_path), "--tables", tables])
+    assert info.value.code != 0
+    err = capsys.readouterr().err
+    assert "unknown table" in err
+    assert "overall,subsystem,race,type,cutoff,commitmsg,convergence" in err
+
+
 @pytest.mark.parametrize("profile, nft_answer", [
     ("baseline", "table inet filter"),
     ("no_utils", "sh: nft: command not found"),

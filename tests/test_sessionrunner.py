@@ -3,6 +3,7 @@ import os
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patchrepro import envprep, sessionrunner, toolserver
 from patchrepro.envprep import BuilderSpec
@@ -172,6 +173,96 @@ def test_replay_counts_utilities_and_procfs(env_and_task, tmp_path):
     assert measures["utility_invocations"] == {"nft": 1}
     assert measures["procfs_accesses"] == 1
     assert measures["sysfs_accesses"] == 1
+
+
+def _two_pass_replay(events, utility_watchlist=(
+        "nft", "tc", "ip", "ethtool", "iptables")):
+    """The two-pass ``replay_trace``, kept as the oracle of the one-pass
+    walk: a first pass maps each call_seq to its last result's error."""
+    by_category = {}
+    result_errors = {}
+    for event in events:
+        if event["kind"] == "tool_result":
+            result_errors[event.get("call_seq")] = event.get("error")
+    poc_iterations = breakpoints_set = breakpoints_hit = 0
+    utility_counts = {u: 0 for u in utility_watchlist}
+    procfs_accesses = sysfs_accesses = 0
+    for event in events:
+        kind = event["kind"]
+        if kind == "tool_call":
+            category = event.get("category", "unknown")
+            by_category[category] = by_category.get(category, 0) + 1
+            name = event.get("name", "")
+            args = event.get("args", {}) or {}
+            if name == "vm.compile_upload":
+                poc_iterations += 1
+            if name == "dbg.breakpoint" and args.get("action") == "set" \
+                    and result_errors.get(event["seq"]) is None:
+                breakpoints_set += 1
+            if name == "vm.exec":
+                command = str(args.get("command", ""))
+                head = command.split()[0] if command.split() else ""
+                if head in utility_counts:
+                    utility_counts[head] += 1
+                procfs_accesses += command.count("/proc/")
+                sysfs_accesses += command.count("/sys/")
+        elif kind == "lifecycle" and event.get("event") == "gate_stopped" \
+                and event.get("reason") == "stopped_breakpoint":
+            breakpoints_hit += 1
+    return {
+        "tool_counts": by_category,
+        "total_tool_calls": sum(by_category.values()),
+        "poc_iterations": poc_iterations,
+        "breakpoints_set": breakpoints_set,
+        "breakpoints_hit": breakpoints_hit,
+        "utility_invocations": {u: c for u, c in utility_counts.items() if c},
+        "procfs_accesses": procfs_accesses,
+        "sysfs_accesses": sysfs_accesses,
+    }
+
+
+_COMMANDS = st.one_of(
+    st.sampled_from(["nft list ruleset", "ip a", "cat /proc/x /sys/y", "",
+                     "  tc qdisc"]),
+    st.integers(), st.none(), st.lists(st.text(max_size=3), max_size=2))
+_ARGS = st.one_of(
+    st.none(), st.just({}),
+    st.fixed_dictionaries({"action": st.sampled_from(["set", "delete", None])}),
+    st.fixed_dictionaries({"command": _COMMANDS}))
+_EVENT = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("tool_call"),
+        "name": st.sampled_from(["dbg.breakpoint", "vm.exec",
+                                 "vm.compile_upload", "code.read"]),
+        "category": st.sampled_from(["debugging", "vm_management"]),
+        "args": _ARGS}),
+    # call_seq may point back, forward, at a non-call or at nothing, and
+    # several results may share one.
+    st.fixed_dictionaries({
+        "kind": st.just("tool_result"), "call_seq": st.integers(0, 6)},
+        optional={"error": st.one_of(st.none(), st.just("UnknownBreakpoint"))}),
+    st.fixed_dictionaries({
+        "kind": st.just("lifecycle"),
+        "event": st.sampled_from(["gate_stopped", "resumed"]),
+        "reason": st.sampled_from(["stopped_breakpoint", "signal"])}),
+    st.fixed_dictionaries({"kind": st.just("console"),
+                           "lines": st.just(["x"])}))
+
+
+_SET = {"kind": "tool_call", "name": "dbg.breakpoint", "category": "debugging",
+        "args": {"action": "set"}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EVENT, max_size=8))
+@example([{"kind": "tool_result", "call_seq": 2, "error": "UnknownBreakpoint"},
+          _SET, {"kind": "tool_result", "call_seq": 2}])
+@example([{"kind": "tool_result", "call_seq": 3}, _SET,
+          {"kind": "tool_result", "call_seq": 2, "error": "UnknownBreakpoint"},
+          _SET])
+def test_replay_trace_matches_two_pass_oracle(drawn):
+    events = [dict(e, seq=i) for i, e in enumerate(drawn, start=1)]
+    assert replay_trace(events) == _two_pass_replay(events)
 
 
 @pytest.mark.parametrize("profile,blocked", [("no_utils", True),
