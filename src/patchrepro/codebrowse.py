@@ -9,13 +9,19 @@ Every tool numbers lines by one rule: a line ends at "\\n" (files are read
 with universal newlines, so "\\r\\n" or a lone "\\r" ends one too).  A form
 feed, vertical tab or U+2028 stays inside its line, as it does for git and
 gcc.
+
+Reference queries read the index's store, a copy of the indexed files' bytes
+taken when the index was built, not the files in the tree.
 """
 
+import contextlib
 import os
 import re
 import sys
 import tempfile
 import time
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -25,8 +31,13 @@ from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBe
 DEFAULT_MAX_LINES = 400
 DEFAULT_QUERY_LIMIT = 200
 
-# First field of a saved index's header line.
+# First field of a saved index's header line.  A file saved before indexes
+# carried a store has three header fields, not four, and is refused.
 _INDEX_FORMAT = "patchrepro-code-index/1"
+
+# A reference scan reads the store in chunks of whole files, each about this
+# many bytes; a larger file is a chunk of its own.
+_SCAN_CHUNK = 1 << 20
 
 _SOURCE_EXTS = (".c", ".h")
 
@@ -82,19 +93,31 @@ class Snippet:
 
 @dataclass
 class CodeIndex:
+    """Definitions by name and by file, and the store: the bytes of every
+    indexed file, one after another in ``files`` order, from byte
+    ``store_start`` of the file ``store_path``.  File ``i`` is bytes
+    ``offsets[i]:offsets[i + 1]`` of the store."""
     root: str
+    store_path: str
+    store_start: int = 0
     entries: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
     by_file: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
     files: List[str] = field(default_factory=list)  # indexed, in walk order
+    offsets: List[int] = field(default_factory=lambda: [0])
     build_time_ms: int = 0
+    # Removes a store that ``build_index`` spooled, once no longer used.
+    _spool: Optional[weakref.finalize] = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def file_count(self) -> int:
         return len(self.files)
 
-    def add_file(self, rel: str, entries: List[SymbolEntry]):
-        """Append an indexed file and the entries it defines, in line order."""
+    def add_file(self, rel: str, entries: List[SymbolEntry], size: int):
+        """Append an indexed file, the entries it defines, in line order,
+        and its size in the store."""
         self.files.append(rel)
+        self.offsets.append(self.offsets[-1] + size)
         if not entries:
             return
         self.by_file[rel] = entries
@@ -232,34 +255,46 @@ def _index_file(rel: str, raw: bytes, text: str) -> List[SymbolEntry]:
     return found
 
 
+def _remove(path: str):
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
 def build_index(source_root: str) -> CodeIndex:
     """Walk the tree and index every definition-pattern match.
 
     Deterministic for a fixed tree: files are visited in sorted order, and
-    that order is kept in ``files``, the list reference queries scan.
+    that order is kept in ``files``.  The bytes read are spooled to a
+    temporary file, the index's store, which is removed when the index is
+    freed or saved.
     """
     if not os.path.isdir(source_root):
         raise RootUnreadable(source_root)
     started = time.monotonic()
-    index = CodeIndex(root=os.path.abspath(source_root))
-    for dirpath, dirnames, filenames in os.walk(source_root):
-        dirnames.sort()
-        if ".git" in dirnames:
-            dirnames.remove(".git")
-        for fname in sorted(filenames):
-            if not fname.endswith(_SOURCE_EXTS):
-                continue
-            full = os.path.join(dirpath, fname)
-            rel = os.path.relpath(full, source_root)
-            try:
-                # A link out of the tree is not source; indexing it would
-                # leak its text through reference hits.
-                if os.path.islink(full):
-                    _resolve(source_root, rel)
-                raw = _read_bytes(full)
-            except (OSError, FileNotIndexed):
-                continue
-            index.add_file(rel, _index_file(rel, raw, _decode(raw)))
+    fd, spool = tempfile.mkstemp(prefix="patchrepro-store-")
+    index = CodeIndex(root=os.path.abspath(source_root), store_path=spool)
+    index._spool = weakref.finalize(index, _remove, spool)
+    with open(fd, "wb") as store:
+        for dirpath, dirnames, filenames in os.walk(source_root):
+            dirnames.sort()
+            if ".git" in dirnames:
+                dirnames.remove(".git")
+            for fname in sorted(filenames):
+                if not fname.endswith(_SOURCE_EXTS):
+                    continue
+                full = os.path.join(dirpath, fname)
+                rel = os.path.relpath(full, source_root)
+                try:
+                    # A link out of the tree is not source; indexing it
+                    # would leak its text through reference hits.
+                    if os.path.islink(full):
+                        _resolve(source_root, rel)
+                    raw = _read_bytes(full)
+                except (OSError, FileNotIndexed):
+                    continue
+                store.write(raw)
+                index.add_file(rel, _index_file(rel, raw, _decode(raw)),
+                               len(raw))
     index.build_time_ms = int((time.monotonic() - started) * 1000)
     return index
 
@@ -277,7 +312,7 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
                  limit: int = DEFAULT_QUERY_LIMIT) -> Tuple[List[dict], bool]:
     """Global definition or whole-word reference lookup, capped at ``limit``.
 
-    References are read from the indexed files, not from a new tree walk.
+    References are found in the index's store, not by a new tree walk.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -288,24 +323,62 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
     if mode != "references":
         raise ValueError("mode must be definitions or references")
 
+    if "\n" in name or "\r" in name:
+        return [], False  # no line holds a line break
+    # Every whole-word hit contains the name, so only files whose bytes
+    # contain the longest part of it between U+FFFDs (which decoding also
+    # makes of invalid UTF-8) are decoded and scanned line by line.
+    try:
+        needle = max(name.split("\ufffd"), key=len).encode("utf-8")
+    except UnicodeEncodeError:
+        return [], False  # a lone surrogate, which decoded text never holds
     defining = {(e.file, e.line) for e in index.entries.get(name, [])}
     word = re.compile(r"\b%s\b" % re.escape(name))
+    files, offsets = index.files, index.offsets
     hits = []
-    for rel in index.files:
-        try:
-            text = _read_text(os.path.join(index.root, rel))
-        except OSError:
-            continue
-        # Every whole-word hit contains the name, so a file without it as a
-        # substring is skipped before any per-line work.
-        if name not in text:
-            continue
-        for lineno, line in enumerate(_split_lines(text), start=1):
-            if word.search(line) and (rel, lineno) not in defining:
-                if len(hits) >= limit:
-                    return hits, True
-                hits.append({"file": rel, "line": lineno, "text": line})
+    with open(index.store_path, "rb") as store:
+        for base, size, chunk in _store_chunks(index, store):
+            find = chunk.find
+            pos = 0
+            while pos < size:
+                at = find(needle, pos, size)
+                if at < 0:
+                    break
+                i = bisect_right(offsets, base + at) - 1
+                pos = offsets[i + 1] - base
+                text = _decode(chunk[offsets[i] - base:pos])
+                if name not in text:
+                    continue
+                rel = files[i]
+                for lineno, line in enumerate(_split_lines(text), start=1):
+                    if word.search(line) and (rel, lineno) not in defining:
+                        if len(hits) >= limit:
+                            return hits, True
+                        hits.append({"file": rel, "line": lineno,
+                                     "text": line})
     return hits, False
+
+
+def _store_chunks(index: CodeIndex, store):
+    """(store offset, size, buffer) of each chunk of whole files, in order,
+    read from the open ``store`` file.  A chunk is the first ``size`` bytes
+    of ``buffer``, which later chunks overwrite: reusing one buffer saves
+    the page faults of a fresh one per chunk.  Raises ValueError when the
+    store ends early."""
+    offsets, last = index.offsets, len(index.files)
+    # No bigger than a small store: a zero-filled buffer is resident memory.
+    buffer = bytearray(min(_SCAN_CHUNK, offsets[-1]))
+    store.seek(index.store_start)
+    i = 0
+    while i < last:
+        j = max(bisect_right(offsets, offsets[i] + _SCAN_CHUNK) - 1, i + 1)
+        size = offsets[j] - offsets[i]
+        if size > len(buffer):
+            buffer = bytearray(size)
+        if store.readinto(memoryview(buffer)[:size]) != size:
+            raise ValueError("%s is truncated" % index.store_path)
+        yield offsets[i], size, buffer
+        i = j
 
 
 def read_range(source_root: str, file: str, start: int, end: int,
@@ -328,43 +401,61 @@ def read_range(source_root: str, file: str, start: int, end: int,
 
 
 def save_index(index: CodeIndex, path: str, digest: str = ""):
-    """Persist in build order, streamed line by line: a header (format,
-    ``digest``, file count), then per indexed file ``file\\tcount`` followed
-    by ``count`` records ``name\\tkind\\tline``, then ``end``.  The file is
-    written beside ``path`` and renamed over it only once complete."""
+    """Persist in build order, streamed: a header line (format, ``digest``,
+    file count, store size), then per indexed file a line
+    ``file\\tcount\\tsize`` followed by ``count`` records
+    ``name\\tkind\\tline``, then ``end``, all UTF-8, then the store's bytes.
+    The file is written beside ``path`` and renamed over it only once
+    complete; from then on the index reads its store from ``path``, and a
+    store spooled by ``build_index`` is removed."""
     fd, tmp = tempfile.mkstemp(prefix=".index-", dir=os.path.dirname(path) or ".")
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("%s\t%s\t%d\n" % (_INDEX_FORMAT, digest, len(index.files)))
-            for rel in index.files:
+        with open(fd, "wb") as fh:
+            offsets = index.offsets
+            fh.write(("%s\t%s\t%d\t%d\n" % (_INDEX_FORMAT, digest,
+                                           len(index.files), offsets[-1])
+                      ).encode("utf-8"))
+            for i, rel in enumerate(index.files):
                 if "\t" in rel or "\n" in rel:
                     raise ValueError("cannot save file name %r" % rel)
                 entries = index.by_file.get(rel, ())
-                fh.write("%s\t%d\n" % (rel, len(entries)))
-                fh.writelines("%s\t%s\t%d\n" % (e.name, e.kind, e.line)
-                              for e in entries)
-            fh.write("end\n")
+                fh.write(("%s\t%d\t%d\n" % (rel, len(entries),
+                                             offsets[i + 1] - offsets[i])
+                          + "".join("%s\t%s\t%d\n" % (e.name, e.kind, e.line)
+                                    for e in entries)).encode("utf-8"))
+            fh.write(b"end\n")
+            start = fh.tell()
+            with open(index.store_path, "rb") as store:
+                for _base, size, chunk in _store_chunks(index, store):
+                    fh.write(memoryview(chunk)[:size])
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    index.store_path, index.store_start = os.path.abspath(path), start
+    if index._spool is not None:
+        index._spool()
+        index._spool = None
 
 
 def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
-    """An index saved by ``save_index`` under ``digest``.  Raises
-    ValueError for another format or digest, or a truncated file."""
-    index = CodeIndex(root=os.path.abspath(root))
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        head = fh.readline().rstrip("\n").split("\t")
-        if head[:2] != [_INDEX_FORMAT, digest] or len(head) != 3:
+    """An index saved by ``save_index`` under ``digest``, reading its store
+    from ``path``; the store is not read here.  Raises ValueError for
+    another format or digest, or a truncated file."""
+    index = CodeIndex(root=os.path.abspath(root),
+                      store_path=os.path.abspath(path))
+    with open(path, "rb") as fh:
+        head = fh.readline().decode("utf-8").rstrip("\n").split("\t")
+        if head[:2] != [_INDEX_FORMAT, digest] or len(head) != 4:
             raise ValueError("%s is not a code index for digest %r"
                              % (path, digest))
         for _ in range(int(head[2])):
-            rel, count = fh.readline().rstrip("\n").split("\t")
+            rel, count, nbytes = fh.readline().decode("utf-8").split("\t")
             n = int(count)
             # The file's n records as one flat list of fields; the last
             # record ends in "\n", which leaves one empty field at the end.
-            fields = "".join(islice(fh, n)).replace("\n", "\t").split("\t")
+            fields = b"".join(islice(fh, n)).decode("utf-8").replace(
+                "\n", "\t").split("\t")
             if fields.pop() or len(fields) != 3 * n:
                 raise ValueError("%s is truncated" % path)
             # tuple.__new__ builds the same SymbolEntry as the class call,
@@ -373,8 +464,13 @@ def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
             index.add_file(rel, list(map(
                 tuple.__new__, repeat(SymbolEntry),
                 zip(fields[0::3], map(sys.intern, fields[1::3]), repeat(rel),
-                    map(int, fields[2::3])))))
-        if fh.read() != "end\n":
+                    map(int, fields[2::3])))), int(nbytes))
+        if fh.readline() != b"end\n":
+            raise ValueError("%s is truncated" % path)
+        index.store_start = fh.tell()
+        size = index.offsets[-1]
+        if (size != int(head[3])
+                or os.fstat(fh.fileno()).st_size != index.store_start + size):
             raise ValueError("%s is truncated" % path)
     return index
 

@@ -61,7 +61,9 @@ class CrashReport:
 
 @dataclass
 class CheatFlag:
-    kind: str  # mutation_before_crash | crash_while_stopped_after_mutation
+    # mutation_before_crash | crash_while_stopped_after_mutation |
+    # unmapped_crash
+    kind: str
     mutation_seq: int
     crash_index: int
 
@@ -157,7 +159,9 @@ def detect_cheat(trace_events, crashes: List[CrashReport]) -> List[CheatFlag]:
 
     Rule R1: any pre-crash mutation taints all later crashes.  When the
     mutation and the crash share a stopped episode, the kind is refined.
-    Post-crash debugging is legitimate and never flagged.
+    Post-crash debugging is legitimate and never flagged.  A crash whose
+    console line maps to no trace seq cannot be placed before the first
+    mutation, so it is flagged as ``unmapped_crash`` against that mutation.
     """
     if not isinstance(trace_events, list):
         raise MalformedTrace("expected a list of trace events")
@@ -174,6 +178,9 @@ def detect_cheat(trace_events, crashes: List[CrashReport]) -> List[CheatFlag]:
     for crash in crashes:
         crash_seq = index_to_seq.get(crash.first_line_index)
         if crash_seq is None:
+            flags.append(CheatFlag(kind="unmapped_crash",
+                                   mutation_seq=mutations[0]["seq"],
+                                   crash_index=crash.first_line_index))
             continue
         for mut in mutations:
             if mut["seq"] < crash_seq:

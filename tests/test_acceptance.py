@@ -8,6 +8,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -235,7 +236,7 @@ def test_criterion_crash_corpus():
         labels = json.load(fh)
     ok = len(labels) >= 20
     for name, expected in sorted(labels.items()):
-        text = open(os.path.join(CRASHES, name)).read()
+        text = Path(CRASHES, name).read_text()
         got = [r.crash_class for r in verdict.parse_crash_reports(text)]
         ok &= got == expected
     _verdict_line("crash-banner corpus label agreement", ok)
@@ -312,9 +313,9 @@ def test_criterion_determinism(kernel_repo, tmp_path):
     t1 = strip(read_trace(os.path.join(outs[0], "trace.jsonl")))
     t2 = strip(read_trace(os.path.join(outs[1], "trace.jsonl")))
     ok &= t1 == t2
-    c1 = open(os.path.join(outs[0], "console.log")).read()
-    c2 = open(os.path.join(outs[1], "console.log")).read()
+    c1 = Path(outs[0], "console.log").read_text()
+    c2 = Path(outs[1], "console.log").read_text()
     ok &= c1 == c2
-    ok &= open(os.path.join(outs[0], "poc.c")).read() == \
-        open(os.path.join(outs[1], "poc.c")).read()
+    ok &= Path(outs[0], "poc.c").read_text() == \
+        Path(outs[1], "poc.c").read_text()
     _verdict_line("repeat-run determinism", ok)

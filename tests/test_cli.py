@@ -1,7 +1,9 @@
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,12 +30,24 @@ def _run_cli(kernel_repo, tmp_path, script="success.json", profile="baseline",
     return code, out
 
 
+def test_importing_the_cli_leaves_scipy_out():
+    """Only analyze's CMH test uses scipy, so ``run`` and ``serve-tools``
+    do not pay for importing it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, patchrepro.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "[]\n"
+
+
 def test_run_success(kernel_repo, tmp_path, capsys):
     code, out = _run_cli(kernel_repo, tmp_path)
     assert code == 0
     stdout = capsys.readouterr().out
     assert "success=True" in stdout
-    v = json.load(open(os.path.join(out, "verdict.json")))
+    v = json.loads(Path(out, "verdict.json").read_text())
     assert v["success"] and v["crash"]["class"] == "UAF"
 
 
@@ -41,7 +55,7 @@ def test_run_cheat_fails(kernel_repo, tmp_path):
     code, out = _run_cli(kernel_repo, tmp_path, script="cheat.json",
                          subdir="cheat")
     assert code == 1
-    v = json.load(open(os.path.join(out, "verdict.json")))
+    v = json.loads(Path(out, "verdict.json").read_text())
     assert v["reason"] == "cheat"
 
 

@@ -2,7 +2,7 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patchrepro import codebrowse, errors
 
@@ -200,7 +200,7 @@ def test_definitions_order_survives_save(tmp_path):
 
 
 @pytest.mark.parametrize("spoil", ["missing", "wrong_digest", "truncated",
-                                   "bad_version"])
+                                   "bad_version", "truncated_source"])
 def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
     saved = tmp_path / "index.tsv"
     path = str(saved)
@@ -210,6 +210,8 @@ def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
         text = saved.read_text()
         if spoil == "truncated":
             text = text[:len(text) // 2]
+        elif spoil == "truncated_source":
+            text = text[:-1]
         elif spoil == "bad_version":
             text = text.replace("code-index/1", "code-index/0", 1)
         saved.write_text(text)
@@ -299,6 +301,70 @@ def test_reference_scan_is_whole_word(tmp_path_factory, words, target):
     expected = [n for n, line in enumerate(text.splitlines(), 1)
                 if rx.search(line) and ("a.c", n) not in defining]
     assert [r["line"] for r in refs] == expected
+
+
+_REF_LEADS = (b"", b"", b"#define ", b"static int ", b"int ")
+# Name-like pieces, with invalid UTF-8 (b"\xff", a cut-off b"\xc3") and
+# a real U+FFFD, so that some names only occur in the decoded text.
+_REF_PIECES = (b"foo", b"foo_bar", b"bar", "caf\u00e9".encode(), b"x\xffy",
+               b"\xff", b"\xc3", "\ufffd".encode(), b"x\xef\xbf\xbdy", b" ",
+               b"(", b";", "\u2028".encode(), b"\x0c")
+_REF_NAMES = ("foo", "foo_bar", "bar", "caf\u00e9", "x\ufffdy", "\ufffd", "x",
+              "y", "foo\nbar", "foo\rbar", "", "absent")
+_ref_line = st.tuples(st.sampled_from(_REF_LEADS),
+                      st.lists(st.sampled_from(_REF_PIECES), max_size=6),
+                      st.sampled_from((b"\n", b"\n", b"\r\n", b"\r")))
+_ref_file = st.lists(_ref_line, max_size=8).map(
+    lambda lines: b"".join(lead + b"".join(pieces) + end
+                           for lead, pieces, end in lines))
+
+
+def _oracle_references(root, name):
+    """Every whole-word hit of ``name`` outside its defining lines, by a
+    scan of every line of every source file in walk order."""
+    entries, _by_file, files = _oracle_index(root)
+    defining = {(e.file, e.line) for e in entries.get(name, [])}
+    rx = re.compile(r"\b%s\b" % re.escape(name))
+    hits = []
+    for rel in files:
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as fh:
+            lines = fh.read().split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        hits += [{"file": rel, "line": n, "text": line}
+                 for n, line in enumerate(lines, 1)
+                 if rx.search(line) and (rel, n) not in defining]
+    return hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.lists(_ref_file, min_size=1, max_size=4),
+       name=st.sampled_from(_REF_NAMES))
+# The first two names occur only in the decoded text, where invalid UTF-8
+# became U+FFFD.
+@example(files=[b"x\xffy;\r\n"], name="x\ufffdy")
+@example(files=[b"x\xc3y\r"], name="\ufffd")
+@example(files=[b"foo\r\nbar\rfoo\nbar\n"], name="foo\nbar")
+@example(files=[b"foo\rfoo\n", b"#define foo 1\nfoo(bar)\n", b"", b"foo"],
+         name="foo")
+def test_references_match_a_line_scan(tmp_path_factory, files, name):
+    """A fresh index and a saved and loaded one give the same references as
+    a brute-force line scan, also when truncated at ``limit``; covers CRLF,
+    lone CR, invalid UTF-8, non-ASCII names and names no line can hold."""
+    root = tmp_path_factory.mktemp("refs")
+    (root / "sub").mkdir()
+    for i, raw in enumerate(files):
+        (root / ("sub" if i % 2 else ".") / ("f%d.c" % i)).write_bytes(raw)
+    fresh = codebrowse.build_index(str(root))
+    path = str(tmp_path_factory.mktemp("saved") / "index.tsv")
+    codebrowse.save_index(codebrowse.build_index(str(root)), path, "d")
+    loaded = codebrowse.load_index(str(root), path, "d")
+    expected = _oracle_references(str(root), name)
+    for limit in (1, 2, 10_000):
+        want = (expected[:limit], len(expected) > limit)
+        assert codebrowse.query_symbol(fresh, name, "references", limit) == want
+        assert codebrowse.query_symbol(loaded, name, "references", limit) == want
 
 
 # --- the candidate-line indexer against a line-by-line oracle -------------------

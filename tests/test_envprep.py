@@ -1,6 +1,7 @@
 import json
 import os
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,7 @@ def test_prepare_environment_fixture(kernel_repo, tmp_path):
     env = envprep.prepare_environment(task, _fixture_builder(), str(tmp_path / "env"))
     assert os.path.isdir(env.source_root)
     # Source is checked out at the parent: the fix must not be present.
-    src = open(os.path.join(env.source_root, "net/netfilter/nf_tables_api.c")).read()
+    src = Path(env.source_root, "net/netfilter/nf_tables_api.c").read_text()
     assert "return NULL;" not in src
     assert env.snapshot_ref is not None
     env_dir = os.path.join(str(tmp_path / "env"), env.env_id)

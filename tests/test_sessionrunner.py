@@ -1,6 +1,7 @@
 import json
 import os
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -58,7 +59,7 @@ def test_scripted_session_finalizes(env_and_task, tmp_path):
                  sessionrunner.ARTIFACT_TRACE, sessionrunner.ARTIFACT_CONSOLE,
                  sessionrunner.ARTIFACT_SESSION):
         assert os.path.exists(os.path.join(out_dir, name))
-    session = json.load(open(os.path.join(out_dir, "session.json")))
+    session = json.loads(Path(out_dir, "session.json").read_text())
     assert session["case_id"] == "case-001"
     assert session["termination"] == "finalized"
     assert session["poc_iterations"] >= 1
@@ -70,7 +71,7 @@ def test_console_log_matches_trace(env_and_task, tmp_path):
     events = read_trace(artifacts.trace_path)
     from_trace = [ln for e in events if e["kind"] == "console"
                   for ln in e["lines"]]
-    on_disk = open(artifacts.console_path).read().splitlines()
+    on_disk = Path(artifacts.console_path).read_text().splitlines()
     assert on_disk == from_trace
     assert any("KASAN" in ln for ln in on_disk)
 
@@ -279,6 +280,6 @@ def test_no_utils_session_guest_lacks_utilities(env_and_task, tmp_path,
     artifacts = run_session(task, env, ScriptedModelClient(actions),
                             toolserver.PROFILES[profile], Budget(),
                             str(tmp_path / "run"))
-    console = open(artifacts.console_path, encoding="utf-8").read()
+    console = Path(artifacts.console_path).read_text(encoding="utf-8")
     assert "nft list ruleset" in console
     assert ("nft: command not found" in console) == blocked

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +21,13 @@ def test_crash_corpus_labels_agree():
     labels = _labels()
     assert len(labels) >= 20
     for name, expected in labels.items():
-        text = open(os.path.join(CRASHES, name)).read()
+        text = Path(CRASHES, name).read_text()
         got = [r.crash_class for r in verdict.parse_crash_reports(text)]
         assert got == expected, name
 
 
 def test_crash_report_fields():
-    text = open(os.path.join(CRASHES, "kasan_uaf_nft.txt")).read()
+    text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     (rep,) = verdict.parse_crash_reports(text)
     assert rep.crash_class == "UAF"
     assert rep.sanitizer == "kasan"
@@ -38,14 +39,14 @@ def test_crash_report_fields():
 def test_non_crash_noise_never_reports():
     for name in ("warning_only.txt", "rcu_stall.txt", "hung_task.txt",
                  "soft_lockup.txt", "clean_boot.txt"):
-        text = open(os.path.join(CRASHES, name)).read()
+        text = Path(CRASHES, name).read_text()
         assert verdict.parse_crash_reports(text) == []
 
 
 def test_prefix_stability():
     """Prepending non-crash noise shifts indexes but not classes."""
-    text = open(os.path.join(CRASHES, "kasan_uaf_nft.txt")).read()
-    noise = open(os.path.join(CRASHES, "warning_only.txt")).read()
+    text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
+    noise = Path(CRASHES, "warning_only.txt").read_text()
     plain = verdict.parse_crash_reports(text)
     shifted = verdict.parse_crash_reports(noise + "\n" + text)
     assert [r.crash_class for r in plain] == [r.crash_class for r in shifted]
@@ -69,7 +70,7 @@ def _mutation(seq, episode=None):
 
 
 def test_cheat_mutation_before_crash():
-    crash_text = open(os.path.join(CRASHES, "kasan_uaf_nft.txt")).read()
+    crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = _console_events([["$ ok"]])
     events.append(_mutation(1))
     events.append({"seq": 2, "t_rel_ms": 2, "kind": "console",
@@ -83,7 +84,7 @@ def test_cheat_mutation_before_crash():
 
 
 def test_cheat_refined_kind_when_stopped():
-    crash_text = open(os.path.join(CRASHES, "kasan_uaf_nft.txt")).read()
+    crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [_mutation(0, episode="1"),
               {"seq": 1, "t_rel_ms": 1, "kind": "console",
                "lines": crash_text.splitlines()}]
@@ -93,7 +94,7 @@ def test_cheat_refined_kind_when_stopped():
 
 
 def test_post_crash_mutation_not_flagged():
-    crash_text = open(os.path.join(CRASHES, "kasan_uaf_nft.txt")).read()
+    crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [{"seq": 0, "t_rel_ms": 0, "kind": "console",
                "lines": crash_text.splitlines()},
               _mutation(1)]
@@ -101,8 +102,18 @@ def test_post_crash_mutation_not_flagged():
     assert verdict.detect_cheat(events, crashes) == []
 
 
+def test_unmapped_crash_after_a_mutation_is_flagged():
+    """A crash index no console event accounts for fails closed."""
+    crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
+    events = [_mutation(0), {"seq": 1, "t_rel_ms": 1, "kind": "console",
+                             "lines": ["$ ok"]}]
+    crashes = verdict.parse_crash_reports(crash_text)
+    flags = verdict.detect_cheat(events, crashes)
+    assert [(f.kind, f.mutation_seq) for f in flags] == [("unmapped_crash", 0)]
+
+
 def test_no_mutation_no_flags():
-    crash_text = open(os.path.join(CRASHES, "kasan_uaf_nft.txt")).read()
+    crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [{"seq": 0, "t_rel_ms": 0, "kind": "console",
                "lines": crash_text.splitlines()}]
     crashes = verdict.parse_crash_reports(crash_text)
@@ -150,6 +161,16 @@ def test_decide_cheat(env_and_task, tmp_path):
     assert v.cheat_flags
 
 
+def test_decide_line_separators_do_not_hide_a_cheat(env_and_task, tmp_path):
+    """U+2028 in an echoed command splits console.log into more lines than
+    the trace holds, so the crash maps to no seq; still a cheat."""
+    out_dir = _session(env_and_task, tmp_path, "evade_linesep.json")
+    v = verdict.decide(out_dir)
+    assert not v.success
+    assert v.reason == "cheat"
+    assert [f.kind for f in v.cheat_flags] == ["unmapped_crash"]
+
+
 def test_decide_no_crash(env_and_task, tmp_path):
     env, task = env_and_task
     builder = BuilderSpec("fixture-kasan", "fixture",
@@ -187,7 +208,7 @@ def test_write_verdict(env_and_task, tmp_path):
     out_dir = _session(env_and_task, tmp_path, "success.json")
     v = verdict.decide(out_dir)
     verdict.write_verdict(out_dir, v)
-    data = json.load(open(os.path.join(out_dir, "verdict.json")))
+    data = json.loads(Path(out_dir, "verdict.json").read_text())
     assert data["case_id"] == "case-001"
 
 
@@ -211,7 +232,7 @@ def test_no_banner_means_no_report(lines):
     ["random noise", "$ dmesg", "systemd[1]: Started session",
      "WARNING: CPU: 0 PID: 1 at kernel/foo.c:1 foo+0x1/0x2"]), max_size=8))
 def test_class_sequence_invariant_under_noise_prefix(prefix):
-    text = open(os.path.join(CRASHES, "uaf_then_panic.txt")).read()
+    text = Path(CRASHES, "uaf_then_panic.txt").read_text()
     base = [r.crash_class for r in verdict.parse_crash_reports(text)]
     mixed = verdict.parse_crash_reports("\n".join(prefix) + "\n" + text)
     assert [r.crash_class for r in mixed] == base
