@@ -12,28 +12,35 @@ gcc.
 
 Reference queries read the index's store, a copy of the indexed files' bytes
 taken when the index was built, not the files in the tree.
+
+The index is held as columns, one row per definition; a ``SymbolEntry`` is
+made only for a row that a query returns.
 """
 
-import contextlib
 import os
 import re
 import sys
 import tempfile
-import time
 import weakref
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import repeat
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBeyondEof
 
 DEFAULT_MAX_LINES = 400
 DEFAULT_QUERY_LIMIT = 200
 
-# First field of a saved index's header line.  A file saved before indexes
-# carried a store has three header fields, not four, and is refused.
-_INDEX_FORMAT = "patchrepro-code-index/1"
+# First field of a saved index's header line.  A file in an older format,
+# definition records as text lines, is refused.
+_INDEX_FORMAT = "patchrepro-code-index/2"
+
+# The array columns of a ``CodeIndex`` with their type codes, in the order a
+# saved index holds them after its strings.
+_COLUMNS = (("kinds", "b"), ("lines", "i"), ("file_rows", "i"),
+            ("by_name", "i"), ("by_path", "i"), ("offsets", "q"))
 
 # A reference scan reads the store in chunks of whole files, each about this
 # many bytes; a larger file is a chunk of its own.
@@ -75,9 +82,13 @@ _NOT_BRACES = bytes(sorted(set(range(256)) - set(b"{}")))
 _NESTING_CHECKED = 64
 
 
+KINDS = ("function", "struct", "union", "enum", "macro", "typedef", "global")
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+
 class SymbolEntry(NamedTuple):
     name: str
-    kind: str  # function | struct | union | enum | macro | typedef | global
+    kind: str  # one of KINDS
     file: str  # relative path
     line: int  # 1-based, the defining line
 
@@ -93,37 +104,98 @@ class Snippet:
 
 @dataclass
 class CodeIndex:
-    """Definitions by name and by file, and the store: the bytes of every
+    """Definitions as rows of columns, and the store: the bytes of every
     indexed file, one after another in ``files`` order, from byte
-    ``store_start`` of the file ``store_path``.  File ``i`` is bytes
-    ``offsets[i]:offsets[i + 1]`` of the store."""
+    ``store_start`` of the open file ``store``.
+
+    Row ``r`` is a definition of ``names[r]``, of kind ``KINDS[kinds[r]]``,
+    on line ``lines[r]``.  Rows are in build order: file by file, in line
+    order within a file.  File ``i`` defines rows
+    ``file_rows[i]:file_rows[i + 1]`` and is bytes
+    ``offsets[i]:offsets[i + 1]`` of the store.  ``by_name`` holds every
+    row, sorted by name and then by row, and ``by_path`` every file number,
+    sorted by file name.  The store is closed when the index is freed."""
     root: str
-    store_path: str
+    store: BinaryIO
     store_start: int = 0
-    entries: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
-    by_file: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
     files: List[str] = field(default_factory=list)  # indexed, in walk order
-    offsets: List[int] = field(default_factory=lambda: [0])
-    build_time_ms: int = 0
-    # Removes a store that ``build_index`` spooled, once no longer used.
-    _spool: Optional[weakref.finalize] = field(default=None, repr=False,
-                                               compare=False)
+    offsets: array = field(default_factory=lambda: array("q", [0]))
+    file_rows: array = field(default_factory=lambda: array("i", [0]))
+    names: List[str] = field(default_factory=list)
+    kinds: array = field(default_factory=lambda: array("b"))
+    lines: array = field(default_factory=lambda: array("i"))
+    by_name: array = field(default_factory=lambda: array("i"))
+    by_path: array = field(default_factory=lambda: array("i"))
+    _close: weakref.finalize = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._close = weakref.finalize(self, self.store.close)
 
     @property
     def file_count(self) -> int:
         return len(self.files)
 
-    def add_file(self, rel: str, entries: List[SymbolEntry], size: int):
-        """Append an indexed file, the entries it defines, in line order,
-        and its size in the store."""
-        self.files.append(rel)
-        self.offsets.append(self.offsets[-1] + size)
-        if not entries:
-            return
-        self.by_file[rel] = entries
-        add = self.entries.setdefault
-        for entry in entries:
-            add(entry.name, []).append(entry)
+    def file_of(self, row: int) -> str:
+        """The file that defines row ``row``."""
+        return self.files[bisect_right(self.file_rows, row) - 1]
+
+    def file_entries(self, i: int) -> List[SymbolEntry]:
+        """The definitions in file ``i``, in line order."""
+        rows = slice(self.file_rows[i], self.file_rows[i + 1])
+        # tuple.__new__ builds the same SymbolEntry as the class call,
+        # without running Python code per entry.
+        return list(map(tuple.__new__, repeat(SymbolEntry), zip(
+            self.names[rows], map(KINDS.__getitem__, self.kinds[rows]),
+            repeat(self.files[i]), self.lines[rows])))
+
+    def definition_rows(self, name: str) -> array:
+        """The rows that define ``name``, in build order."""
+        by_name, names = self.by_name, self.names
+        # Most names have one definition, so the run's end is found by
+        # stepping on from its start rather than by a second search.
+        start = end = bisect_left(by_name, name, key=names.__getitem__)
+        while end < len(by_name) and names[by_name[end]] == name:
+            end += 1
+        return by_name[start:end]
+
+    def file_number(self, rel: str) -> Optional[int]:
+        """The number of the indexed file ``rel``, or None."""
+        by_path, files = self.by_path, self.files
+        at = bisect_left(by_path, rel, key=files.__getitem__)
+        if at < len(by_path) and files[by_path[at]] == rel:
+            return by_path[at]
+        return None
+
+    @property
+    def entries(self) -> Dict[str, List[SymbolEntry]]:
+        """Definitions by name, names in order of first definition; a new
+        dict on each access."""
+        out: Dict[str, List[SymbolEntry]] = {}
+        for es in self.by_file.values():
+            for e in es:
+                out.setdefault(e.name, []).append(e)
+        return out
+
+    @property
+    def by_file(self) -> Dict[str, List[SymbolEntry]]:
+        """Definitions of each file that has any, in ``files`` order; a new
+        dict on each access."""
+        rows = self.file_rows
+        return {rel: self.file_entries(i) for i, rel in enumerate(self.files)
+                if rows[i] < rows[i + 1]}
+
+    def use_store(self, store: BinaryIO, start: int):
+        """Read the store from byte ``start`` of ``store`` from now on, and
+        close the one read so far."""
+        self._close()
+        self.store, self.store_start = store, start
+        self._close = weakref.finalize(self, store.close)
+
+    def add_row(self, hit: Tuple[str, str], line: int):
+        """Append a definition (name, kind) on ``line`` of the last file."""
+        self.names.append(hit[0])
+        self.kinds.append(_KIND_CODES[hit[1]])
+        self.lines.append(line)
 
 
 def _decode(raw: bytes) -> str:
@@ -214,22 +286,21 @@ def _closes_early(raw: bytes) -> bool:
     return True
 
 
-def _index_lines(rel: str, text: str) -> List[SymbolEntry]:
+def _index_lines(index: CodeIndex, text: str):
     """Every line through the rules, tracking brace depth line by line and
     clamping it at 0 after each line."""
-    found = []
     depth = 0
     for lineno, line in enumerate(_split_lines(text), start=1):
         hit = _definition(line, depth == 0)
         if hit:
-            found.append(SymbolEntry(hit[0], hit[1], rel, lineno))
+            index.add_row(hit, lineno)
         # Track nesting outside strings/comments well enough for fixtures.
         depth = max(depth + line.count("{") - line.count("}"), 0)
-    return found
 
 
-def _index_file(rel: str, raw: bytes, text: str) -> List[SymbolEntry]:
-    """The definitions in one file, in line order.
+def _index_file(index: CodeIndex, raw: bytes, text: str):
+    """Append the definitions in one file to ``index``'s rows, in line
+    order.
 
     Only candidate lines (``_RX_CANDIDATE``) go through the rules; a line's
     number and brace depth are counted in the text since the previous
@@ -238,8 +309,9 @@ def _index_file(rel: str, raw: bytes, text: str) -> List[SymbolEntry]:
     than it opens is indexed line by line instead.
     """
     if _closes_early(raw):
-        return _index_lines(rel, text)
-    found = []
+        _index_lines(index, text)
+        return
+    add = index.add_row
     count, find = text.count, text.find
     lineno, depth, pos = 1, 0, 0
     for m in _RX_CANDIDATE.finditer("\n" + text):
@@ -251,51 +323,50 @@ def _index_file(rel: str, raw: bytes, text: str) -> List[SymbolEntry]:
         hit = _definition(text[start:end] if end >= 0 else text[start:],
                           depth == 0)
         if hit:
-            found.append(SymbolEntry(hit[0], hit[1], rel, lineno))
-    return found
-
-
-def _remove(path: str):
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(path)
+            add(hit, lineno)
 
 
 def build_index(source_root: str) -> CodeIndex:
     """Walk the tree and index every definition-pattern match.
 
     Deterministic for a fixed tree: files are visited in sorted order, and
-    that order is kept in ``files``.  The bytes read are spooled to a
-    temporary file, the index's store, which is removed when the index is
-    freed or saved.
+    that order is kept in ``files``.  The bytes read are spooled to the
+    index's store, an unlinked temporary file, which nothing is left of
+    once the index is freed or saved, or its process ends.
     """
     if not os.path.isdir(source_root):
         raise RootUnreadable(source_root)
-    started = time.monotonic()
-    fd, spool = tempfile.mkstemp(prefix="patchrepro-store-")
-    index = CodeIndex(root=os.path.abspath(source_root), store_path=spool)
-    index._spool = weakref.finalize(index, _remove, spool)
-    with open(fd, "wb") as store:
-        for dirpath, dirnames, filenames in os.walk(source_root):
-            dirnames.sort()
-            if ".git" in dirnames:
-                dirnames.remove(".git")
-            for fname in sorted(filenames):
-                if not fname.endswith(_SOURCE_EXTS):
-                    continue
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, source_root)
-                try:
-                    # A link out of the tree is not source; indexing it
-                    # would leak its text through reference hits.
-                    if os.path.islink(full):
-                        _resolve(source_root, rel)
-                    raw = _read_bytes(full)
-                except (OSError, FileNotIndexed):
-                    continue
-                store.write(raw)
-                index.add_file(rel, _index_file(rel, raw, _decode(raw)),
-                               len(raw))
-    index.build_time_ms = int((time.monotonic() - started) * 1000)
+    store = tempfile.TemporaryFile(prefix="patchrepro-store-")
+    index = CodeIndex(root=os.path.abspath(source_root), store=store)
+    files, offsets, file_rows, names = (index.files, index.offsets,
+                                        index.file_rows, index.names)
+    for dirpath, dirnames, filenames in os.walk(source_root):
+        dirnames.sort()
+        if ".git" in dirnames:
+            dirnames.remove(".git")
+        for fname in sorted(filenames):
+            if not fname.endswith(_SOURCE_EXTS):
+                continue
+            full = os.path.join(dirpath, fname)
+            rel = os.path.relpath(full, source_root)
+            try:
+                # A link out of the tree is not source; indexing it would
+                # leak its text through reference hits.
+                if os.path.islink(full):
+                    _resolve(source_root, rel)
+                raw = _read_bytes(full)
+            except (OSError, FileNotIndexed):
+                continue
+            store.write(raw)
+            files.append(rel)
+            offsets.append(offsets[-1] + len(raw))
+            _index_file(index, raw, _decode(raw))
+            file_rows.append(len(names))
+    store.flush()
+    index.by_name = array("i", sorted(range(len(names)),
+                                      key=names.__getitem__))
+    index.by_path = array("i", sorted(range(len(files)),
+                                      key=files.__getitem__))
     return index
 
 
@@ -304,8 +375,8 @@ def list_symbols(index: CodeIndex, file: str) -> List[SymbolEntry]:
     full = _resolve(index.root, file)
     if not os.path.exists(full):
         raise FileNotIndexed(file)
-    return sorted(index.by_file.get(os.path.relpath(full, index.root), []),
-                  key=lambda e: e.line)
+    i = index.file_number(os.path.relpath(full, index.root))
+    return [] if i is None else index.file_entries(i)
 
 
 def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
@@ -317,9 +388,10 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if mode == "definitions":
-        hits = [{"file": e.file, "line": e.line, "kind": e.kind}
-                for e in index.entries.get(name, [])]
-        return hits[:limit], len(hits) > limit
+        rows = index.definition_rows(name)
+        return ([{"file": index.file_of(row), "line": index.lines[row],
+                  "kind": KINDS[index.kinds[row]]} for row in rows[:limit]],
+                len(rows) > limit)
     if mode != "references":
         raise ValueError("mode must be definitions or references")
 
@@ -332,42 +404,42 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
         needle = max(name.split("\ufffd"), key=len).encode("utf-8")
     except UnicodeEncodeError:
         return [], False  # a lone surrogate, which decoded text never holds
-    defining = {(e.file, e.line) for e in index.entries.get(name, [])}
+    defining = {(index.file_of(row), index.lines[row])
+                for row in index.definition_rows(name)}
     word = re.compile(r"\b%s\b" % re.escape(name))
     files, offsets = index.files, index.offsets
     hits = []
-    with open(index.store_path, "rb") as store:
-        for base, size, chunk in _store_chunks(index, store):
-            find = chunk.find
-            pos = 0
-            while pos < size:
-                at = find(needle, pos, size)
-                if at < 0:
-                    break
-                i = bisect_right(offsets, base + at) - 1
-                pos = offsets[i + 1] - base
-                text = _decode(chunk[offsets[i] - base:pos])
-                if name not in text:
-                    continue
-                rel = files[i]
-                for lineno, line in enumerate(_split_lines(text), start=1):
-                    if word.search(line) and (rel, lineno) not in defining:
-                        if len(hits) >= limit:
-                            return hits, True
-                        hits.append({"file": rel, "line": lineno,
-                                     "text": line})
+    for base, size, chunk in _store_chunks(index):
+        find = chunk.find
+        pos = 0
+        while pos < size:
+            at = find(needle, pos, size)
+            if at < 0:
+                break
+            i = bisect_right(offsets, base + at) - 1
+            pos = offsets[i + 1] - base
+            text = _decode(chunk[offsets[i] - base:pos])
+            if name not in text:
+                continue
+            rel = files[i]
+            for lineno, line in enumerate(_split_lines(text), start=1):
+                if word.search(line) and (rel, lineno) not in defining:
+                    if len(hits) >= limit:
+                        return hits, True
+                    hits.append({"file": rel, "line": lineno, "text": line})
     return hits, False
 
 
-def _store_chunks(index: CodeIndex, store):
+def _store_chunks(index: CodeIndex):
     """(store offset, size, buffer) of each chunk of whole files, in order,
-    read from the open ``store`` file.  A chunk is the first ``size`` bytes
+    read from the index's open store file.  A chunk is the first ``size`` bytes
     of ``buffer``, which later chunks overwrite: reusing one buffer saves
     the page faults of a fresh one per chunk.  Raises ValueError when the
     store ends early."""
     offsets, last = index.offsets, len(index.files)
     # No bigger than a small store: a zero-filled buffer is resident memory.
     buffer = bytearray(min(_SCAN_CHUNK, offsets[-1]))
+    store = index.store
     store.seek(index.store_start)
     i = 0
     while i < last:
@@ -376,7 +448,7 @@ def _store_chunks(index: CodeIndex, store):
         if size > len(buffer):
             buffer = bytearray(size)
         if store.readinto(memoryview(buffer)[:size]) != size:
-            raise ValueError("%s is truncated" % index.store_path)
+            raise ValueError("the store of %s is truncated" % index.root)
         yield offsets[i], size, buffer
         i = j
 
@@ -401,78 +473,87 @@ def read_range(source_root: str, file: str, start: int, end: int,
 
 
 def save_index(index: CodeIndex, path: str, digest: str = ""):
-    """Persist in build order, streamed: a header line (format, ``digest``,
-    file count, store size), then per indexed file a line
-    ``file\\tcount\\tsize`` followed by ``count`` records
-    ``name\\tkind\\tline``, then ``end``, all UTF-8, then the store's bytes.
-    The file is written beside ``path`` and renamed over it only once
-    complete; from then on the index reads its store from ``path``, and a
-    store spooled by ``build_index`` is removed."""
+    """Persist: a header line, the strings, the array columns, then the
+    store's bytes.
+
+    The header's tab-separated fields are the format, ``digest``, the byte
+    order, the strings' length, then for each of ``_COLUMNS`` its type code,
+    item size and length (``i4:1024``); lengths are in bytes.  The strings
+    are the file names, then the definition names, UTF-8, separated by NUL,
+    which no file name can hold.  The file is written beside ``path`` and
+    renamed over it only once complete; from then on the index reads its
+    store from there."""
+    strings = "\0".join(index.files + index.names).encode(
+        "utf-8", "surrogateescape")
+    columns = [getattr(index, name) for name, _typecode in _COLUMNS]
+    head = [_INDEX_FORMAT, digest, sys.byteorder, str(len(strings))] + [
+        "%s%d:%d" % (c.typecode, c.itemsize, len(c) * c.itemsize)
+        for c in columns]
     fd, tmp = tempfile.mkstemp(prefix=".index-", dir=os.path.dirname(path) or ".")
+    fh = open(fd, "w+b")
     try:
-        with open(fd, "wb") as fh:
-            offsets = index.offsets
-            fh.write(("%s\t%s\t%d\t%d\n" % (_INDEX_FORMAT, digest,
-                                           len(index.files), offsets[-1])
-                      ).encode("utf-8"))
-            for i, rel in enumerate(index.files):
-                if "\t" in rel or "\n" in rel:
-                    raise ValueError("cannot save file name %r" % rel)
-                entries = index.by_file.get(rel, ())
-                fh.write(("%s\t%d\t%d\n" % (rel, len(entries),
-                                             offsets[i + 1] - offsets[i])
-                          + "".join("%s\t%s\t%d\n" % (e.name, e.kind, e.line)
-                                    for e in entries)).encode("utf-8"))
-            fh.write(b"end\n")
-            start = fh.tell()
-            with open(index.store_path, "rb") as store:
-                for _base, size, chunk in _store_chunks(index, store):
-                    fh.write(memoryview(chunk)[:size])
+        fh.write(("\t".join(head) + "\n").encode("utf-8"))
+        fh.write(strings)
+        for column in columns:
+            column.tofile(fh)
+        start = fh.tell()
+        for _base, size, chunk in _store_chunks(index):
+            fh.write(memoryview(chunk)[:size])
+        fh.flush()
         os.replace(tmp, path)
     except BaseException:
+        fh.close()
         os.unlink(tmp)
         raise
-    index.store_path, index.store_start = os.path.abspath(path), start
-    if index._spool is not None:
-        index._spool()
-        index._spool = None
+    index.use_store(fh, start)
 
 
 def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
     """An index saved by ``save_index`` under ``digest``, reading its store
     from ``path``; the store is not read here.  Raises ValueError for
-    another format or digest, or a truncated file."""
-    index = CodeIndex(root=os.path.abspath(root),
-                      store_path=os.path.abspath(path))
-    with open(path, "rb") as fh:
+    another format, digest or byte order, or a truncated file."""
+    fh = open(path, "rb")
+    try:
         head = fh.readline().decode("utf-8").rstrip("\n").split("\t")
-        if head[:2] != [_INDEX_FORMAT, digest] or len(head) != 4:
-            raise ValueError("%s is not a code index for digest %r"
-                             % (path, digest))
-        for _ in range(int(head[2])):
-            rel, count, nbytes = fh.readline().decode("utf-8").split("\t")
-            n = int(count)
-            # The file's n records as one flat list of fields; the last
-            # record ends in "\n", which leaves one empty field at the end.
-            fields = b"".join(islice(fh, n)).decode("utf-8").replace(
-                "\n", "\t").split("\t")
-            if fields.pop() or len(fields) != 3 * n:
-                raise ValueError("%s is truncated" % path)
-            # tuple.__new__ builds the same SymbolEntry as the class call,
-            # without running Python code per entry; interning keeps one
-            # string per kind instead of one per entry.
-            index.add_file(rel, list(map(
-                tuple.__new__, repeat(SymbolEntry),
-                zip(fields[0::3], map(sys.intern, fields[1::3]), repeat(rel),
-                    map(int, fields[2::3])))), int(nbytes))
-        if fh.readline() != b"end\n":
+        if (head[:3] != [_INDEX_FORMAT, digest, sys.byteorder]
+                or len(head) != 4 + len(_COLUMNS)):
+            raise ValueError("%s is not a code index for digest %r and byte "
+                             "order %s" % (path, digest, sys.byteorder))
+        columns = [array(typecode) for _name, typecode in _COLUMNS]
+        sizes = [int(head[3])]
+        for column, spec in zip(columns, head[4:]):
+            kind, _, nbytes = spec.partition(":")
+            if kind != "%s%d" % (column.typecode, column.itemsize):
+                raise ValueError("%s has %s items, not %s%d"
+                                 % (path, kind, column.typecode,
+                                    column.itemsize))
+            sizes.append(int(nbytes))
+        size = os.fstat(fh.fileno()).st_size
+        if min(sizes) < 0 or fh.tell() + sum(sizes) > size:
             raise ValueError("%s is truncated" % path)
-        index.store_start = fh.tell()
-        size = index.offsets[-1]
-        if (size != int(head[3])
-                or os.fstat(fh.fileno()).st_size != index.store_start + size):
+        body = memoryview(fh.read(sum(sizes)))
+        at = sizes[0]
+        text = str(body[:at], "utf-8", "surrogateescape")
+        strings = text.split("\0") if text else []
+        for column, nbytes in zip(columns, sizes[1:]):
+            column.frombytes(body[at:at + nbytes])
+            at += nbytes
+        kinds, lines, file_rows, by_name, by_path, offsets = columns
+        n_files = len(offsets) - 1
+        if not (n_files >= 0 and len(file_rows) == len(by_path) + 1
+                == n_files + 1
+                and len(strings) - n_files == file_rows[-1] == len(kinds)
+                == len(lines) == len(by_name)
+                and size == fh.tell() + offsets[-1]):
             raise ValueError("%s is truncated" % path)
-    return index
+        return CodeIndex(
+            root=os.path.abspath(root), store=fh, store_start=fh.tell(),
+            files=strings[:n_files], offsets=offsets, file_rows=file_rows,
+            names=strings[n_files:], kinds=kinds, lines=lines, by_name=by_name,
+            by_path=by_path)
+    except BaseException:
+        fh.close()
+        raise
 
 
 def cached_index(source_root: str, path: str, digest: str) -> CodeIndex:

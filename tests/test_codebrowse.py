@@ -1,5 +1,9 @@
+import gc
 import os
 import re
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -199,22 +203,48 @@ def test_definitions_order_survives_save(tmp_path):
     assert [h["line"] for h in hits] == list(range(1, 12))
 
 
+def _save_format_1(idx, path, digest):
+    """``idx`` in the layout of ``patchrepro-code-index/1``: a text header,
+    per file a line and its definition records, ``end``, then the store."""
+    by_file, offsets = idx.by_file, idx.offsets
+    out = "patchrepro-code-index/1\t%s\t%d\t%d\n" % (digest, len(idx.files),
+                                                    offsets[-1])
+    for i, rel in enumerate(idx.files):
+        entries = by_file.get(rel, [])
+        out += "%s\t%d\t%d\n" % (rel, len(entries), offsets[i + 1] - offsets[i])
+        out += "".join("%s\t%s\t%d\n" % (e.name, e.kind, e.line)
+                       for e in entries)
+    with open(path, "wb") as fh:
+        fh.write(out.encode() + b"end\n")
+        for rel in idx.files:
+            with open(os.path.join(idx.root, rel), "rb") as src:
+                fh.write(src.read())
+
+
 @pytest.mark.parametrize("spoil", ["missing", "wrong_digest", "truncated",
-                                   "bad_version", "truncated_source"])
+                                   "bad_version", "truncated_source",
+                                   "format_1", "foreign_byte_order"])
 def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
     saved = tmp_path / "index.tsv"
     path = str(saved)
-    if spoil != "missing":
+    if spoil == "format_1":
+        _save_format_1(codebrowse.build_index(tree), path, "d1")
+    elif spoil != "missing":
         saved_digest = "other" if spoil == "wrong_digest" else "d1"
         codebrowse.save_index(codebrowse.build_index(tree), path, saved_digest)
-        text = saved.read_text()
+        data = saved.read_bytes()
         if spoil == "truncated":
-            text = text[:len(text) // 2]
+            data = data[:len(data) // 2]
         elif spoil == "truncated_source":
-            text = text[:-1]
+            data = data[:-1]
         elif spoil == "bad_version":
-            text = text.replace("code-index/1", "code-index/0", 1)
-        saved.write_text(text)
+            data = data.replace(codebrowse._INDEX_FORMAT.encode(),
+                                b"patchrepro-code-index/0", 1)
+        elif spoil == "foreign_byte_order":
+            other = {"little": "big", "big": "little"}[sys.byteorder]
+            data = data.replace(b"\t%s\t" % sys.byteorder.encode(),
+                                b"\t%s\t" % other.encode(), 1)
+        saved.write_bytes(data)
     builds = []
     real_build = codebrowse.build_index
     monkeypatch.setattr(codebrowse, "build_index",
@@ -225,6 +255,117 @@ def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
     # The rebuilt index was written back and is reused from now on.
     assert _answers(codebrowse.cached_index(tree, path, "d1")) == _answers(idx)
     assert builds == [tree]
+
+
+def test_every_truncation_is_refused(tree, tmp_path):
+    saved = tmp_path / "index.idx"
+    codebrowse.save_index(codebrowse.build_index(tree), str(saved), "d1")
+    data = saved.read_bytes()
+    cut = tmp_path / "cut.idx"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError):
+            codebrowse.load_index(tree, str(cut), "d1")
+
+
+def test_odd_file_names_persist(tmp_path, monkeypatch):
+    """A tree whose file names hold a tab, a newline or bytes that are not
+    UTF-8 saves its index, and the next session loads it."""
+    root = tmp_path / "src"
+    root.mkdir()
+    (root / "a\tb.c").write_text("int tab_fn(void)\n{\n\treturn NL_MACRO;\n}\n")
+    (root / "c\nd.h").write_text("#define NL_MACRO 1\n")
+    with open(os.path.join(os.fsencode(root), b"e\xff.c"), "w") as fh:
+        fh.write("static int odd_global;\n")
+    path = str(tmp_path / "index.idx")
+    builds = []
+    real_build = codebrowse.build_index
+    monkeypatch.setattr(codebrowse, "build_index",
+                        lambda root: builds.append(root) or real_build(root))
+    first = codebrowse.cached_index(str(root), path, "d1")
+    again = codebrowse.cached_index(str(root), path, "d1")
+    assert builds == [str(root)]
+    assert again.files == ["a\tb.c", "c\nd.h", "e\udcff.c"]
+    assert _answers(again) == _answers(first) == _answers(real_build(str(root)))
+
+
+def test_killed_build_leaves_no_spooled_store(tree, tmp_path_factory):
+    """The store of a fresh build is never a named file, so not even a
+    process killed by SIGKILL leaves one behind."""
+    tmpdir = tmp_path_factory.mktemp("tmp")
+    src = os.path.dirname(os.path.dirname(codebrowse.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, time\n"
+         "from patchrepro import codebrowse\n"
+         "index = codebrowse.build_index(sys.argv[1])\n"
+         "print(index.file_count, flush=True)\n"
+         "time.sleep(60)\n", tree],
+        env=dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=src),
+        stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "2\n"
+        os.kill(child.pid, signal.SIGKILL)
+        assert child.wait() == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    assert os.listdir(tmpdir) == []
+
+
+def _macro_tree(root, symbols):
+    """``symbols`` macro definitions spread over ten files."""
+    root.mkdir()
+    for f in range(10):
+        (root / ("f%d.c" % f)).write_text("".join(
+            "#define SYM_%d_%d %d\n" % (f, n, n) for n in range(symbols // 10)))
+
+
+def test_loading_makes_no_per_symbol_objects(tmp_path):
+    """A load adds the same few GC-tracked objects whatever the number of
+    symbols, so it never sets off a full collection."""
+    paths = []
+    for symbols in (1000, 5000):
+        root = tmp_path / str(symbols)
+        _macro_tree(root, symbols)
+        paths.append((str(root), str(tmp_path / ("%d.idx" % symbols))))
+        codebrowse.save_index(codebrowse.build_index(str(root)), paths[-1][1])
+
+    growth = []
+    gc.collect()
+    gc.disable()
+    try:
+        for root, path in paths:
+            before = len(gc.get_objects())
+            index = codebrowse.load_index(root, path)
+            growth.append(len(gc.get_objects()) - before)
+            del index
+    finally:
+        gc.enable()
+    assert growth[0] < 50 and growth[1] - growth[0] < 10
+
+    # With everything older frozen and low thresholds, a few hundred new
+    # tracked objects would be enough for a full collection.
+    full = []
+
+    def watch(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full.append(info)
+
+    threshold = gc.get_threshold()
+    gc.freeze()
+    gc.collect()
+    gc.set_threshold(100, 1, 1)
+    gc.callbacks.append(watch)
+    try:
+        for root, path in paths:
+            assert codebrowse.load_index(root, path).file_count == 10
+    finally:
+        gc.callbacks.remove(watch)
+        gc.set_threshold(*threshold)
+        gc.unfreeze()
+    assert full == []
 
 
 def test_references_do_not_walk_the_tree(tree, monkeypatch):
