@@ -90,7 +90,6 @@ class DebugSession:
         self.gate: DebugGate = handle.gate
         self.breakpoints: Dict[str, Breakpoint] = {}
         self.mutation_ledger: List[MutationEvent] = []
-        self.transcript: List[str] = []  # raw MI lines, append-only
         self._seq = 0
         self.seq_source = seq_source or self._next_seq
         self.on_mutation: Optional[Callable[[MutationEvent], None]] = None
@@ -102,7 +101,6 @@ class DebugSession:
     # wire ------------------------------------------------------------------
 
     def _send(self, command: str) -> List[mi.MiRecord]:
-        self.transcript.append(command)
         try:
             lines = self.stub.send(command)
         except StubUnavailable:
@@ -111,7 +109,6 @@ class DebugSession:
             raise StubError(str(exc))
         records = []
         for line in lines:
-            self.transcript.append(line)
             if mi.is_terminator(line):
                 continue
             rec = mi.parse_mi_record(line)
@@ -137,7 +134,6 @@ class DebugSession:
     def feed_async_line(self, line: str):
         """Process one asynchronous MI line arriving outside a command
         exchange (the reader thread path on a live stub)."""
-        self.transcript.append(line)
         if not mi.is_terminator(line):
             self._apply_async(mi.parse_mi_record(line))
 

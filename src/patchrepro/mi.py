@@ -5,10 +5,14 @@ published MI syntax: result records (``^``), async records (``*``, ``+``,
 ``=``), stream records (``~``, ``@``, ``&``), and the ``(gdb)`` terminator
 marker.  Payloads are key-to-value trees; unknown fields are preserved
 verbatim so that parse -> serialize -> parse is a fixpoint.
+
+A line is read by compiled patterns matched at a position (record head,
+c-string, variable name) and by recursive descent over those positions.
 """
 
+import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import MalformedRecord
 
@@ -26,6 +30,27 @@ _STREAM_CHAR = {v: k for k, v in _STREAM_PREFIX.items()}
 # Status async ("+") carries progress notifications; it shares the
 # notify_async class but keeps its own prefix for round-tripping.
 _ASYNC_PREFIX = {"*": EXEC_ASYNC, "=": NOTIFY_ASYNC, "+": NOTIFY_ASYNC}
+
+# Lists and tuples nest at most this deep; real replies nest a few levels.
+MAX_DEPTH = 64
+
+# On every code point, ``\w`` is ``str.isalnum()`` plus ``_``: a variable
+# name is ``[\w-]+``, a record class ``([^\W_]|-)+``.  Token digits are ASCII.
+_HEAD = re.compile(r"([0-9]*)([~@&^*+=])((?:[^\W_]|-)*)")
+_CSTRING = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
+# A result, ``name=``, with its value too when that value is a c-string.
+_RESULT = re.compile(r"([\w-]+)=(?:%s)?" % _CSTRING.pattern, re.S)
+_ESCAPE = re.compile(r"\\(?:([0-7]{1,3})|(.))", re.S)
+
+# GDB's c-string escapes, octal ``\NNN`` included; any other escaped
+# character is kept as a backslash and that character.
+_UNESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\",
+              "a": "\a", "b": "\b", "e": "\x1b", "f": "\f", "v": "\v"}
+# Written: backslash, double quote, newline, tab and carriage return by
+# name, and every other C0 control character and DEL as ``\NNN``.
+_ESCAPES = {c: "\\%03o" % c for c in (*range(32), 127)}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
+                 ord("\t"): "\\t", ord("\r"): "\\r"})
 
 # Payload value: c-string, tuple (dict), or list whose items are values or
 # named ("key", value) pairs.
@@ -54,139 +79,84 @@ def is_terminator(line: str) -> bool:
     return line.strip() == TERMINATOR
 
 
-class _Cursor:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch):
-        if self.take() != ch:
-            raise MalformedRecord("expected %r at %d in %r"
-                                  % (ch, self.pos - 1, self.text))
-
-    @property
-    def done(self):
-        return self.pos >= len(self.text)
+def _unescape_one(match) -> str:
+    octal, char = match.groups()
+    if octal:
+        return chr(int(octal, 8))
+    return _UNESCAPES.get(char, "\\" + char)
 
 
-def _unescape(body: str) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t", "r": "\r",
-                        '"': '"', "\\": "\\"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _decode(body: str) -> str:
+    return _ESCAPE.sub(_unescape_one, body) if "\\" in body else body
 
 
-def _escape(text: str) -> str:
-    return (text.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r"))
-
-
-def _parse_cstring(cur: _Cursor) -> str:
-    cur.expect('"')
-    out = []
-    while True:
-        if cur.done:
-            raise MalformedRecord("unterminated string in %r" % cur.text)
-        ch = cur.take()
-        if ch == "\\":
-            if cur.done:
-                raise MalformedRecord("dangling escape in %r" % cur.text)
-            out.append("\\" + cur.take())
-        elif ch == '"':
-            break
-        else:
-            out.append(ch)
-    return _unescape("".join(out))
+def _cstring(text: str, pos: int) -> Tuple[str, int]:
+    """The c-string that starts at ``pos`` and the position just after it."""
+    match = _CSTRING.match(text, pos)
+    if match is None:
+        raise MalformedRecord("unquoted or unterminated string at %d in %r"
+                              % (pos, text))
+    return _decode(match.group(1)), match.end()
 
 
 def quote_cstring(text: str) -> str:
     """``text`` as one MI c-string: quoted, with backslash, double quote,
-    newline, tab and carriage return escaped, so it stays one argument on
-    one line."""
-    return '"%s"' % _escape(text)
+    newline, tab and carriage return escaped by name and every other
+    control character as octal, so it stays one argument on one line."""
+    return '"%s"' % text.translate(_ESCAPES)
 
 
 def parse_cstring(text: str) -> str:
     """The value of one whole c-string such as ``quote_cstring`` makes."""
-    cur = _Cursor(text)
-    value = _parse_cstring(cur)
-    if not cur.done:
+    value, end = _cstring(text, 0)
+    if end != len(text):
         raise MalformedRecord("trailing junk in %r" % text)
     return value
 
 
-def _parse_value(cur: _Cursor) -> MiValue:
-    ch = cur.peek()
-    if ch == '"':
-        return _parse_cstring(cur)
-    if ch == "{":
-        cur.take()
-        tup = {}
-        if cur.peek() == "}":
-            cur.take()
-            return tup
-        while True:
-            key, val = _parse_result(cur)
-            tup[key] = val
-            nxt = cur.take()
-            if nxt == "}":
-                return tup
-            if nxt != ",":
-                raise MalformedRecord("bad tuple separator in %r" % cur.text)
-    if ch == "[":
-        cur.take()
-        items: List = []
-        if cur.peek() == "]":
-            cur.take()
-            return items
-        while True:
-            if cur.peek() in '"{[':
-                items.append(_parse_value(cur))
+def _parse_value(text: str, pos: int, depth: int) -> Tuple[MiValue, int]:
+    """The value that starts at ``pos`` and the position just after it."""
+    opener = text[pos:pos + 1]
+    if opener == '"':
+        return _cstring(text, pos)
+    if opener == "{":
+        node, close = {}, "}"
+    elif opener == "[":
+        node, close = [], "]"
+    else:
+        raise MalformedRecord("expected value at %d in %r" % (pos, text))
+    if depth >= MAX_DEPTH:
+        raise MalformedRecord("nested deeper than %d at %d" % (MAX_DEPTH, pos))
+    pos += 1
+    if text.startswith(close, pos):
+        return node, pos + 1
+    while True:
+        if close == "]" and text[pos:pos + 1] in '"{[':
+            item, pos = _parse_value(text, pos, depth + 1)
+            node.append(item)
+        else:
+            name, item, pos = _parse_result(text, pos, depth + 1)
+            if close == "}":
+                node[name] = item
             else:
-                items.append(_parse_result(cur))
-            nxt = cur.take()
-            if nxt == "]":
-                return items
-            if nxt != ",":
-                raise MalformedRecord("bad list separator in %r" % cur.text)
-    raise MalformedRecord("expected value at %d in %r" % (cur.pos, cur.text))
+                node.append((name, item))
+        sep = text[pos:pos + 1]
+        if sep == close:
+            return node, pos + 1
+        if sep != ",":
+            raise MalformedRecord("bad separator at %d in %r" % (pos, text))
+        pos += 1
 
 
-def _parse_result(cur: _Cursor) -> Tuple[str, MiValue]:
-    start = cur.pos
-    while not cur.done and (cur.peek().isalnum() or cur.peek() in "-_"):
-        cur.take()
-    name = cur.text[start:cur.pos]
-    if not name:
-        raise MalformedRecord("expected variable at %d in %r" % (cur.pos, cur.text))
-    cur.expect("=")
-    return name, _parse_value(cur)
-
-
-def _parse_results(cur: _Cursor) -> dict:
-    payload = {}
-    while not cur.done:
-        cur.expect(",")
-        key, val = _parse_result(cur)
-        payload[key] = val
-    return payload
+def _parse_result(text: str, pos: int, depth: int) -> Tuple[str, MiValue, int]:
+    """The ``name=value`` that starts at ``pos``: name, value, next position."""
+    match = _RESULT.match(text, pos)
+    if match is None:
+        raise MalformedRecord("expected variable at %d in %r" % (pos, text))
+    name, body = match.groups()
+    if body is None:
+        return (name, *_parse_value(text, match.end(), depth))
+    return name, _decode(body), match.end()
 
 
 def parse_mi_record(line: str) -> MiRecord:
@@ -197,33 +167,30 @@ def parse_mi_record(line: str) -> MiRecord:
     if is_terminator(line):
         raise MalformedRecord("terminator marker is not a record")
 
-    cur = _Cursor(line)
-    tok_start = cur.pos
-    while cur.peek().isdigit():
-        cur.take()
-    token = int(line[tok_start:cur.pos]) if cur.pos > tok_start else None
-
-    ch = cur.peek()
+    head = _HEAD.match(line)
+    if head is None:
+        raise MalformedRecord("line fits no MI production: %r" % line)
+    digits, ch, kind = head.groups()
     if ch in _STREAM_PREFIX:
-        if token is not None:
+        if digits:
             raise MalformedRecord("stream records take no token: %r" % line)
-        cur.take()
-        text = _parse_cstring(cur)
-        if not cur.done:
+        text, end = _cstring(line, head.end(2))
+        if end != len(line):
             raise MalformedRecord("trailing junk in %r" % line)
-        return MiRecord(None, _STREAM_PREFIX[ch], "", {"text": text}, prefix=ch)
-    if ch == "^" or ch in _ASYNC_PREFIX:
-        cur.take()
-        start = cur.pos
-        while not cur.done and (cur.peek().isalnum() or cur.peek() == "-"):
-            cur.take()
-        kind = line[start:cur.pos]
-        if not kind:
-            raise MalformedRecord("missing record class in %r" % line)
-        payload = _parse_results(cur)
-        cls = RESULT if ch == "^" else _ASYNC_PREFIX[ch]
-        return MiRecord(token, cls, kind, payload, prefix=ch)
-    raise MalformedRecord("line fits no MI production: %r" % line)
+        return MiRecord(None, _STREAM_PREFIX[ch], "", {"text": text},
+                        prefix=ch)
+    if not kind:
+        raise MalformedRecord("missing record class in %r" % line)
+    payload = {}
+    pos, end = head.end(), len(line)
+    while pos < end:
+        if line[pos] != ",":
+            raise MalformedRecord("expected ',' at %d in %r" % (pos, line))
+        name, value, pos = _parse_result(line, pos + 1, 0)
+        payload[name] = value
+    cls = RESULT if ch == "^" else _ASYNC_PREFIX[ch]
+    return MiRecord(int(digits) if digits else None, cls, kind, payload,
+                    prefix=ch)
 
 
 def _serialize_value(value: MiValue) -> str:

@@ -8,7 +8,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchrepro import codebrowse, envprep, toolserver
+from patchrepro import codebrowse, envprep, kdbg, toolserver
 from patchrepro.envprep import BuilderSpec
 from patchrepro.trace import Trace
 from tests.conftest import SCENARIOS, SENTINEL_MESSAGE
@@ -206,6 +206,24 @@ def test_debugger_flow_records_mutations(env_and_task):
     assert "result" in out
     muts = [e for e in srv.trace.events if e["kind"] == "mutation"]
     assert len(muts) == 1 and muts[0]["category"] == "memory_write"
+
+
+@pytest.mark.parametrize("reply", [
+    "^done,x=" + "[" * 5000 + "]" * 5000,  # past the recursion limit
+    "\u00b2^done",  # a digit to str.isdigit(), not to int()
+], ids=["deep_nesting", "superscript_token"])
+def test_hostile_mi_reply_is_a_malformed_record_error(env_and_task, reply):
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    srv.handle.debug_stub = kdbg.ScriptedMiStub(
+        scripted={"hostile": [reply, "(gdb)"]})
+    out = srv.dispatch_call("dbg.raw", {"command": "hostile"})
+    assert list(out) == ["error"]
+    assert out["error"]["name"] == "MalformedRecord"
+    results = [e for e in srv.trace.events if e["kind"] == "tool_result"
+               and e["name"] == "dbg.raw"]
+    assert len(results) == 1
+    assert results[0]["error"]["name"] == "MalformedRecord"
 
 
 def test_server_with_debugger_is_freed_without_a_collection(env_and_task):
