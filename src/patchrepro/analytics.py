@@ -6,15 +6,14 @@ paired discordant deltas, convergence curves, and timeout-filled runtime
 aggregation.  Descriptive summaries use nearest-rank percentiles.
 """
 
-import contextlib
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+from . import sessionrunner
 from .errors import (
     AllStrataDegenerate,
     EmptyGroup,
@@ -254,69 +253,38 @@ def expected_overall_time(success_durations: Sequence[float], n_fail: int,
 
 # --- corpus ingestion -------------------------------------------------------
 
-# Run dirs handed to a worker at a time.  A corpus of at most this many is
-# read in-process: forking a pool costs more than it saves there.
-RUNS_PER_TASK = 64
-
-
-def _read_case_dir(case_dir):
-    """(verdict dict, trace measures) of one run dir, or None when it has no
-    verdict.  Runs in a worker process for a corpus of several tasks."""
-    from . import sessionrunner
-
-    verdict_path = os.path.join(case_dir, "verdict.json")
-    if not os.path.isfile(verdict_path):
-        return None
-    with open(verdict_path, "r", encoding="utf-8") as fh:
-        v = json.load(fh)
-    trace_path = os.path.join(case_dir, "trace.jsonl")
+def _run_measures(case_dir) -> dict:
+    """The trace measures of one run dir.  A session writes them into
+    session.json; a dir written before sessions did has them replayed from
+    its trace.jsonl."""
+    session_path = os.path.join(case_dir, sessionrunner.ARTIFACT_SESSION)
+    if os.path.isfile(session_path):
+        with open(session_path, "r", encoding="utf-8") as fh:
+            session = json.load(fh)
+        if "tool_counts" in session:
+            return session
+    trace_path = os.path.join(case_dir, sessionrunner.ARTIFACT_TRACE)
     if not os.path.isfile(trace_path):
-        return v, {}
-    return v, sessionrunner.replay_trace(trace_path)
-
-
-@contextlib.contextmanager
-def _read_case_dirs(case_dirs):
-    """An iterator of ``_read_case_dir`` over every dir, in order.  Dirs go
-    to forked workers in tasks of ``RUNS_PER_TASK``, one worker per CPU but
-    no more than there are tasks; a single worker's share is read
-    in-process.  A worker's exception reaches the caller with its type and
-    message, the first one in dir order, and no worker outlives the
-    ``with`` block."""
-    workers = min(len(os.sched_getaffinity(0)),
-                  math.ceil(len(case_dirs) / RUNS_PER_TASK))
-    if workers <= 1:
-        yield map(_read_case_dir, case_dirs)
-        return
-    # Fork, not spawn: a spawned worker starts an interpreter and imports
-    # the package afresh (about 0.17 s on a 2-CPU host), a large part of
-    # the time it takes to read its share.  The package starts no threads
-    # of its own for a fork to leave behind.
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        yield pool.imap(_read_case_dir, case_dirs, chunksize=RUNS_PER_TASK)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
+        return {}
+    return sessionrunner.replay_trace(trace_path)
 
 
 def load_run_records(runs_dirs: Sequence[str],
                      metadata: Optional[dict] = None) -> List[RunRecord]:
-    """Ingest directories of per-case artifact sets (verdict.json +
-    trace.jsonl + session.json)."""
-    case_dirs = [(runs_dir, os.path.join(runs_dir, name))
-                 for runs_dir in runs_dirs
-                 for name in sorted(os.listdir(runs_dir))]
+    """Ingest directories of per-case artifact sets (verdict.json, and the
+    trace measures of ``_run_measures``); a dir without a verdict is
+    skipped."""
     records = []
-    with _read_case_dirs([d for _, d in case_dirs]) as results:
-        for (runs_dir, _), loaded in zip(case_dirs, results):
-            if loaded is None:
+    for runs_dir in runs_dirs:
+        for name in sorted(os.listdir(runs_dir)):
+            case_dir = os.path.join(runs_dir, name)
+            verdict_path = os.path.join(case_dir,
+                                        sessionrunner.ARTIFACT_VERDICT)
+            if not os.path.isfile(verdict_path):
                 continue
-            v, measures = loaded
+            with open(verdict_path, "r", encoding="utf-8") as fh:
+                v = json.load(fh)
+            measures = _run_measures(case_dir)
             meta = (metadata or {}).get(v["case_id"], {})
             records.append(RunRecord(
                 case_id=v["case_id"],

@@ -6,9 +6,15 @@ into protocol errors without string matching.
 
 
 class HarnessError(Exception):
-    """Base class; ``name`` is the wire-visible error identifier."""
+    """Base class; ``name`` is the wire-visible error identifier: the class
+    name, unless a subclass sets its own."""
 
     name = "HarnessError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "name" not in cls.__dict__:
+            cls.name = cls.__name__
 
     def __init__(self, message=""):
         super().__init__(message or self.name)
@@ -16,51 +22,48 @@ class HarnessError(Exception):
 
 class InvalidParams(HarnessError):
     """A tool call whose arguments do not match the registry schema."""
-    name = "InvalidParams"
 
 
 # --- envprep ---------------------------------------------------------------
 
 class UnknownCommit(HarnessError):
-    name = "UnknownCommit"
+    pass
 
 
 class MergeCommitRejected(HarnessError):
-    name = "MergeCommitRejected"
+    pass
 
 
 class EmptyDiff(HarnessError):
-    name = "EmptyDiff"
+    pass
 
 
 class BuildFailed(HarnessError):
-    name = "BuildFailed"
-
     def __init__(self, message="", prep_log=""):
         super().__init__(message)
         self.prep_log = prep_log
 
 
 class EnvBootFailed(HarnessError):
-    name = "EnvBootFailed"
+    pass
 
 
 class UnknownProfile(HarnessError):
-    name = "UnknownProfile"
+    pass
 
 
 class SnapshotFailed(HarnessError):
-    name = "SnapshotFailed"
+    pass
 
 
 # --- codebrowse ------------------------------------------------------------
 
 class RootUnreadable(HarnessError):
-    name = "RootUnreadable"
+    pass
 
 
 class FileNotIndexed(HarnessError):
-    name = "FileNotIndexed"
+    pass
 
 
 class SnippetFileNotFound(HarnessError):
@@ -68,78 +71,76 @@ class SnippetFileNotFound(HarnessError):
 
 
 class StartBeyondEof(HarnessError):
-    name = "StartBeyondEof"
+    pass
 
 
 # --- guestvm ---------------------------------------------------------------
 
 class GuestUnavailable(HarnessError):
-    name = "GuestUnavailable"
+    pass
 
 
 class DebuggeeHalted(HarnessError):
-    name = "DebuggeeHalted"
+    pass
 
 
 class CompileFailed(HarnessError):
-    name = "CompileFailed"
-
     def __init__(self, message="", compile_log=""):
         super().__init__(message)
         self.compile_log = compile_log
 
 
 class UploadFailed(HarnessError):
-    name = "UploadFailed"
+    pass
 
 
 # --- kdbg ------------------------------------------------------------------
 
 class StubUnavailable(HarnessError):
-    name = "StubUnavailable"
+    pass
 
 
 class AlreadyAttached(HarnessError):
-    name = "AlreadyAttached"
+    pass
 
 
 class MalformedRecord(HarnessError):
-    name = "MalformedRecord"
+    pass
 
 
 class UnknownBreakpoint(HarnessError):
-    name = "UnknownBreakpoint"
+    pass
 
 
 class UnresolvableLocation(HarnessError):
-    name = "UnresolvableLocation"
+    pass
 
 
 class StubError(HarnessError):
-    name = "StubError"
+    pass
 
 
 class NotStopped(HarnessError):
-    name = "NotStopped"
+    pass
 
 
 # --- sessionrunner / verdict / analytics -----------------------------------
 
 class MalformedTrace(HarnessError):
-    name = "MalformedTrace"
+    pass
 
 
 class ArtifactsIncomplete(HarnessError):
-    name = "ArtifactsIncomplete"
+    pass
 
 
 class AllStrataDegenerate(HarnessError):
-    name = "AllStrataDegenerate"
+    pass
 
 
 class EmptyGroup(HarnessError):
-    name = "EmptyGroup"
+    pass
 
 
 class UnpairedCases(HarnessError):
-    name = "UnpairedCases"
+    pass

@@ -235,7 +235,6 @@ class GuestHandle:
         self.mock = mock_guest
         self.gate = DebugGate()
         self.transcript: List[dict] = []  # {t, origin, line}
-        self.poc_iterations = 0
         self.debug_stub = None  # MI responder a debug session talks to
         self.debug_session = None  # the one attached kdbg.DebugSession
 
@@ -272,7 +271,6 @@ def restart_guest(handle: GuestHandle) -> GuestHandle:
     handle.gate.resume()  # a dead debuggee cannot hold the gate
     fresh = restore_from_snapshot(handle.snapshot_ref)
     fresh.gate = handle.gate
-    fresh.poc_iterations = handle.poc_iterations
     fresh.transcript = handle.transcript
     fresh.append_transcript(["== guest restarted =="], origin="lifecycle")
     return fresh
@@ -357,10 +355,10 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
                        dest_path: str) -> UploadResult:
     """Compile C source on the host and place the binary in the guest.
 
-    Every attempt, including compile failures, counts as one PoC iteration.
+    Every call that gets past the gate, a failed compile or upload included,
+    is one PoC iteration (counted by ``sessionrunner.replay_trace``).
     """
     handle.gate.check()
-    handle.poc_iterations += 1
     if handle.state != "running":
         raise UploadFailed("guest state is %s" % handle.state)
 

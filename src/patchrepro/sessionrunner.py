@@ -2,8 +2,8 @@
 
 A pluggable model client is looped over the tool server under wall-clock and
 cost budgets.  The artifact directory has fixed names (poc.c, report.md,
-trace.jsonl, console.log, session.json) so the verdict engine and analytics
-need no discovery logic.
+trace.jsonl, console.log, session.json, and verdict.json once decided) so
+the verdict engine and analytics need no discovery logic.
 """
 
 import json
@@ -15,16 +15,20 @@ from typing import Dict, List, Optional, Sequence
 
 from . import envprep, toolserver
 from .envprep import CapabilityProfile
+from .errors import CompileFailed, UploadFailed
 from .trace import Trace, read_trace
 
 DEFAULT_WALL_CLOCK_LIMIT_S = 10 * 3600.0
 DEFAULT_UTILITY_WATCHLIST = ("nft", "tc", "ip", "ethtool", "iptables")
+# Errors of a vm.compile_upload call that still count as a PoC iteration.
+POC_ATTEMPT_ERRORS = (CompileFailed.name, UploadFailed.name)
 
 ARTIFACT_POC = "poc.c"
 ARTIFACT_REPORT = "report.md"
 ARTIFACT_TRACE = "trace.jsonl"
 ARTIFACT_CONSOLE = "console.log"
 ARTIFACT_SESSION = "session.json"
+ARTIFACT_VERDICT = "verdict.json"
 
 
 @dataclass
@@ -223,7 +227,9 @@ def _flush_artifacts(out_dir, task, profile, server, trace, termination,
         "termination": termination,
         "elapsed_min": round(elapsed / 60.0, 4),
         "cost_usd": str(cost),
-        "poc_iterations": server.handle.poc_iterations if server.handle else 0,
+        # The trace measures, taken once here so that analyze need not
+        # read the trace again.
+        **replay_trace(trace.events),
     }
     with open(os.path.join(out_dir, ARTIFACT_SESSION), "w",
               encoding="utf-8") as fh:
@@ -244,7 +250,7 @@ def replay_trace(trace_path,
     by_category: Dict[str, int] = {}
     result_errors = {}  # call_seq -> error of its last result
     set_calls = []  # seqs of dbg.breakpoint "set" calls
-    poc_iterations = 0
+    compile_calls = []  # seqs of vm.compile_upload calls
     breakpoints_hit = 0
     utility_counts: Dict[str, int] = {u: 0 for u in utility_watchlist}
     procfs_accesses = 0
@@ -258,7 +264,7 @@ def replay_trace(trace_path,
             name = event.get("name", "")
             args = event.get("args", {}) or {}
             if name == "vm.compile_upload":
-                poc_iterations += 1
+                compile_calls.append(event["seq"])
             if name == "dbg.breakpoint" and args.get("action") == "set":
                 set_calls.append(event["seq"])
             if name == "vm.exec":
@@ -275,9 +281,14 @@ def replay_trace(trace_path,
             breakpoints_hit += 1
 
     # A set counts unless its last result carries an error; a result may
-    # come before or after its call in the file.
+    # come before or after its call in the file.  A compile counts when it
+    # reached the compiler or the guest.
     breakpoints_set = sum(1 for seq in set_calls
                           if result_errors.get(seq) is None)
+    poc_iterations = sum(
+        1 for seq in compile_calls
+        if result_errors.get(seq) is None
+        or result_errors[seq].get("name") in POC_ATTEMPT_ERRORS)
 
     return {
         "tool_counts": by_category,

@@ -19,6 +19,7 @@ from .sessionrunner import (
     ARTIFACT_REPORT,
     ARTIFACT_SESSION,
     ARTIFACT_TRACE,
+    ARTIFACT_VERDICT,
 )
 from .trace import iter_console_lines, read_trace
 
@@ -246,6 +247,6 @@ def decide(artifacts_dir: str, case_id: Optional[str] = None) -> Verdict:
 
 
 def write_verdict(artifacts_dir: str, verdict: Verdict):
-    with open(os.path.join(artifacts_dir, "verdict.json"), "w",
+    with open(os.path.join(artifacts_dir, ARTIFACT_VERDICT), "w",
               encoding="utf-8") as fh:
         fh.write(verdict.to_json())

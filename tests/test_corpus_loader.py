@@ -1,21 +1,20 @@
-"""``analytics.load_run_records`` over a corpus large enough for the forked
-workers, against the serial reader it replaces."""
+"""``analytics.load_run_records`` against a serial reader that replays every
+trace, over a corpus that mixes run dirs written with and without the trace
+measures in session.json."""
 
 import json
-import multiprocessing
 import os
-import time
 
 import pytest
 
 from patchrepro import analytics, sessionrunner
-from patchrepro.analytics import RUNS_PER_TASK, RunRecord
+from patchrepro.analytics import RunRecord
 from patchrepro.errors import MalformedTrace
 from patchrepro.sessionrunner import replay_trace
 
 
 def _serial_load(runs_dirs, metadata=None):
-    """The one-process reader, kept as the oracle of the parallel one."""
+    """The reader that replays each trace.jsonl, kept as the oracle."""
     records = []
     for runs_dir in runs_dirs:
         for name in sorted(os.listdir(runs_dir)):
@@ -58,10 +57,18 @@ def _template_trace(k):
                    for i, e in enumerate(events, start=1))
 
 
+# How each dir's session.json is written, by case number mod 3.
+MEASURED, OLD_SESSION, NO_SESSION = range(3)
+# Run dirs in each of the two runs dirs.
+COUNTS = (40, 35)
+
+
 @pytest.fixture
 def corpus(tmp_path):
-    """Two runs dirs of hard-linked traces, more than two tasks in all, with
-    a dir without a verdict, a run without a trace and an empty runs dir."""
+    """Two runs dirs of hard-linked traces with, in turn, a session.json
+    that holds the trace measures, one written before sessions recorded
+    them, and none; also a dir without a verdict, a run without a trace
+    and an empty runs dir."""
     templates = []
     for k in range(3):
         path = tmp_path / "templates" / ("trace-%d.jsonl" % k)
@@ -69,7 +76,7 @@ def corpus(tmp_path):
         path.write_text(_template_trace(k))
         templates.append(path)
     runs_dirs, metadata = [], {}
-    for r, count in enumerate((RUNS_PER_TASK + 40, RUNS_PER_TASK + 10)):
+    for r, count in enumerate(COUNTS):
         runs_dir = tmp_path / ("attempt-%d" % r)
         for i in range(count):
             case_id = "case-%03d" % i
@@ -78,8 +85,17 @@ def corpus(tmp_path):
             (case_dir / "verdict.json").write_text(json.dumps(
                 {"case_id": case_id, "success": (i + r) % 3 == 0,
                  "elapsed_min": i / 7.0, "cost_usd": "0.%02d" % i}))
+            session = {"case_id": case_id, "termination": "finalized"}
+            template = templates[(i // 3 + r) % 3]
             if (i, r) != (5, 1):
-                os.link(templates[(i + r) % 3], case_dir / "trace.jsonl")
+                os.link(template, case_dir / "trace.jsonl")
+            if i % 3 == MEASURED:
+                session.update(replay_trace(str(template)))
+            if i % 3 == OLD_SESSION:
+                # What the session handle counted; replay gives the count.
+                session["poc_iterations"] = 99
+            if i % 3 != NO_SESSION:
+                (case_dir / "session.json").write_text(json.dumps(session))
             metadata[case_id] = {"subsystem": "net" if i % 2 else "fs",
                                  "is_race": i % 4 == 0}
         runs_dirs.append(str(runs_dir))
@@ -89,37 +105,40 @@ def corpus(tmp_path):
     return runs_dirs, metadata
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a pool was started")
-
-
-def test_records_equal_the_serial_reader_in_order(corpus, two_cpus,
-                                                  monkeypatch):
+def test_records_equal_the_serial_reader_in_order(corpus, monkeypatch):
     runs_dirs, metadata = corpus
-    pools = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: pools.append(method)
-                        or get_context(method))
+    replayed = []
 
-    def first_task_last(path):
-        # The first task finishes after the others, in its worker.
-        if path.endswith(os.path.join("attempt-0", "case-000", "trace.jsonl")):
-            time.sleep(0.3)
+    def recording_replay(path):
+        replayed.append(os.path.basename(os.path.dirname(path)))
         return replay_trace(path)
 
-    monkeypatch.setattr(sessionrunner, "replay_trace", first_task_last)
+    monkeypatch.setattr(sessionrunner, "replay_trace", recording_replay)
     records = analytics.load_run_records(runs_dirs, metadata=metadata)
-    assert pools == ["fork"]
+    monkeypatch.undo()
     assert records == _serial_load(runs_dirs, metadata)
-    assert len(records) == 2 * RUNS_PER_TASK + 50
+    assert len(records) == sum(COUNTS)
     assert {r.breakpoints_set for r in records} == {0, 1, 2}
-    assert multiprocessing.active_children() == []
+    assert {r.poc_iterations for r in records} == {0, 1, 2, 3}
+    # Only the dirs without measures in session.json are replayed.
+    assert replayed and all(int(name[-3:]) % 3 != MEASURED
+                            for name in replayed)
+    assert len(replayed) == sum(1 for count in COUNTS for i in range(count)
+                                if i % 3 != MEASURED) - 1  # one lacks a trace
+
+
+def test_measures_come_from_session_json(corpus, tmp_path):
+    """A dir whose session.json holds the measures is not replayed: its
+    trace may be gone."""
+    runs_dirs, _ = corpus
+    case_dir = tmp_path / "attempt-0" / "case-003"
+    session = json.loads((case_dir / "session.json").read_text())
+    assert session["tool_counts"]
+    os.unlink(case_dir / "trace.jsonl")
+    record = [r for r in analytics.load_run_records(runs_dirs)
+              if r.case_id == "case-003" and r.runs_dir.endswith("attempt-0")]
+    assert record[0].tool_counts == session["tool_counts"]
+    assert record[0].poc_iterations == session["poc_iterations"]
 
 
 def _error_of(load, runs_dirs):
@@ -128,49 +147,30 @@ def _error_of(load, runs_dirs):
     return type(info.value), str(info.value)
 
 
-def test_malformed_trace_in_the_second_task(corpus, two_cpus, tmp_path):
+@pytest.mark.parametrize("case", ["case-020", "case-022"])
+def test_malformed_trace_raises_the_serial_error(corpus, tmp_path, case):
+    """Without measures in session.json (case-020 has no session.json,
+    case-022 an old one) the trace is replayed, and its error is the
+    oracle's."""
     runs_dirs, _ = corpus
-    # Dir RUNS_PER_TASK + 20 of the first runs dir: inside the second task.
-    case_dir = tmp_path / "attempt-0" / ("case-%03d" % (RUNS_PER_TASK + 20))
+    case_dir = tmp_path / "attempt-0" / case
     os.unlink(case_dir / "trace.jsonl")
     (case_dir / "trace.jsonl").write_text(
         '{"kind": "tool_call", "seq": 1}\n{"kind": "tool_call", "seq": 3}\n')
     expected = _error_of(_serial_load, runs_dirs)
     assert expected == (MalformedTrace, "line 2: sequence gap (3 after 1)")
     assert _error_of(analytics.load_run_records, runs_dirs) == expected
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("content, error", [
     (b'{"case_id": ', json.JSONDecodeError),
     (b"\xff{}", UnicodeDecodeError),
-    (b'{"success": true}', KeyError),  # raised in the parent
+    (b'{"success": true}', KeyError),
 ])
-def test_corrupt_verdict_raises_the_serial_error(corpus, two_cpus, tmp_path,
+def test_corrupt_verdict_raises_the_serial_error(corpus, tmp_path,
                                                  content, error):
     runs_dirs, _ = corpus
     (tmp_path / "attempt-1" / "case-030" / "verdict.json").write_bytes(content)
     expected = _error_of(_serial_load, runs_dirs)
     assert expected[0] is error
     assert _error_of(analytics.load_run_records, runs_dirs) == expected
-    assert multiprocessing.active_children() == []
-
-
-def test_one_cpu_reads_in_process(corpus, monkeypatch):
-    runs_dirs, metadata = corpus
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
-    monkeypatch.setattr(multiprocessing.pool, "Pool", _no_pool)
-    assert analytics.load_run_records(runs_dirs, metadata=metadata) \
-        == _serial_load(runs_dirs, metadata)
-
-
-def test_one_task_reads_in_process(tmp_path, two_cpus, monkeypatch):
-    case_dir = tmp_path / "runs" / "case-000"
-    case_dir.mkdir(parents=True)
-    (case_dir / "verdict.json").write_text(
-        json.dumps({"case_id": "case-000", "success": True}))
-    (case_dir / "trace.jsonl").write_text(_template_trace(2))
-    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
-    runs_dirs = [str(tmp_path / "runs")]
-    assert analytics.load_run_records(runs_dirs) == _serial_load(runs_dirs)

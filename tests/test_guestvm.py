@@ -66,15 +66,14 @@ def test_snapshot_restore_isolation():
     assert "No such file" in out.text
 
 
-def test_restart_preserves_gate_transcript_iterations():
+def test_restart_preserves_gate_and_transcript():
     h = _boot()
     guestvm.exec_console(h, "./trigger")
     assert h.state == "unresponsive"
     before = len(h.transcript)
-    iters = h.poc_iterations
     fresh = guestvm.restart_guest(h)
     assert fresh.state == "running"
-    assert fresh.poc_iterations == iters
+    assert fresh.gate is h.gate
     assert len(fresh.transcript) > before
     assert any("restarted" in rec["line"] for rec in fresh.transcript)
     guestvm.exec_console(fresh, "echo ok")
@@ -106,12 +105,9 @@ def test_compile_upload_success_and_failure():
     res = guestvm.compile_and_upload(
         h, "int main(void) { return 0; }", "/tmp/poc")
     assert res.binary_size > 0
-    assert h.poc_iterations == 1
     with pytest.raises(errors.CompileFailed) as ei:
         guestvm.compile_and_upload(h, "int main(void { broken", "/tmp/poc")
     assert ei.value.compile_log  # diagnostics surfaced
-    # Failed compiles still count as an attempt.
-    assert h.poc_iterations == 2
     out = guestvm.exec_console(h, "/tmp/poc")
     assert not out.timed_out
 

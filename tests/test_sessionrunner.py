@@ -176,10 +176,59 @@ def test_replay_counts_utilities_and_procfs(env_and_task, tmp_path):
     assert measures["sysfs_accesses"] == 1
 
 
+@pytest.mark.parametrize("script", sorted(os.listdir(MODELS)))
+def test_session_json_holds_the_trace_measures(env_and_task, tmp_path,
+                                               script):
+    artifacts, out_dir = _run(env_and_task, tmp_path, script=script)
+    session = json.loads(Path(out_dir, "session.json").read_text())
+    measures = replay_trace(artifacts.trace_path)
+    assert {k: session[k] for k in measures} == measures
+
+
+def _compile(source="int main(void) { return 0; }", **args):
+    return ModelAction(kind="tool_call", name="vm.compile_upload",
+                       args={"source": source, **args})
+
+
+def _poc_iterations(env_and_task, tmp_path, actions):
+    env, task = env_and_task
+    artifacts = run_session(task, env, ScriptedModelClient(actions),
+                            toolserver.PROFILES["baseline"], Budget(),
+                            str(tmp_path / "run"))
+    session = json.loads(Path(artifacts.out_dir, "session.json").read_text())
+    assert session["poc_iterations"] \
+        == replay_trace(artifacts.trace_path)["poc_iterations"]
+    return session["poc_iterations"]
+
+
+def test_poc_iterations_count_calls_that_reach_the_compiler(env_and_task,
+                                                            tmp_path):
+    """A call before the guest starts, or without a destination, is not an
+    iteration."""
+    actions = [_compile(dest_path="/tmp/poc"),
+               ModelAction(kind="tool_call", name="vm.start", args={}),
+               _compile(),
+               _compile(dest_path="/tmp/poc"),
+               ModelAction(kind="give_up")]
+    assert _poc_iterations(env_and_task, tmp_path, actions) == 1
+
+
+def test_poc_iterations_count_failed_compiles_across_restarts(env_and_task,
+                                                              tmp_path):
+    actions = [ModelAction(kind="tool_call", name="vm.start", args={}),
+               _compile("int main(void { broken", dest_path="/tmp/poc"),
+               ModelAction(kind="tool_call", name="vm.restart", args={}),
+               _compile(dest_path="/tmp/poc"),
+               ModelAction(kind="give_up")]
+    assert _poc_iterations(env_and_task, tmp_path, actions) == 2
+
+
 def _two_pass_replay(events, utility_watchlist=(
         "nft", "tc", "ip", "ethtool", "iptables")):
     """The two-pass ``replay_trace``, kept as the oracle of the one-pass
-    walk: a first pass maps each call_seq to its last result's error."""
+    walk: a first pass maps each call_seq to its last result's error.  A
+    compile counts unless that error is other than a failed compile or
+    upload."""
     by_category = {}
     result_errors = {}
     for event in events:
@@ -195,10 +244,13 @@ def _two_pass_replay(events, utility_watchlist=(
             by_category[category] = by_category.get(category, 0) + 1
             name = event.get("name", "")
             args = event.get("args", {}) or {}
-            if name == "vm.compile_upload":
+            error = result_errors.get(event["seq"])
+            if name == "vm.compile_upload" and (
+                    error is None
+                    or error["name"] in ("CompileFailed", "UploadFailed")):
                 poc_iterations += 1
             if name == "dbg.breakpoint" and args.get("action") == "set" \
-                    and result_errors.get(event["seq"]) is None:
+                    and error is None:
                 breakpoints_set += 1
             if name == "vm.exec":
                 command = str(args.get("command", ""))
@@ -222,6 +274,9 @@ def _two_pass_replay(events, utility_watchlist=(
     }
 
 
+_ERROR = {name: {"name": name, "message": ""}
+          for name in ("UnknownBreakpoint", "CompileFailed", "UploadFailed",
+                       "GuestUnavailable")}
 _COMMANDS = st.one_of(
     st.sampled_from(["nft list ruleset", "ip a", "cat /proc/x /sys/y", "",
                      "  tc qdisc"]),
@@ -241,7 +296,8 @@ _EVENT = st.one_of(
     # several results may share one.
     st.fixed_dictionaries({
         "kind": st.just("tool_result"), "call_seq": st.integers(0, 6)},
-        optional={"error": st.one_of(st.none(), st.just("UnknownBreakpoint"))}),
+        optional={"error": st.one_of(st.none(),
+                                     st.sampled_from(list(_ERROR.values())))}),
     st.fixed_dictionaries({
         "kind": st.just("lifecycle"),
         "event": st.sampled_from(["gate_stopped", "resumed"]),
@@ -252,15 +308,23 @@ _EVENT = st.one_of(
 
 _SET = {"kind": "tool_call", "name": "dbg.breakpoint", "category": "debugging",
         "args": {"action": "set"}}
+_COMPILE = {"kind": "tool_call", "name": "vm.compile_upload",
+            "category": "vm_management", "args": {}}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_EVENT, max_size=8))
-@example([{"kind": "tool_result", "call_seq": 2, "error": "UnknownBreakpoint"},
+@example([{"kind": "tool_result", "call_seq": 2,
+           "error": _ERROR["UnknownBreakpoint"]},
           _SET, {"kind": "tool_result", "call_seq": 2}])
 @example([{"kind": "tool_result", "call_seq": 3}, _SET,
-          {"kind": "tool_result", "call_seq": 2, "error": "UnknownBreakpoint"},
+          {"kind": "tool_result", "call_seq": 2,
+           "error": _ERROR["UnknownBreakpoint"]},
           _SET])
+@example([_COMPILE, {"kind": "tool_result", "call_seq": 1,
+                     "error": _ERROR["CompileFailed"]},
+          _COMPILE, {"kind": "tool_result", "call_seq": 3,
+                     "error": _ERROR["GuestUnavailable"]}])
 def test_replay_trace_matches_two_pass_oracle(drawn):
     events = [dict(e, seq=i) for i, e in enumerate(drawn, start=1)]
     assert replay_trace(events) == _two_pass_replay(events)
