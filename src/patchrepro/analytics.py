@@ -305,20 +305,20 @@ def load_run_records(runs_dirs: Sequence[str],
     return records
 
 
+def _success_table(exposed, unexposed) -> ContingencyTable2x2:
+    """Successes and failures of two record groups, as rows of a 2x2."""
+    a = sum(1 for r in exposed if r.success)
+    c = sum(1 for r in unexposed if r.success)
+    return ContingencyTable2x2(a, len(exposed) - a, c, len(unexposed) - c)
+
+
 def subsystem_tables(records: Sequence[RunRecord]) -> Dict[str, ContingencyTable2x2]:
     """One exposure-vs-rest table per subsystem label."""
     labels = sorted({r.subsystem for r in records if r.subsystem})
-    tables = {}
-    for label in labels:
-        inside = [r for r in records if r.subsystem == label]
-        outside = [r for r in records if r.subsystem != label]
-        tables[label] = ContingencyTable2x2(
-            a=sum(1 for r in inside if r.success),
-            b=sum(1 for r in inside if not r.success),
-            c=sum(1 for r in outside if r.success),
-            d=sum(1 for r in outside if not r.success),
-        )
-    return tables
+    return {label: _success_table(
+                [r for r in records if r.subsystem == label],
+                [r for r in records if r.subsystem != label])
+            for label in labels}
 
 
 def type_race_strata(records: Sequence[RunRecord]) -> List[ContingencyTable2x2]:
@@ -327,29 +327,18 @@ def type_race_strata(records: Sequence[RunRecord]) -> List[ContingencyTable2x2]:
     for race in (True, False):
         rs = [r for r in records if r.is_race is race
               and r.vuln_type in ("UAF", "DF", "OOB")]
-        if not rs:
-            continue
-        temporal = [r for r in rs if r.vuln_type in ("UAF", "DF")]
-        spatial = [r for r in rs if r.vuln_type == "OOB"]
-        strata.append(ContingencyTable2x2(
-            a=sum(1 for r in temporal if r.success),
-            b=sum(1 for r in temporal if not r.success),
-            c=sum(1 for r in spatial if r.success),
-            d=sum(1 for r in spatial if not r.success),
-        ))
+        if rs:
+            strata.append(_success_table(
+                [r for r in rs if r.vuln_type in ("UAF", "DF")],
+                [r for r in rs if r.vuln_type == "OOB"]))
     return strata
 
 
 def cutoff_table(records: Sequence[RunRecord], cutoff_date: str) -> ContingencyTable2x2:
     """Pre-cutoff vs post-cutoff success table by submit time."""
-    pre = [r for r in records if (r.submit_time or "") <= cutoff_date]
-    post = [r for r in records if (r.submit_time or "") > cutoff_date]
-    return ContingencyTable2x2(
-        a=sum(1 for r in pre if r.success),
-        b=sum(1 for r in pre if not r.success),
-        c=sum(1 for r in post if r.success),
-        d=sum(1 for r in post if not r.success),
-    )
+    return _success_table(
+        [r for r in records if (r.submit_time or "") <= cutoff_date],
+        [r for r in records if (r.submit_time or "") > cutoff_date])
 
 
 # --- analyze tables ---------------------------------------------------------

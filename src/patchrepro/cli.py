@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 
 from . import analytics, envprep, sessionrunner, toolserver, verdict
@@ -52,7 +53,8 @@ def _cmd_analyze(args):
     tables = analytics.analysis_tables(records, args.tables, args.runs_dirs,
                                        args.cutoff_date)
     if args.format == "json":
-        print(json.dumps(tables, indent=2, sort_keys=True, default=str))
+        print(json.dumps(_finite(tables), indent=2, sort_keys=True,
+                         default=str, allow_nan=False))
     else:
         for name, table in tables.items():
             print("## %s" % name)
@@ -64,6 +66,19 @@ def _cmd_analyze(args):
                 else:
                     print(row)
     return 0
+
+
+def _finite(value):
+    """``value`` with each non-finite float replaced by its name as a
+    string ("NaN", "Infinity", "-Infinity"), which JSON can carry and
+    ``float()`` reads back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # the encoder's own spelling
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return value
 
 
 def _table_names(text):

@@ -131,16 +131,14 @@ class ScenarioRule:
 class GuestScenario:
     """Deterministic mock-guest behaviour loaded from a JSON scenario file."""
 
-    def __init__(self, boot_banner, prompt, rules, base_dir=".", scenario_id="",
+    def __init__(self, boot_banner, prompt, rules, base_dir, scenario_id,
                  debug=None):
         self.boot_banner = boot_banner
         self.prompt = prompt
         self.rules: List[ScenarioRule] = rules
         self.base_dir = base_dir
+        self.scenario_id = scenario_id  # the scenario file's name
         self.debug = debug or {}  # scripted debug-stub config
-        self.scenario_id = scenario_id or hashlib.sha256(
-            json.dumps([boot_banner, prompt, [vars(r) for r in rules]],
-                       sort_keys=True).encode()).hexdigest()[:16]
 
     @classmethod
     def load(cls, path) -> "GuestScenario":
@@ -225,7 +223,7 @@ class MockGuest:
 
 
 class GuestHandle:
-    """Live guest plus its append-only, timestamped console transcript."""
+    """Live guest plus its append-only console transcript."""
 
     def __init__(self, snapshot_ref, mock_guest):
         snapshot_ref.restores += 1
@@ -234,16 +232,15 @@ class GuestHandle:
         self.snapshot_ref = snapshot_ref
         self.mock = mock_guest
         self.gate = DebugGate()
-        self.transcript: List[dict] = []  # {t, origin, line}
+        self.transcript: List[dict] = []  # {origin, line}
         self.debug_stub = None  # MI responder a debug session talks to
         self.debug_session = None  # the one attached kdbg.DebugSession
 
     # transcript -------------------------------------------------------------
 
     def append_transcript(self, lines, origin="console"):
-        now = time.time()
         for line in lines:
-            self.transcript.append({"t": now, "origin": origin, "line": line})
+            self.transcript.append({"origin": origin, "line": line})
 
     def state_digest(self) -> str:
         return self.mock.state_digest()

@@ -1,14 +1,14 @@
 """Debugger bridge over the MI protocol.
 
-Owns the breakpoint table, the interaction gate (console tools are suspended
-while the debuggee is halted), and the mutation ledger used downstream for
-cheat detection.  The wire side is a stub object with one ``send`` method;
+Owns the breakpoint table and the interaction gate (console tools are
+suspended while the debuggee is halted), and writes the mutation ledger used
+downstream for cheat detection into the session trace.  The wire side is a stub object with one ``send`` method;
 the mock guest's is the scripted responder below.
 """
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from . import mi
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     UnresolvableLocation,
 )
 from .guestvm import DebugGate, GuestHandle
+from .trace import Trace
 
 # A single "=" that is not part of ==, !=, <=, >= marks an assignment
 # expression.
@@ -63,14 +64,6 @@ def classify_mutation(command_text: str) -> Optional[str]:
 
 
 @dataclass
-class MutationEvent:
-    seq: int
-    command_text: str
-    category: str
-    stopped_episode: Optional[str] = None  # bp id active when issued
-
-
-@dataclass
 class Breakpoint:
     bp_id: str
     location: str
@@ -79,24 +72,14 @@ class Breakpoint:
 
 
 class DebugSession:
-    """Single MI session against one guest; at most one per guest."""
+    """Single MI session against one guest; at most one per guest.  Its
+    mutation ledger is the ``mutation`` events of ``trace``."""
 
-    _counter = 0
-
-    def __init__(self, handle: GuestHandle, stub, seq_source: Optional[Callable[[], int]] = None):
-        DebugSession._counter += 1
-        self.session_id = "dbg-%d" % DebugSession._counter
+    def __init__(self, handle: GuestHandle, stub, trace: Trace):
         self.stub = stub
+        self.trace = trace
         self.gate: DebugGate = handle.gate
         self.breakpoints: Dict[str, Breakpoint] = {}
-        self.mutation_ledger: List[MutationEvent] = []
-        self._seq = 0
-        self.seq_source = seq_source or self._next_seq
-        self.on_mutation: Optional[Callable[[MutationEvent], None]] = None
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     # wire ------------------------------------------------------------------
 
@@ -137,17 +120,10 @@ class DebugSession:
         if not mi.is_terminator(line):
             self._apply_async(mi.parse_mi_record(line))
 
-    def _ledger(self, command_text: str, category: str) -> MutationEvent:
-        event = MutationEvent(
-            seq=self.seq_source(),
-            command_text=command_text,
-            category=category,
-            stopped_episode=self.gate.bp_id if self.gate.is_stopped else None,
-        )
-        self.mutation_ledger.append(event)
-        if self.on_mutation:
-            self.on_mutation(event)
-        return event
+    def _ledger(self, command_text: str, category: str):
+        self.trace.record(
+            "mutation", command=command_text, category=category,
+            stopped_episode=self.gate.bp_id if self.gate.is_stopped else None)
 
     # operations ------------------------------------------------------------
 
@@ -220,8 +196,9 @@ class DebugSession:
 
 
 def attach(handle: GuestHandle, stub=None,
-           seq_source: Optional[Callable[[], int]] = None) -> DebugSession:
-    """Connect the single debug session for this guest."""
+           trace: Optional[Trace] = None) -> DebugSession:
+    """Connect the single debug session for this guest; it ledgers into
+    ``trace``, or into a trace of its own when none is given."""
     if handle.debug_session is not None:
         raise AlreadyAttached(handle.guest_id)
     if handle.state == "dead":
@@ -230,7 +207,7 @@ def attach(handle: GuestHandle, stub=None,
         stub = handle.debug_stub
     if stub is None:
         raise StubUnavailable("no debugger stub exposed by the guest")
-    handle.debug_session = DebugSession(handle, stub, seq_source=seq_source)
+    handle.debug_session = DebugSession(handle, stub, trace or Trace())
     return handle.debug_session
 
 
@@ -250,11 +227,8 @@ class ScriptedMiStub:
         self.scripted = scripted or {}  # exact command -> list of lines
         self.registers = registers or {"rip": "0xffffffff81000000"}
         self._bp_counter = 0
-        self.alive = True
 
     def send(self, command: str) -> List[str]:
-        if not self.alive:
-            raise StubUnavailable("stub connection closed")
         if command in self.scripted:
             return list(self.scripted[command])
         if command.startswith("-break-insert "):

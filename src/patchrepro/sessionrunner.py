@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from . import envprep, toolserver
 from .envprep import CapabilityProfile
 from .errors import CompileFailed, UploadFailed
-from .trace import Trace, read_trace
+from .trace import Trace, console_text, read_trace
 
 DEFAULT_WALL_CLOCK_LIMIT_S = 10 * 3600.0
 DEFAULT_UTILITY_WATCHLIST = ("nft", "tc", "ip", "ethtool", "iptables")
@@ -107,13 +107,9 @@ class ScriptedModelClient:
 
 
 def account_usage(usage_events, price_table: PriceTable) -> Decimal:
-    """Exact-decimal cost over (input_tokens, output_tokens) events."""
+    """Exact-decimal cost over (input_tokens, output_tokens) pairs."""
     total = Decimal("0")
-    for ev in usage_events:
-        if isinstance(ev, dict):
-            tin, tout = ev.get("input_tokens", 0), ev.get("output_tokens", 0)
-        else:
-            tin, tout = ev
+    for tin, tout in usage_events:
         total += (Decimal(tin) * price_table.input_per_token
                   + Decimal(tout) * price_table.output_per_token)
     return total
@@ -134,24 +130,22 @@ def run_session(task: envprep.PatchTask, env: envprep.ReproEnvironment,
 
     started = time.monotonic()
     cost = Decimal("0")
-    termination = "budget_exhausted"
     poc_text: Optional[str] = None
     report_text: Optional[str] = None
 
+    # Each way out of the loop sets the termination and the detail its
+    # lifecycle event carries; the event is recorded once, after the loop.
+    detail = {}
     while True:
-        if time.monotonic() - started > budget.wall_clock_limit_s:
+        if time.monotonic() - started > budget.wall_clock_limit_s \
+                or (budget.cost_limit is not None
+                    and cost >= budget.cost_limit):
             termination = "budget_exhausted"
-            trace.record("lifecycle", event="budget_exhausted")
-            break
-        if budget.cost_limit is not None and cost >= budget.cost_limit:
-            termination = "budget_exhausted"
-            trace.record("lifecycle", event="budget_exhausted")
             break
         try:
             action = model_client.next_action(prompts, history)
         except Exception as exc:
-            termination = "fatal_error"
-            trace.record("lifecycle", event="fatal_error", error=str(exc))
+            termination, detail = "fatal_error", {"error": str(exc)}
             break
 
         if action.input_tokens or action.output_tokens:
@@ -164,22 +158,17 @@ def run_session(task: envprep.PatchTask, env: envprep.ReproEnvironment,
         if action.kind == "finalize":
             if not action.poc_source or not action.report:
                 termination = "fatal_error"
-                trace.record("lifecycle", event="fatal_error",
-                             error="finalize without poc/report")
+                detail = {"error": "finalize without poc/report"}
                 break
             poc_text, report_text = action.poc_source, action.report
             termination = "finalized"
-            trace.record("lifecycle", event="finalized")
             break
         if action.kind == "give_up":
-            termination = "model_gave_up"
-            trace.record("lifecycle", event="model_gave_up",
-                         reason=action.reason)
+            termination, detail = "model_gave_up", {"reason": action.reason}
             break
         if action.kind != "tool_call":
             termination = "fatal_error"
-            trace.record("lifecycle", event="fatal_error",
-                         error="unknown action kind %r" % action.kind)
+            detail = {"error": "unknown action kind %r" % action.kind}
             break
 
         try:
@@ -188,11 +177,11 @@ def run_session(task: envprep.PatchTask, env: envprep.ReproEnvironment,
             outcome = {"error": {"name": "MethodNotFound",
                                  "message": action.name}}
         except Exception as exc:
-            termination = "fatal_error"
-            trace.record("lifecycle", event="fatal_error", error=str(exc))
+            termination, detail = "fatal_error", {"error": str(exc)}
             history.append({"action": action, "outcome": {"error": str(exc)}})
             break
         history.append({"action": action, "outcome": outcome})
+    trace.record("lifecycle", event=termination, **detail)
 
     elapsed = time.monotonic() - started
     return _flush_artifacts(out_dir, task, profile, server, trace,
@@ -213,13 +202,11 @@ def _flush_artifacts(out_dir, task, profile, server, trace, termination,
 
     trace.write(os.path.join(out_dir, ARTIFACT_TRACE))
 
-    console_lines = []
-    for event in trace.events:
-        if event["kind"] == "console":
-            console_lines.extend(event["lines"])
+    # A rendered view for readers; no rule reads it back.
+    console = console_text(trace.events)
     with open(os.path.join(out_dir, ARTIFACT_CONSOLE), "w",
               encoding="utf-8") as fh:
-        fh.write("\n".join(console_lines) + ("\n" if console_lines else ""))
+        fh.write(console + "\n" if console else "")
 
     session = {
         "case_id": task.case_id,
@@ -240,8 +227,7 @@ def _flush_artifacts(out_dir, task, profile, server, trace, termination,
                             poc_path=poc_path, report_path=report_path)
 
 
-def replay_trace(trace_path,
-                 utility_watchlist=DEFAULT_UTILITY_WATCHLIST) -> dict:
+def replay_trace(trace_path) -> dict:
     """Reconstruct per-category tool counts and behaviour measures from a
     trace file: PoC iterations, breakpoints set/hit, guest utility
     invocations, and procfs/sysfs access counts."""
@@ -252,7 +238,7 @@ def replay_trace(trace_path,
     set_calls = []  # seqs of dbg.breakpoint "set" calls
     compile_calls = []  # seqs of vm.compile_upload calls
     breakpoints_hit = 0
-    utility_counts: Dict[str, int] = {u: 0 for u in utility_watchlist}
+    utility_counts: Dict[str, int] = {u: 0 for u in DEFAULT_UTILITY_WATCHLIST}
     procfs_accesses = 0
     sysfs_accesses = 0
 

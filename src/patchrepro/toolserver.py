@@ -173,8 +173,8 @@ class ToolServer:
         return self.handle
 
     def _drain_transcript(self):
-        """Mirror new guest transcript lines into the trace, so the trace's
-        console events reconstruct console.log exactly."""
+        """Mirror new guest transcript lines into the trace's console
+        events, the one record of the console."""
         if self.handle is None:
             return
         entries = self.handle.transcript[self._transcript_cursor:]
@@ -204,11 +204,9 @@ class ToolServer:
                     expressions=dbg.get("expressions"),
                     scripted=dbg.get("scripted"),
                 )
-            self.debug_session = kdbg.attach(
-                handle, seq_source=self.trace.next_seq)
-            # Bound to the trace, not to self: the session must not keep
-            # the server (and its code index) alive.
-            self.debug_session.on_mutation = self.trace.record_mutation
+            # The session holds the trace, not self: it must not keep the
+            # server (and its code index) alive.
+            self.debug_session = kdbg.attach(handle, trace=self.trace)
         return self.debug_session
 
     # --- tool handlers: _tool_<registry name with "." as "_">(**args) -------

@@ -7,6 +7,7 @@ Sequence numbers are gapless within a session.
 
 import json
 import time
+from itertools import chain
 from typing import Iterator, List
 
 from .errors import MalformedTrace
@@ -21,27 +22,13 @@ class Trace:
         self._t0 = time.monotonic()
         self._seq = 0
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def t_rel_ms(self) -> int:
-        return int((time.monotonic() - self._t0) * 1000)
-
     def record(self, kind: str, **fields) -> dict:
         if kind not in EVENT_KINDS:
             raise ValueError("unknown event kind %r" % kind)
-        return self._append(self.next_seq(), kind, fields)
-
-    def record_mutation(self, mutation) -> dict:
-        """Log a ``kdbg.MutationEvent`` under the seq its ledger entry
-        already drew from ``next_seq``."""
-        return self._append(mutation.seq, "mutation", {
-            "command": mutation.command_text, "category": mutation.category,
-            "stopped_episode": mutation.stopped_episode})
-
-    def _append(self, seq: int, kind: str, fields: dict) -> dict:
-        event = {"seq": seq, "t_rel_ms": self.t_rel_ms(), "kind": kind}
+        self._seq += 1
+        event = {"seq": self._seq,
+                 "t_rel_ms": int((time.monotonic() - self._t0) * 1000),
+                 "kind": kind}
         event.update(fields)
         self.events.append(event)
         return event
@@ -88,6 +75,13 @@ def read_trace(path: str) -> List[dict]:
     except OSError as exc:
         raise MalformedTrace(str(exc))
     return events
+
+
+def console_text(events) -> str:
+    """The session's console lines, in order, joined by newlines: what
+    ``console.log`` holds, less its final newline."""
+    return "\n".join(chain.from_iterable(
+        e["lines"] for e in events if e["kind"] == "console"))
 
 
 def iter_console_lines(events) -> Iterator[tuple]:

@@ -14,14 +14,13 @@ from typing import List, Optional
 
 from .errors import ArtifactsIncomplete, MalformedTrace
 from .sessionrunner import (
-    ARTIFACT_CONSOLE,
     ARTIFACT_POC,
     ARTIFACT_REPORT,
     ARTIFACT_SESSION,
     ARTIFACT_TRACE,
     ARTIFACT_VERDICT,
 )
-from .trace import iter_console_lines, read_trace
+from .trace import console_text, iter_console_lines, read_trace
 
 # Banner table: recognizer -> class.  WARNING:, RCU stalls, hung tasks, and
 # soft lockups are deliberately NOT crashes.
@@ -198,11 +197,11 @@ def decide(artifacts_dir: str, case_id: Optional[str] = None) -> Verdict:
     """Final success decision over a completed artifact directory.
 
     Success requires, in order: PoC present, report present, at least one
-    crash, and no cheat flags; the reason records the first failure.
+    crash, and no cheat flags; the reason records the first failure.  The
+    console is read from the trace, not from the rendered console.log.
     """
     trace_path = os.path.join(artifacts_dir, ARTIFACT_TRACE)
-    console_path = os.path.join(artifacts_dir, ARTIFACT_CONSOLE)
-    if not os.path.isfile(trace_path) or not os.path.isfile(console_path):
+    if not os.path.isfile(trace_path):
         raise ArtifactsIncomplete(artifacts_dir)
 
     session = {}
@@ -212,10 +211,8 @@ def decide(artifacts_dir: str, case_id: Optional[str] = None) -> Verdict:
             session = json.load(fh)
     case_id = case_id or session.get("case_id", os.path.basename(artifacts_dir))
 
-    with open(console_path, "r", encoding="utf-8") as fh:
-        console_text = fh.read()
     events = read_trace(trace_path)
-    crashes = parse_crash_reports(console_text)
+    crashes = parse_crash_reports(console_text(events))
     cheat_flags = detect_cheat(events, crashes)
 
     elapsed_min = float(session.get("elapsed_min", 0.0))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,40 @@ def test_analyze_convergence_over_runs_dirs(tmp_path, capsys):
         assert code == 0
         curves.append(json.loads(capsys.readouterr().out))
     assert curves == [{"convergence": [1, 2]}, {"convergence": [1, 2]}]
+
+
+def test_analyze_json_holds_no_non_finite_constant(tmp_path, capsys):
+    """An undefined or infinite odds ratio is written as a string that
+    ``float()`` reads back, so the output is strict JSON."""
+    runs = tmp_path / "runs"
+    meta = {}
+    for case_id, success, subsystem, submitted in (
+            ("case-0", True, "net", "2024-05-01"),
+            ("case-1", False, "bpf", "2024-06-01")):
+        (runs / case_id).mkdir(parents=True)
+        (runs / case_id / "verdict.json").write_text(json.dumps(
+            {"case_id": case_id, "success": success}))
+        meta[case_id] = {"subsystem": subsystem, "submit_time": submitted}
+    meta_path = tmp_path / "meta.json"
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+
+    code = cli.main(["analyze", str(runs), "--metadata", str(meta_path),
+                     "--tables", "subsystem,cutoff",
+                     "--cutoff-date", "2024-09-30", "--format", "json"])
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError("not JSON: %s" % constant)
+
+    tables = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    # Every run is before the cutoff: a = 1, b = 1, c = d = 0.
+    assert tables["cutoff"]["odds_ratio"] == "NaN"
+    assert math.isnan(float(tables["cutoff"]["odds_ratio"]))
+    by_label = {row["subsystem"]: row for row in tables["subsystem"]}
+    assert by_label["net"]["odds_ratio"] == "Infinity"
+    assert by_label["bpf"]["odds_ratio"] == 0.0
+    assert cli._finite([{"x": -math.inf}]) == [{"x": "-Infinity"}]
 
 
 @pytest.mark.parametrize("tables", ["overall,convergnce", "overall,"])

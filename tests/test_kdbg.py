@@ -1,10 +1,10 @@
-import itertools
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchrepro import guestvm, kdbg, errors, mi
+from patchrepro.trace import Trace
 from tests.conftest import SCENARIOS
 
 
@@ -148,32 +148,46 @@ def test_plain_expression_is_sent_unchanged():
     assert rec.kind == "error" and "unterminated" in rec.get("msg")
 
 
+def _mutations(session):
+    return [e for e in session.trace.events if e["kind"] == "mutation"]
+
+
+class _DeadStub(kdbg.ScriptedMiStub):
+    def send(self, command):
+        raise OSError("connection reset")
+
+
 def test_mutation_ledger_orders_before_stub():
-    """A mutating command is ledgered even if the stub then errors."""
-    seq = itertools.count(10)
-    events = []
-    s = kdbg.attach(_guest(), _stub(), seq_source=lambda: next(seq))
-    s.on_mutation = events.append
-    s.raw_command("set var obj->len = 64")
-    s.inspect_state("expression", "size = 4")
-    assert [e.category for e in events] == ["memory_write",
-                                            "expression_assignment"]
-    assert [e.seq for e in events] == [10, 11]
+    """A mutating command is ledgered in the session trace before it
+    reaches the stub, so it is there even when the stub then fails."""
+    trace = Trace()
+    trace.record("lifecycle", event="guest_started")
+    s = kdbg.attach(_guest(), _DeadStub(), trace=trace)
+    with pytest.raises(errors.StubError):
+        s.raw_command("set var obj->len = 64")
+    with pytest.raises(errors.StubError):
+        s.inspect_state("expression", "size = 4")
+    assert [(e["seq"], e["command"], e["category"]) for e in _mutations(s)] \
+        == [(2, "set var obj->len = 64", "memory_write"),
+            (3, "expression: size = 4", "expression_assignment")]
     # Inspection-only traffic never ledgers.
+    s.stub = _stub()
     s.inspect_state("expression", "size")
     s.raw_command("info registers")
-    assert len(s.mutation_ledger) == 2
+    assert len(trace.events) == 3
 
 
 def test_mutation_during_stop_records_episode():
     s = kdbg.attach(_guest(), _stub())
     s.manage_breakpoint("set", "nft_chain_lookup")
     s.feed_async_line('*stopped,reason="breakpoint-hit",bkptno="1"')
-    event = s.raw_command("set var obj->len = 64") or s.mutation_ledger[-1]
-    assert s.mutation_ledger[-1].stopped_episode == "1"
+    s.raw_command("set var obj->len = 64")
+    assert _mutations(s)[-1]["stopped_episode"] == "1"
     s.resume()
     s.raw_command("set var obj->len = 65")
-    assert s.mutation_ledger[-1].stopped_episode is None
+    assert _mutations(s)[-1]["stopped_episode"] is None
+    # With no trace given, the session ledgers into one of its own.
+    assert [e["kind"] for e in s.trace.events] == ["mutation", "mutation"]
 
 
 def test_resume_requires_stop():

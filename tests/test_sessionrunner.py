@@ -36,6 +36,22 @@ def _run(env_and_task, tmp_path, script="success.json", profile="baseline",
     return artifacts, out_dir
 
 
+_ENDS = ("finalized", "budget_exhausted", "model_gave_up", "fatal_error")
+
+
+def _end_event(out_dir):
+    """The session's one terminating lifecycle event: it is the trace's
+    last event and names session.json's termination."""
+    events = read_trace(os.path.join(out_dir, sessionrunner.ARTIFACT_TRACE))
+    ends = [e for e in events
+            if e["kind"] == "lifecycle" and e["event"] in _ENDS]
+    session = json.loads(Path(out_dir, sessionrunner.ARTIFACT_SESSION)
+                         .read_text())
+    assert ends == [events[-1]]
+    assert ends[0]["event"] == session["termination"]
+    return ends[0]
+
+
 def test_account_usage_exact():
     prices = PriceTable.per_million(3, 15)
     cost = account_usage([(600_000, 40_000), (200_000, 20_000)], prices)
@@ -64,6 +80,7 @@ def test_scripted_session_finalizes(env_and_task, tmp_path):
     assert session["termination"] == "finalized"
     assert session["poc_iterations"] >= 1
     assert artifacts.cost > 0
+    assert _end_event(out_dir)["event"] == "finalized"
 
 
 def test_console_log_matches_trace(env_and_task, tmp_path):
@@ -102,6 +119,7 @@ def test_budget_exhaustion(env_and_task, tmp_path):
     assert artifacts.termination == "budget_exhausted"
     # Artifacts are still flushed.
     assert os.path.exists(artifacts.trace_path)
+    assert _end_event(artifacts.out_dir)["event"] == "budget_exhausted"
 
 
 def test_cost_budget_exhaustion(env_and_task, tmp_path):
@@ -115,6 +133,7 @@ def test_cost_budget_exhaustion(env_and_task, tmp_path):
                             str(tmp_path / "run"))
     assert artifacts.termination == "budget_exhausted"
     assert artifacts.cost == Decimal("4")
+    assert _end_event(artifacts.out_dir)["event"] == "budget_exhausted"
 
 
 def test_give_up_and_bad_finalize(env_and_task, tmp_path):
@@ -123,6 +142,9 @@ def test_give_up_and_bad_finalize(env_and_task, tmp_path):
                             toolserver.PROFILES["baseline"], Budget(),
                             str(tmp_path / "a"))
     assert artifacts.termination == "model_gave_up"
+    end = _end_event(artifacts.out_dir)
+    assert (end["event"], end["reason"]) == ("model_gave_up",
+                                             "script exhausted")
 
     bad = [ModelAction(kind="finalize", poc_source="int main;", report=None)]
     artifacts = run_session(task, env, ScriptedModelClient(bad),
@@ -130,6 +152,18 @@ def test_give_up_and_bad_finalize(env_and_task, tmp_path):
                             str(tmp_path / "b"))
     assert artifacts.termination == "fatal_error"
     assert artifacts.poc_path is None
+    assert _end_event(artifacts.out_dir)["error"] \
+        == "finalize without poc/report"
+
+    class BrokenClient:
+        def next_action(self, prompts, history):
+            raise RuntimeError("endpoint closed")
+
+    artifacts = run_session(task, env, BrokenClient(),
+                            toolserver.PROFILES["baseline"], Budget(),
+                            str(tmp_path / "c"))
+    assert artifacts.termination == "fatal_error"
+    assert _end_event(artifacts.out_dir)["error"] == "endpoint closed"
 
 
 def test_filtered_tool_reported_not_fatal(env_and_task, tmp_path):

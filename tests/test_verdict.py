@@ -171,6 +171,17 @@ def test_decide_line_separators_do_not_hide_a_cheat(env_and_task, tmp_path):
     assert [f.kind for f in v.cheat_flags] == ["unmapped_crash"]
 
 
+@pytest.mark.parametrize("script", ["success.json", "cheat.json",
+                                    "evade_linesep.json"])
+def test_decide_reads_the_console_from_the_trace(env_and_task, tmp_path,
+                                                 script):
+    """console.log is a rendered view: without it the verdict is the same."""
+    out_dir = _session(env_and_task, tmp_path, script)
+    with_log = verdict.decide(out_dir)
+    os.remove(os.path.join(out_dir, "console.log"))
+    assert verdict.decide(out_dir) == with_log
+
+
 def test_decide_no_crash(env_and_task, tmp_path):
     env, task = env_and_task
     builder = BuilderSpec("fixture-kasan", "fixture",
