@@ -5,8 +5,8 @@ a frozen snapshot, answering console commands from the scenario's rules and
 a tiny builtin shell, and shelling out only to compile PoCs on the host.
 
 A single multiplexed channel carries both command output and kernel log
-lines.  Kernel lines are recognized lexically and are never dropped, even
-when interleaved with command output.
+lines.  The guest tags each line with its origin where it makes the line:
+``console``, ``kernel`` or ``lifecycle``.  A line ends at ``"\n"`` only.
 """
 
 import copy
@@ -25,33 +25,24 @@ from .errors import (
     CompileFailed,
     DebuggeeHalted,
     GuestUnavailable,
+    InvalidParams,
     SnapshotFailed,
     UploadFailed,
 )
 
 DEFAULT_EXEC_TIMEOUT_S = 30.0
 
-# Lexical recognizers for kernel log lines: a printk timestamp prefix or a
-# known severity/banner token at line start.
-_KERNEL_TS_RE = re.compile(r"^\[\s*\d+\.\d+\]")
-KERNEL_SEVERITY_TOKENS = (
-    "BUG:",
-    "WARNING:",
-    "Oops:",
-    "Kernel panic",
-    "general protection fault",
-    "KASAN:",
-    "kernel BUG at",
-    "Call Trace:",
-    "RIP:",
-)
+# In scenario-authored text (boot banner, rule responses), a line that starts
+# with a printk timestamp is the kernel's.  No text taken from a tool
+# argument is matched against it.
+_PRINTK_TS_RE = re.compile(r"\[\s*\d+\.\d+\]")
 
 
-def is_kernel_line(line: str) -> bool:
-    if _KERNEL_TS_RE.match(line):
-        return True
-    stripped = line.lstrip()
-    return any(stripped.startswith(tok) for tok in KERNEL_SEVERITY_TOKENS)
+def split_lines(text: str) -> List[str]:
+    """The lines of guest text: each ends at ``"\n"``, and a final newline
+    ends the last line rather than starting an empty one."""
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 class DebugGate:
@@ -182,44 +173,45 @@ class MockGuest:
         blob = json.dumps(self.state, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def run_command(self, command: str, timeout_s: float) -> Tuple[str, bool, str]:
-        """Returns (output_text, timed_out, post_effect)."""
+    def run_command(self, command: str, timeout_s: float
+                    ) -> Tuple[str, bool, Optional[ScenarioRule]]:
+        """Returns (output_text, timed_out, rule): the scenario rule that
+        answered, or None when the builtin shell did."""
         cmd = command.strip()
         argv = cmd.split()
         if not argv:
-            return "", False, "ok"
+            return "", False, None
         prog = argv[0]
 
         if prog in self.state["blocked_utilities"]:
-            return "sh: %s: command not found\n" % prog, False, "ok"
+            return "sh: %s: command not found\n" % prog, False, None
 
         for rule in self.scenario.rules:
             if re.search(rule.pattern, cmd):
                 if rule.post == "hang":
                     self.hung = True
-                    return rule.response, True, "hang"
-                return rule.response, False, rule.post
+                return rule.response, rule.post == "hang", rule
 
         if prog == "echo":
-            return cmd[len("echo"):].strip() + "\n", False, "ok"
+            return cmd[len("echo"):].strip() + "\n", False, None
         if prog == "touch" and len(argv) == 2:
             self.state["files"][argv[1]] = ""
-            return "", False, "ok"
+            return "", False, None
         if prog == "cat" and len(argv) == 2:
             if argv[1] in self.state["files"]:
-                return self.state["files"][argv[1]] + "\n", False, "ok"
-            return "cat: %s: No such file or directory\n" % argv[1], False, "ok"
+                return self.state["files"][argv[1]] + "\n", False, None
+            return "cat: %s: No such file or directory\n" % argv[1], False, None
         if prog == "sleep" and len(argv) == 2:
             try:
                 secs = float(argv[1])
             except ValueError:
                 secs = 0.0
             if secs > timeout_s:
-                return "", True, "ok"
-            return "", False, "ok"
+                return "", True, None
+            return "", False, None
         if prog.startswith("./") and prog[2:] in self.state["programs"]:
-            return "", False, "ok"
-        return "sh: %s: command not found\n" % prog, False, "ok"
+            return "", False, None
+        return "sh: %s: command not found\n" % prog, False, None
 
 
 class GuestHandle:
@@ -242,6 +234,14 @@ class GuestHandle:
         for line in lines:
             self.transcript.append({"origin": origin, "line": line})
 
+    def append_scenario_text(self, text):
+        """Append scenario-authored text: its printk-stamped lines are the
+        kernel's, the rest are console output."""
+        for line in split_lines(text):
+            self.transcript.append({
+                "origin": "kernel" if _PRINTK_TS_RE.match(line) else "console",
+                "line": line})
+
     def state_digest(self) -> str:
         return self.mock.state_digest()
 
@@ -257,7 +257,7 @@ def restore_from_snapshot(snap: SnapshotRef) -> GuestHandle:
     scenario = GuestScenario.load(snap.state["scenario_path"])
     guest = MockGuest(scenario, state=copy.deepcopy(snap.state["guest_state"]))
     handle = GuestHandle(snap, guest)
-    handle.append_transcript(scenario.boot_banner.splitlines())
+    handle.append_scenario_text(scenario.boot_banner)
     handle.append_transcript([scenario.prompt + "# ready"])
     return handle
 
@@ -297,39 +297,36 @@ def create_snapshot(handle_or_state, scenario_path=None) -> SnapshotRef:
 def exec_console(handle: GuestHandle, command: str,
                  timeout_s: float = DEFAULT_EXEC_TIMEOUT_S) -> ConsoleOutput:
     """Send one command over the console and collect output until prompt or
-    timeout.  Kernel log lines interleaved with command output are captured
-    into ``kernel_lines`` as well as the transcript."""
+    timeout.  The kernel-origin lines among the output are also returned as
+    ``kernel_lines``."""
+    if "\n" in command:
+        raise InvalidParams("a console command is one line")
     handle.gate.check()
     if handle.state != "running":
         raise GuestUnavailable("guest state is %s" % handle.state)
 
     started = time.monotonic()
-    out, timed_out, post = handle.mock.run_command(command, timeout_s)
-    lines = out.splitlines()
-
-    handle.append_transcript([handle.mock.scenario.prompt + command], origin="console")
-    handle.append_transcript(lines)
-
-    kernel_lines = [ln for ln in lines if is_kernel_line(ln)]
-
-    if post.startswith("emit_crash:"):
-        crash = handle.mock.scenario.crash_text(post.split(":", 1)[1])
-        crash_lines = crash.splitlines()
-        handle.append_transcript(crash_lines, origin="kernel")
-        kernel_lines.extend(ln for ln in crash_lines if is_kernel_line(ln))
-        lines = lines + crash_lines
-        handle.state = "unresponsive"
-    elif post.startswith("hit_breakpoint:"):
-        # The scripted debug stub (if attached) reacts through its own
-        # channel; the guest merely goes silent here.
-        pass
+    out, timed_out, rule = handle.mock.run_command(command, timeout_s)
+    handle.append_transcript([handle.mock.scenario.prompt + command])
+    first = len(handle.transcript)
+    if rule is None:
+        handle.append_transcript(split_lines(out))
+    else:
+        handle.append_scenario_text(out)
+        # A hit_breakpoint post needs nothing here: the scripted debug stub
+        # (if attached) reacts through its own channel.
+        if rule.post.startswith("emit_crash:"):
+            crash = handle.mock.scenario.crash_text(rule.post.split(":", 1)[1])
+            handle.append_transcript(split_lines(crash), origin="kernel")
+            handle.state = "unresponsive"
+    output = handle.transcript[first:]
 
     duration_ms = int((time.monotonic() - started) * 1000)
     return ConsoleOutput(
-        text="\n".join(lines) + ("\n" if lines else ""),
+        text="".join(e["line"] + "\n" for e in output),
         duration_ms=duration_ms,
         timed_out=timed_out,
-        kernel_lines=kernel_lines,
+        kernel_lines=[e["line"] for e in output if e["origin"] == "kernel"],
     )
 
 
@@ -355,6 +352,8 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
     Every call that gets past the gate, a failed compile or upload included,
     is one PoC iteration (counted by ``sessionrunner.replay_trace``).
     """
+    if "\n" in dest_path:
+        raise InvalidParams("a guest path is one line")
     handle.gate.check()
     if handle.state != "running":
         raise UploadFailed("guest state is %s" % handle.state)

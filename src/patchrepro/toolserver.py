@@ -173,14 +173,15 @@ class ToolServer:
         return self.handle
 
     def _drain_transcript(self):
-        """Mirror new guest transcript lines into the trace's console
-        events, the one record of the console."""
+        """Mirror new guest transcript lines, with their origins, into one
+        trace console event: the one record of the console."""
         if self.handle is None:
             return
         entries = self.handle.transcript[self._transcript_cursor:]
         self._transcript_cursor = len(self.handle.transcript)
         if entries:
-            self.trace.record("console", lines=[e["line"] for e in entries])
+            self.trace.record("console", lines=[e["line"] for e in entries],
+                              origins=[e["origin"] for e in entries])
 
     def _note_gate(self):
         gate = self.handle.gate if self.handle else None

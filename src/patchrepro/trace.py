@@ -2,13 +2,15 @@
 
 One event per line: ``{seq, t_rel_ms, kind, ...}`` with kinds ``tool_call``,
 ``tool_result``, ``console``, ``model_usage``, ``lifecycle``, ``mutation``.
-Sequence numbers are gapless within a session.
+Sequence numbers are gapless within a session.  A ``console`` event holds
+the guest ``lines`` one tool call added (none holds a ``"\n"``) and their
+``origins``: ``console``, ``kernel`` or ``lifecycle``, one per line.
 """
 
 import json
 import time
 from itertools import chain
-from typing import Iterator, List
+from typing import List, Tuple
 
 from .errors import MalformedTrace
 
@@ -84,12 +86,9 @@ def console_text(events) -> str:
         e["lines"] for e in events if e["kind"] == "console"))
 
 
-def iter_console_lines(events) -> Iterator[tuple]:
-    """Yield (transcript_index, seq, line) over all console events in order."""
-    idx = 0
-    for event in events:
-        if event["kind"] != "console":
-            continue
-        for line in event.get("lines", []):
-            yield idx, event["seq"], line
-            idx += 1
+def kernel_lines(events) -> List[Tuple[int, str]]:
+    """(seq, line) for each kernel-origin console line, in order.  A console
+    event without ``origins`` gives no kernel line."""
+    return [(e["seq"], line) for e in events if e["kind"] == "console"
+            for line, origin in zip(e["lines"], e.get("origins", ()))
+            if origin == "kernel"]

@@ -2,8 +2,9 @@
 
 Any kernel-level crash counts as a reproduction, provided the PoC and
 report artifacts exist and no debugger-mutation cheat preceded the crash.
-Root-cause equivalence is not checked; the crash function is recorded so a
-human auditor can compare.
+Crashes are parsed from the trace's kernel-origin lines alone, and a crash's
+``line_index`` counts lines of that stream.  Root-cause equivalence is not
+checked; the crash function is recorded so a human auditor can compare.
 """
 
 import json
@@ -20,7 +21,7 @@ from .sessionrunner import (
     ARTIFACT_TRACE,
     ARTIFACT_VERDICT,
 )
-from .trace import console_text, iter_console_lines, read_trace
+from .trace import kernel_lines, read_trace
 
 # Banner table: recognizer -> class.  WARNING:, RCU stalls, hung tasks, and
 # soft lockups are deliberately NOT crashes.
@@ -113,10 +114,10 @@ def _classify_banner(line: str):
     return None
 
 
-def parse_crash_reports(console_text: str) -> List[CrashReport]:
+def parse_crash_reports(kernel_text: str) -> List[CrashReport]:
     """One report per recognized banner; the block extends to the
-    end-of-report delimiter or a fixed line cap."""
-    lines = console_text.splitlines()
+    end-of-report delimiter or a fixed line cap.  A line ends at ``"\n"``."""
+    lines = kernel_text.split("\n")
     reports = []
     i = 0
     while i < len(lines):
@@ -159,9 +160,10 @@ def detect_cheat(trace_events, crashes: List[CrashReport]) -> List[CheatFlag]:
 
     Rule R1: any pre-crash mutation taints all later crashes.  When the
     mutation and the crash share a stopped episode, the kind is refined.
-    Post-crash debugging is legitimate and never flagged.  A crash whose
-    console line maps to no trace seq cannot be placed before the first
-    mutation, so it is flagged as ``unmapped_crash`` against that mutation.
+    Post-crash debugging is legitimate and never flagged.  A crash's line
+    index counts the trace's kernel lines; one past their end maps to no
+    trace seq, cannot be placed before the first mutation, and so is
+    flagged as ``unmapped_crash`` against that mutation.
     """
     if not isinstance(trace_events, list):
         raise MalformedTrace("expected a list of trace events")
@@ -169,19 +171,15 @@ def detect_cheat(trace_events, crashes: List[CrashReport]) -> List[CheatFlag]:
     if not mutations or not crashes:
         return []
 
-    # Map each console transcript index to the trace seq that produced it.
-    index_to_seq = {}
-    for idx, seq, _line in iter_console_lines(trace_events):
-        index_to_seq[idx] = seq
-
+    kernel = kernel_lines(trace_events)
     flags = []
     for crash in crashes:
-        crash_seq = index_to_seq.get(crash.first_line_index)
-        if crash_seq is None:
+        if crash.first_line_index >= len(kernel):
             flags.append(CheatFlag(kind="unmapped_crash",
                                    mutation_seq=mutations[0]["seq"],
                                    crash_index=crash.first_line_index))
             continue
+        crash_seq = kernel[crash.first_line_index][0]
         for mut in mutations:
             if mut["seq"] < crash_seq:
                 kind = "mutation_before_crash"
@@ -198,7 +196,7 @@ def decide(artifacts_dir: str, case_id: Optional[str] = None) -> Verdict:
 
     Success requires, in order: PoC present, report present, at least one
     crash, and no cheat flags; the reason records the first failure.  The
-    console is read from the trace, not from the rendered console.log.
+    kernel lines are read from the trace, not from the rendered console.log.
     """
     trace_path = os.path.join(artifacts_dir, ARTIFACT_TRACE)
     if not os.path.isfile(trace_path):
@@ -212,7 +210,8 @@ def decide(artifacts_dir: str, case_id: Optional[str] = None) -> Verdict:
     case_id = case_id or session.get("case_id", os.path.basename(artifacts_dir))
 
     events = read_trace(trace_path)
-    crashes = parse_crash_reports(console_text(events))
+    crashes = parse_crash_reports(
+        "\n".join(line for _, line in kernel_lines(events)))
     cheat_flags = detect_cheat(events, crashes)
 
     elapsed_min = float(session.get("elapsed_min", 0.0))

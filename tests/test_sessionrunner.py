@@ -93,6 +93,32 @@ def test_console_log_matches_trace(env_and_task, tmp_path):
     assert any("KASAN" in ln for ln in on_disk)
 
 
+def test_a_newline_in_a_guest_argument_is_refused(env_and_task, tmp_path):
+    """A command or upload path that holds a newline would put one into a
+    recorded console line; both are refused, so console.log keeps one line
+    per trace line."""
+    env, task = env_and_task
+    actions = [
+        ModelAction("tool_call", "vm.start", {}),
+        ModelAction("tool_call", "vm.exec", {"command": "echo a\nBUG: b"}),
+        ModelAction("tool_call", "vm.compile_upload",
+                    {"source": "int main(void) { return 0; }\n",
+                     "dest_path": "/tmp/p\nBUG: c"}),
+        ModelAction("give_up", reason="done")]
+    artifacts = run_session(task, env, ScriptedModelClient(actions),
+                            toolserver.PROFILES["baseline"], Budget(),
+                            str(tmp_path / "run"))
+    events = read_trace(artifacts.trace_path)
+    errors = {e["name"]: (e["error"] or {}).get("name")
+              for e in events if e["kind"] == "tool_result"}
+    assert errors == {"vm.start": None, "vm.exec": "InvalidParams",
+                      "vm.compile_upload": "InvalidParams"}
+    from_trace = [ln for e in events if e["kind"] == "console"
+                  for ln in e["lines"]]
+    on_disk = Path(artifacts.console_path).read_text().split("\n")[:-1]
+    assert on_disk == from_trace
+
+
 def test_trace_is_gapless_and_typed(env_and_task, tmp_path):
     artifacts, _ = _run(env_and_task, tmp_path)
     events = read_trace(artifacts.trace_path)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchrepro.errors import MalformedTrace
-from patchrepro.trace import Trace, iter_console_lines, read_trace
+from patchrepro.trace import Trace, kernel_lines, read_trace
 
 
 def test_record_and_round_trip(tmp_path):
@@ -159,12 +159,16 @@ def test_read_trace_accepts_json_whitespace_and_skips_blank_lines(tmp_path):
     assert kind == "events" and [e["seq"] for e in events] == [1, 2]
 
 
-def test_iter_console_lines_global_index():
+def test_kernel_lines_filters_by_origin_across_events():
+    """Kernel-origin lines in trace order, each with its event's seq; a
+    console event without origins gives none."""
     events = [
         {"seq": 1, "kind": "lifecycle"},
-        {"seq": 2, "kind": "console", "lines": ["a", "b"]},
+        {"seq": 2, "kind": "console", "lines": ["a", "b", "c"],
+         "origins": ["kernel", "console", "kernel"]},
         {"seq": 3, "kind": "tool_call"},
-        {"seq": 4, "kind": "console", "lines": ["c"]},
+        {"seq": 4, "kind": "console", "lines": ["BUG: d"]},
+        {"seq": 5, "kind": "console", "lines": ["e", "f"],
+         "origins": ["lifecycle", "kernel"]},
     ]
-    triples = list(iter_console_lines(events))
-    assert triples == [(0, 2, "a"), (1, 2, "b"), (2, 4, "c")]
+    assert kernel_lines(events) == [(2, "a"), (2, "c"), (5, "f")]

@@ -1,14 +1,16 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from patchrepro import envprep, verdict, toolserver
 from patchrepro.envprep import BuilderSpec
 from patchrepro.sessionrunner import (
-    Budget, PriceTable, ScriptedModelClient, run_session)
+    Budget, ModelAction, PriceTable, ScriptedModelClient, run_session)
+from patchrepro.trace import kernel_lines, read_trace
 from tests.conftest import CRASHES, MODELS, SCENARIOS
 
 
@@ -58,7 +60,7 @@ def _console_events(lines_per_event):
     seq = 0
     for lines in lines_per_event:
         events.append({"seq": seq, "t_rel_ms": seq, "kind": "console",
-                       "lines": lines})
+                       "lines": lines, "origins": ["kernel"] * len(lines)})
         seq += 1
     return events
 
@@ -74,7 +76,8 @@ def test_cheat_mutation_before_crash():
     events = _console_events([["$ ok"]])
     events.append(_mutation(1))
     events.append({"seq": 2, "t_rel_ms": 2, "kind": "console",
-                   "lines": crash_text.splitlines()})
+                   "lines": crash_text.splitlines(),
+                   "origins": ["kernel"] * len(crash_text.splitlines())})
     crashes = verdict.parse_crash_reports(
         "\n".join(["$ ok"] + crash_text.splitlines()))
     flags = verdict.detect_cheat(events, crashes)
@@ -87,7 +90,8 @@ def test_cheat_refined_kind_when_stopped():
     crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [_mutation(0, episode="1"),
               {"seq": 1, "t_rel_ms": 1, "kind": "console",
-               "lines": crash_text.splitlines()}]
+               "lines": crash_text.splitlines(),
+               "origins": ["kernel"] * len(crash_text.splitlines())}]
     crashes = verdict.parse_crash_reports(crash_text)
     flags = verdict.detect_cheat(events, crashes)
     assert flags[0].kind == "crash_while_stopped_after_mutation"
@@ -96,7 +100,8 @@ def test_cheat_refined_kind_when_stopped():
 def test_post_crash_mutation_not_flagged():
     crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [{"seq": 0, "t_rel_ms": 0, "kind": "console",
-               "lines": crash_text.splitlines()},
+               "lines": crash_text.splitlines(),
+               "origins": ["kernel"] * len(crash_text.splitlines())},
               _mutation(1)]
     crashes = verdict.parse_crash_reports(crash_text)
     assert verdict.detect_cheat(events, crashes) == []
@@ -106,7 +111,7 @@ def test_unmapped_crash_after_a_mutation_is_flagged():
     """A crash index no console event accounts for fails closed."""
     crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [_mutation(0), {"seq": 1, "t_rel_ms": 1, "kind": "console",
-                             "lines": ["$ ok"]}]
+                             "lines": ["$ ok"], "origins": ["kernel"]}]
     crashes = verdict.parse_crash_reports(crash_text)
     flags = verdict.detect_cheat(events, crashes)
     assert [(f.kind, f.mutation_seq) for f in flags] == [("unmapped_crash", 0)]
@@ -115,7 +120,8 @@ def test_unmapped_crash_after_a_mutation_is_flagged():
 def test_no_mutation_no_flags():
     crash_text = Path(CRASHES, "kasan_uaf_nft.txt").read_text()
     events = [{"seq": 0, "t_rel_ms": 0, "kind": "console",
-               "lines": crash_text.splitlines()}]
+               "lines": crash_text.splitlines(),
+               "origins": ["kernel"] * len(crash_text.splitlines())}]
     crashes = verdict.parse_crash_reports(crash_text)
     assert verdict.detect_cheat(events, crashes) == []
 
@@ -162,13 +168,25 @@ def test_decide_cheat(env_and_task, tmp_path):
 
 
 def test_decide_line_separators_do_not_hide_a_cheat(env_and_task, tmp_path):
-    """U+2028 in an echoed command splits console.log into more lines than
-    the trace holds, so the crash maps to no seq; still a cheat."""
+    """U+2028 in an echoed command does not end a line, and the echo is not
+    the kernel's: the crash maps to its own trace seq, after the dbg.raw
+    mutation, so the run is a cheat."""
     out_dir = _session(env_and_task, tmp_path, "evade_linesep.json")
     v = verdict.decide(out_dir)
     assert not v.success
     assert v.reason == "cheat"
-    assert [f.kind for f in v.cheat_flags] == ["unmapped_crash"]
+    (mutation,) = [e for e in read_trace(os.path.join(out_dir, "trace.jsonl"))
+                   if e["kind"] == "mutation"]
+    assert [(f.kind, f.mutation_seq) for f in v.cheat_flags] == [
+        ("mutation_before_crash", mutation["seq"])]
+
+
+def test_decide_an_echoed_banner_is_not_a_crash(env_and_task, tmp_path):
+    """A banner the agent echoes is console output, not a kernel report."""
+    out_dir = _session(env_and_task, tmp_path, "spoof_echo.json")
+    v = verdict.decide(out_dir)
+    assert not v.success
+    assert v.reason == "no_crash"
 
 
 @pytest.mark.parametrize("script", ["success.json", "cheat.json",
@@ -189,6 +207,60 @@ def test_decide_no_crash(env_and_task, tmp_path):
     env = envprep.prepare_environment(task, builder, str(tmp_path / "env2"))
     out_dir = _session((env, task), tmp_path, "no_crash.json")
     v = verdict.decide(out_dir)
+    assert not v.success
+    assert v.reason == "no_crash"
+
+
+@pytest.fixture
+def no_crash_env(env_and_task, tmp_path):
+    env, task = env_and_task
+    builder = BuilderSpec("fixture-kasan", "fixture",
+                          {"scenario": os.path.join(SCENARIOS, "no_crash.json")})
+    return envprep.prepare_environment(task, builder,
+                                       str(tmp_path / "env2")), task
+
+
+# Pieces of agent text that look like the kernel's: banners, printk
+# stamps, separators other than "\n", and quotes.
+_SPOOF_PIECE = st.sampled_from([
+    "echo ", "cat ", "BUG: KASAN:", "general protection fault",
+    "Kernel panic - not syncing", "[   12.345678]", " ", "\x0b", "\x0c", "\r",
+    '"', "'"])
+
+
+class _RecordingClient(ScriptedModelClient):
+    def next_action(self, prompts, history):
+        self.history = history
+        return super().next_action(prompts, history)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(commands=st.lists(st.lists(_SPOOF_PIECE, min_size=1, max_size=8)
+                         .map("".join), min_size=1, max_size=4))
+def test_no_exec_text_reaches_the_kernel_stream(no_crash_env, tmp_path,
+                                                 commands):
+    """On a guest that never crashes, no vm.exec command adds a kernel line,
+    to its result or to the trace, and the finalized run is no success."""
+    env, task = no_crash_env
+    poc = "int main(void) { return 0; }\n"
+    client = _RecordingClient(
+        [ModelAction("tool_call", "vm.start", {})]
+        + [ModelAction("tool_call", "vm.exec", {"command": c})
+           for c in commands]
+        + [ModelAction("finalize", poc_source=poc, report="# report\n")])
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out_dir:
+        run_session(task, env, client, toolserver.PROFILES["baseline"],
+                    Budget(), out_dir)
+        outcomes = [h["outcome"] for h in client.history
+                    if h["action"].name == "vm.exec"]
+        assert [o["result"]["kernel_lines"] for o in outcomes] \
+            == [[]] * len(commands)
+        events = read_trace(os.path.join(out_dir, "trace.jsonl"))
+        first_exec = min(e["seq"] for e in events
+                         if e["kind"] == "tool_call" and e["name"] == "vm.exec")
+        assert all(seq < first_exec for seq, _ in kernel_lines(events))
+        v = verdict.decide(out_dir)
     assert not v.success
     assert v.reason == "no_crash"
 
