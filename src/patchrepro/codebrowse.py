@@ -399,14 +399,20 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
         return [], False  # no line holds a line break
     # Every whole-word hit contains the name, so only files whose bytes
     # contain the longest part of it between U+FFFDs (which decoding also
-    # makes of invalid UTF-8) are decoded and scanned line by line.
+    # makes of invalid UTF-8) are decoded and searched.
     try:
         needle = max(name.split("\ufffd"), key=len).encode("utf-8")
     except UnicodeEncodeError:
         return [], False  # a lone surrogate, which decoded text never holds
     defining = {(index.file_of(row), index.lines[row])
                 for row in index.definition_rows(name)}
-    word = re.compile(r"\b%s\b" % re.escape(name))
+    # The whole-word test, \bNAME\b, led by the name's literal: re finds a
+    # literal prefix by fast search, where a leading \b makes it try a
+    # match at every character.  The lookbehind puts the \b back before the
+    # name.  "\n" is not a word character, so a match in the text is a
+    # match in its line.
+    literal = re.escape(name)
+    word = re.compile(r"%s(?<=\b%s)\b" % (literal, literal))
     files, offsets = index.files, index.offsets
     hits = []
     for base, size, chunk in _store_chunks(index):
@@ -419,15 +425,35 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
             i = bisect_right(offsets, base + at) - 1
             pos = offsets[i + 1] - base
             text = _decode(chunk[offsets[i] - base:pos])
-            if name not in text:
-                continue
             rel = files[i]
-            for lineno, line in enumerate(_split_lines(text), start=1):
-                if word.search(line) and (rel, lineno) not in defining:
+            for lineno, line in _word_lines(text, word):
+                if (rel, lineno) not in defining:
                     if len(hits) >= limit:
                         return hits, True
                     hits.append({"file": rel, "line": lineno, "text": line})
     return hits, False
+
+
+def _word_lines(text: str, word: "re.Pattern[str]"):
+    """(line number, line) of each line of ``text`` where ``word`` matches,
+    in order, each once, numbered as ``_split_lines`` numbers them.  A
+    line's number is counted in the text since the previous such line, and
+    the search goes on from the next line."""
+    search, count, find, size = word.search, text.count, text.find, len(text)
+    lineno, start = 1, 0
+    m = search(text)
+    while m:
+        at = m.start()
+        line_start = text.rfind("\n", 0, at) + 1
+        lineno += count("\n", start, line_start)
+        start = line_start
+        end = find("\n", at)
+        if end < 0:
+            end = size
+        yield lineno, text[start:end]
+        # A search from past the end would start at the end, where the
+        # empty name can match again.
+        m = end < size and search(text, end + 1)
 
 
 def _store_chunks(index: CodeIndex):

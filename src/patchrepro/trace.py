@@ -88,7 +88,25 @@ def console_text(events) -> str:
 
 def kernel_lines(events) -> List[Tuple[int, str]]:
     """(seq, line) for each kernel-origin console line, in order.  A console
-    event without ``origins`` gives no kernel line."""
-    return [(e["seq"], line) for e in events if e["kind"] == "console"
+    event without ``origins`` gives no kernel line.  Raises MalformedTrace
+    for a console event whose ``lines`` is not a list of strings, or whose
+    ``origins`` is not a list as long as its ``lines``."""
+    console = [e for e in events if e["kind"] == "console"]
+    for e in console:
+        lines = e.get("lines")
+        try:
+            if not isinstance(lines, list):
+                raise TypeError
+            # Raises TypeError for an item that is not a str, with no
+            # Python step per line.
+            "".join(lines)
+        except TypeError:
+            raise MalformedTrace("seq %s: console lines are not a list of "
+                                 "strings" % e["seq"]) from None
+        if "origins" in e and not (isinstance(e["origins"], list)
+                                   and len(e["origins"]) == len(lines)):
+            raise MalformedTrace("seq %s: console origins do not match its "
+                                 "lines" % e["seq"])
+    return [(e["seq"], line) for e in console
             for line, origin in zip(e["lines"], e.get("origins", ()))
             if origin == "kernel"]

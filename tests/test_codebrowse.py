@@ -449,9 +449,14 @@ _REF_LEADS = (b"", b"", b"#define ", b"static int ", b"int ")
 # a real U+FFFD, so that some names only occur in the decoded text.
 _REF_PIECES = (b"foo", b"foo_bar", b"bar", "caf\u00e9".encode(), b"x\xffy",
                b"\xff", b"\xc3", "\ufffd".encode(), b"x\xef\xbf\xbdy", b" ",
-               b"(", b";", "\u2028".encode(), b"\x0c")
+               b"(", b";", "\u2028".encode(), b"\x0c", b"->x", b"-x-", b"-",
+               b"x", b"_")
+# Besides plain words: names whose first or last character is not a word
+# character, names found only inside longer identifiers, and "-x-", which
+# overlaps itself.
 _REF_NAMES = ("foo", "foo_bar", "bar", "caf\u00e9", "x\ufffdy", "\ufffd", "x",
-              "y", "foo\nbar", "foo\rbar", "", "absent")
+              "y", "foo\nbar", "foo\rbar", "", "absent", "->x", "(foo",
+              "foo;", "oo", "_bar", "-x-")
 _ref_line = st.tuples(st.sampled_from(_REF_LEADS),
                       st.lists(st.sampled_from(_REF_PIECES), max_size=6),
                       st.sampled_from((b"\n", b"\n", b"\r\n", b"\r")))
@@ -489,10 +494,13 @@ def _oracle_references(root, name):
 @example(files=[b"foo\r\nbar\rfoo\nbar\n"], name="foo\nbar")
 @example(files=[b"foo\rfoo\n", b"#define foo 1\nfoo(bar)\n", b"", b"foo"],
          name="foo")
+# Only the second, overlapping "-x-" has a word character before it.
+@example(files=[b"--x-x-a\n"], name="-x-")
 def test_references_match_a_line_scan(tmp_path_factory, files, name):
     """A fresh index and a saved and loaded one give the same references as
     a brute-force line scan, also when truncated at ``limit``; covers CRLF,
-    lone CR, invalid UTF-8, non-ASCII names and names no line can hold."""
+    lone CR, invalid UTF-8, non-ASCII names, names no line can hold, and
+    names whose whole-word test looks beyond their own first occurrence."""
     root = tmp_path_factory.mktemp("refs")
     (root / "sub").mkdir()
     for i, raw in enumerate(files):

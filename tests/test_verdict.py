@@ -287,6 +287,26 @@ def test_decide_requires_artifacts(tmp_path):
         verdict.decide(str(tmp_path))
 
 
+@pytest.mark.parametrize("event", [
+    {"seq": 1, "kind": "console"},
+    {"seq": 1, "kind": "console", "lines": "BUG: x"},
+    {"seq": 1, "kind": "console", "lines": ["BUG: x", 1],
+     "origins": ["kernel", "kernel"]},
+    {"seq": 1, "kind": "console", "lines": ["a", "BUG: x"],
+     "origins": ["kernel"]},
+    {"seq": 1, "kind": "console", "lines": ["BUG: x"],
+     "origins": ["kernel", "kernel"]},
+    {"seq": 1, "kind": "console", "lines": ["BUG: x"], "origins": "kernel"},
+])
+def test_decide_refuses_a_malformed_console_event(tmp_path, event):
+    """A console event without a list of string lines, or with origins that
+    do not pair one to one with its lines, is a malformed trace."""
+    from patchrepro.errors import MalformedTrace
+    (tmp_path / "trace.jsonl").write_text(json.dumps(event) + "\n")
+    with pytest.raises(MalformedTrace):
+        verdict.decide(str(tmp_path))
+
+
 def test_write_verdict(env_and_task, tmp_path):
     out_dir = _session(env_and_task, tmp_path, "success.json")
     v = verdict.decide(out_dir)
