@@ -45,9 +45,6 @@ class ContingencyTable2x2:
     def n(self):
         return self.a + self.b + self.c + self.d
 
-    def swapped_rows(self):
-        return ContingencyTable2x2(self.c, self.d, self.a, self.b)
-
 
 @dataclass
 class FisherResult:

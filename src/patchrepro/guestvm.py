@@ -350,7 +350,7 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
     """Compile C source on the host and place the binary in the guest.
 
     Every call that gets past the gate, a failed compile or upload included,
-    is one PoC iteration (counted by ``sessionrunner.replay_trace``).
+    is one PoC iteration (counted by ``trace.fold``).
     """
     if "\n" in dest_path:
         raise InvalidParams("a guest path is one line")

@@ -121,9 +121,15 @@ class DebugSession:
             self._apply_async(mi.parse_mi_record(line))
 
     def _ledger(self, command_text: str, category: str):
-        self.trace.record(
-            "mutation", command=command_text, category=category,
-            stopped_episode=self.gate.bp_id if self.gate.is_stopped else None)
+        # The stopped episode: a breakpoint stop's id (its reason when the
+        # stop names none), any other stop's reason, None while running.
+        episode = None
+        if self.gate.state == DebugGate.STOPPED_BREAKPOINT:
+            episode = self.gate.bp_id or "breakpoint-hit"
+        elif self.gate.is_stopped:
+            episode = self.gate.reason
+        self.trace.record("mutation", command=command_text,
+                          category=category, stopped_episode=episode)
 
     # operations ------------------------------------------------------------
 

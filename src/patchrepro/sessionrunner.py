@@ -11,17 +11,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import envprep, toolserver
 from .envprep import CapabilityProfile
-from .errors import CompileFailed, UploadFailed
-from .trace import Trace, console_text, read_trace
+from .trace import Trace, fold, read_trace
 
 DEFAULT_WALL_CLOCK_LIMIT_S = 10 * 3600.0
-DEFAULT_UTILITY_WATCHLIST = ("nft", "tc", "ip", "ethtool", "iptables")
-# Errors of a vm.compile_upload call that still count as a PoC iteration.
-POC_ATTEMPT_ERRORS = (CompileFailed.name, UploadFailed.name)
 
 ARTIFACT_POC = "poc.c"
 ARTIFACT_REPORT = "report.md"
@@ -184,12 +180,12 @@ def run_session(task: envprep.PatchTask, env: envprep.ReproEnvironment,
     trace.record("lifecycle", event=termination, **detail)
 
     elapsed = time.monotonic() - started
-    return _flush_artifacts(out_dir, task, profile, server, trace,
-                            termination, elapsed, cost, poc_text, report_text)
+    return _flush_artifacts(out_dir, task, profile, trace, termination,
+                            elapsed, cost, poc_text, report_text)
 
 
-def _flush_artifacts(out_dir, task, profile, server, trace, termination,
-                     elapsed, cost, poc_text, report_text) -> SessionArtifacts:
+def _flush_artifacts(out_dir, task, profile, trace, termination, elapsed,
+                     cost, poc_text, report_text) -> SessionArtifacts:
     poc_path = report_path = None
     if poc_text is not None:
         poc_path = os.path.join(out_dir, ARTIFACT_POC)
@@ -201,9 +197,10 @@ def _flush_artifacts(out_dir, task, profile, server, trace, termination,
             fh.write(report_text)
 
     trace.write(os.path.join(out_dir, ARTIFACT_TRACE))
+    folded = fold(trace.events)
 
     # A rendered view for readers; no rule reads it back.
-    console = console_text(trace.events)
+    console = "\n".join(folded.console)
     with open(os.path.join(out_dir, ARTIFACT_CONSOLE), "w",
               encoding="utf-8") as fh:
         fh.write(console + "\n" if console else "")
@@ -216,7 +213,7 @@ def _flush_artifacts(out_dir, task, profile, server, trace, termination,
         "cost_usd": str(cost),
         # The trace measures, taken once here so that analyze need not
         # read the trace again.
-        **replay_trace(trace.events),
+        **folded.measures,
     }
     with open(os.path.join(out_dir, ARTIFACT_SESSION), "w",
               encoding="utf-8") as fh:
@@ -228,61 +225,6 @@ def _flush_artifacts(out_dir, task, profile, server, trace, termination,
 
 
 def replay_trace(trace_path) -> dict:
-    """Reconstruct per-category tool counts and behaviour measures from a
-    trace file: PoC iterations, breakpoints set/hit, guest utility
-    invocations, and procfs/sysfs access counts."""
-    events = trace_path if isinstance(trace_path, list) else read_trace(trace_path)
-
-    by_category: Dict[str, int] = {}
-    result_errors = {}  # call_seq -> error of its last result
-    set_calls = []  # seqs of dbg.breakpoint "set" calls
-    compile_calls = []  # seqs of vm.compile_upload calls
-    breakpoints_hit = 0
-    utility_counts: Dict[str, int] = {u: 0 for u in DEFAULT_UTILITY_WATCHLIST}
-    procfs_accesses = 0
-    sysfs_accesses = 0
-
-    for event in events:
-        kind = event["kind"]
-        if kind == "tool_call":
-            category = event.get("category", "unknown")
-            by_category[category] = by_category.get(category, 0) + 1
-            name = event.get("name", "")
-            args = event.get("args", {}) or {}
-            if name == "vm.compile_upload":
-                compile_calls.append(event["seq"])
-            if name == "dbg.breakpoint" and args.get("action") == "set":
-                set_calls.append(event["seq"])
-            if name == "vm.exec":
-                command = str(args.get("command", ""))
-                head = command.split()[0] if command.split() else ""
-                if head in utility_counts:
-                    utility_counts[head] += 1
-                procfs_accesses += command.count("/proc/")
-                sysfs_accesses += command.count("/sys/")
-        elif kind == "tool_result":
-            result_errors[event.get("call_seq")] = event.get("error")
-        elif kind == "lifecycle" and event.get("event") == "gate_stopped" \
-                and event.get("reason") == "stopped_breakpoint":
-            breakpoints_hit += 1
-
-    # A set counts unless its last result carries an error; a result may
-    # come before or after its call in the file.  A compile counts when it
-    # reached the compiler or the guest.
-    breakpoints_set = sum(1 for seq in set_calls
-                          if result_errors.get(seq) is None)
-    poc_iterations = sum(
-        1 for seq in compile_calls
-        if result_errors.get(seq) is None
-        or result_errors[seq].get("name") in POC_ATTEMPT_ERRORS)
-
-    return {
-        "tool_counts": by_category,
-        "total_tool_calls": sum(by_category.values()),
-        "poc_iterations": poc_iterations,
-        "breakpoints_set": breakpoints_set,
-        "breakpoints_hit": breakpoints_hit,
-        "utility_invocations": {u: c for u, c in utility_counts.items() if c},
-        "procfs_accesses": procfs_accesses,
-        "sysfs_accesses": sysfs_accesses,
-    }
+    """The measures of a trace file (``trace.fold``): what session.json holds
+    for a run dir written before sessions recorded them."""
+    return fold(read_trace(trace_path)).measures

@@ -5,30 +5,36 @@ One event per line: ``{seq, t_rel_ms, kind, ...}`` with kinds ``tool_call``,
 Sequence numbers are gapless within a session.  A ``console`` event holds
 the guest ``lines`` one tool call added (none holds a ``"\n"``) and their
 ``origins``: ``console``, ``kernel`` or ``lifecycle``, one per line.
+
+Each ``tool_call`` is answered by exactly one ``tool_result``, later in the
+trace, whose ``call_seq`` is the call's seq.  ``fold`` is the one reader of
+the events: one walk checks that pairing and gives the paired calls, the
+console lines, the kernel lines and the mutations.
 """
 
 import json
 import time
-from itertools import chain
-from typing import List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .errors import MalformedTrace
+from .errors import CompileFailed, MalformedTrace, UploadFailed
 
 EVENT_KINDS = ("tool_call", "tool_result", "console", "model_usage",
                "lifecycle", "mutation")
+DEFAULT_UTILITY_WATCHLIST = ("nft", "tc", "ip", "ethtool", "iptables")
+# Errors of a vm.compile_upload call that still count as a PoC iteration.
+POC_ATTEMPT_ERRORS = (CompileFailed.name, UploadFailed.name)
 
 
 class Trace:
     def __init__(self):
         self.events: List[dict] = []
         self._t0 = time.monotonic()
-        self._seq = 0
 
     def record(self, kind: str, **fields) -> dict:
         if kind not in EVENT_KINDS:
             raise ValueError("unknown event kind %r" % kind)
-        self._seq += 1
-        event = {"seq": self._seq,
+        # The seq is the event's place in the trace, so seqs are gapless.
+        event = {"seq": len(self.events) + 1,
                  "t_rel_ms": int((time.monotonic() - self._t0) * 1000),
                  "kind": kind}
         event.update(fields)
@@ -79,34 +85,95 @@ def read_trace(path: str) -> List[dict]:
     return events
 
 
-def console_text(events) -> str:
-    """The session's console lines, in order, joined by newlines: what
-    ``console.log`` holds, less its final newline."""
-    return "\n".join(chain.from_iterable(
-        e["lines"] for e in events if e["kind"] == "console"))
+class Folded(NamedTuple):
+    console: List[str]  # every console line, in order: console.log
+    kernel: List[Tuple[int, str]]  # (seq, line) of each kernel-origin line
+    mutations: List[dict]  # the mutation events, in order
+    calls: List[Tuple[dict, dict]]  # (tool_call, its tool_result) pairs
+    breakpoints_hit: int
+
+    @property
+    def measures(self) -> dict:
+        """Tool counts and behaviour measures of the paired calls."""
+        by_category: Dict[str, int] = {}
+        poc_iterations = breakpoints_set = 0
+        utilities: Dict[str, int] = {}
+        procfs_accesses = sysfs_accesses = 0
+        for call, result in self.calls:
+            category = call.get("category", "unknown")
+            by_category[category] = by_category.get(category, 0) + 1
+            name, error = call.get("name"), result.get("error")
+            args = call.get("args") or {}
+            if name == "vm.exec":
+                command = str(args.get("command", ""))
+                words = command.split()
+                if words and words[0] in DEFAULT_UTILITY_WATCHLIST:
+                    utilities[words[0]] = utilities.get(words[0], 0) + 1
+                procfs_accesses += command.count("/proc/")
+                sysfs_accesses += command.count("/sys/")
+            elif name == "vm.compile_upload" and (
+                    error is None or error.get("name") in POC_ATTEMPT_ERRORS):
+                poc_iterations += 1
+            elif name == "dbg.breakpoint" and error is None \
+                    and args.get("action") == "set":
+                breakpoints_set += 1
+        return {
+            "tool_counts": by_category,
+            "total_tool_calls": sum(by_category.values()),
+            "poc_iterations": poc_iterations,
+            "breakpoints_set": breakpoints_set,
+            "breakpoints_hit": self.breakpoints_hit,
+            "utility_invocations": utilities,
+            "procfs_accesses": procfs_accesses,
+            "sysfs_accesses": sysfs_accesses,
+        }
 
 
-def kernel_lines(events) -> List[Tuple[int, str]]:
-    """(seq, line) for each kernel-origin console line, in order.  A console
-    event without ``origins`` gives no kernel line.  Raises MalformedTrace
-    for a console event whose ``lines`` is not a list of strings, or whose
-    ``origins`` is not a list as long as its ``lines``."""
-    console = [e for e in events if e["kind"] == "console"]
-    for e in console:
-        lines = e.get("lines")
-        try:
-            if not isinstance(lines, list):
-                raise TypeError
-            # Raises TypeError for an item that is not a str, with no
-            # Python step per line.
-            "".join(lines)
-        except TypeError:
-            raise MalformedTrace("seq %s: console lines are not a list of "
-                                 "strings" % e["seq"]) from None
-        if "origins" in e and not (isinstance(e["origins"], list)
-                                   and len(e["origins"]) == len(lines)):
-            raise MalformedTrace("seq %s: console origins do not match its "
-                                 "lines" % e["seq"])
-    return [(e["seq"], line) for e in console
-            for line, origin in zip(e["lines"], e.get("origins", ()))
-            if origin == "kernel"]
+def fold(events) -> Folded:
+    """The one reading of a session's events, in a single pass.  Raises
+    MalformedTrace for a result that names no open call, a call left
+    without a result, a console event whose ``lines`` is not a list of
+    strings, and one whose ``origins`` is not a list as long as its
+    ``lines``.  A console event without ``origins`` gives no kernel line."""
+    console, kernel, mutations, calls = [], [], [], []
+    open_calls = {}  # seq -> tool_call event still waiting for its result
+    breakpoints_hit = 0
+    for event in events:
+        kind = event["kind"]
+        if kind == "tool_call":
+            open_calls[event["seq"]] = event
+        elif kind == "tool_result":
+            call = open_calls.pop(event.get("call_seq"), None)
+            if call is None:
+                raise MalformedTrace("seq %s: result for no open call (%r)"
+                                     % (event["seq"], event.get("call_seq")))
+            calls.append((call, event))
+        elif kind == "console":
+            lines = event.get("lines")
+            try:
+                if not isinstance(lines, list):
+                    raise TypeError
+                # Raises TypeError for an item that is not a str, with no
+                # Python step per line.
+                "".join(lines)
+            except TypeError:
+                raise MalformedTrace("seq %s: console lines are not a list "
+                                     "of strings" % event["seq"]) from None
+            console += lines
+            if "origins" in event:
+                origins = event["origins"]
+                if not (isinstance(origins, list)
+                        and len(origins) == len(lines)):
+                    raise MalformedTrace("seq %s: console origins do not "
+                                         "match its lines" % event["seq"])
+                seq = event["seq"]
+                kernel += [(seq, line) for line, origin in zip(lines, origins)
+                           if origin == "kernel"]
+        elif kind == "mutation":
+            mutations.append(event)
+        elif kind == "lifecycle" and event.get("event") == "gate_stopped" \
+                and event.get("reason") == "stopped_breakpoint":
+            breakpoints_hit += 1
+    if open_calls:
+        raise MalformedTrace("seq %s: call without a result" % min(open_calls))
+    return Folded(console, kernel, mutations, calls, breakpoints_hit)

@@ -161,7 +161,7 @@ def test_fisher_row_swap_invariance(a, b, c, d):
     if a + b + c + d == 0:
         return
     t = T(a, b, c, d)
-    r1, r2 = fisher_exact(t), fisher_exact(t.swapped_rows())
+    r1, r2 = fisher_exact(t), fisher_exact(T(c, d, a, b))
     assert r1.p_two_sided == pytest.approx(r2.p_two_sided, rel=1e-12)
     if not (r1.undefined_or or r2.undefined_or or r1.degenerate):
         if math.isinf(r1.odds_ratio):

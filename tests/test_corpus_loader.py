@@ -45,16 +45,23 @@ def _serial_load(runs_dirs, metadata=None):
 
 
 def _template_trace(k):
-    """A gapless trace whose measures differ with ``k``."""
-    events = [{"kind": "tool_call", "name": "vm.compile_upload",
-               "category": "vm_management", "args": {}}] * (k + 1)
-    events += [{"kind": "tool_call", "name": "dbg.breakpoint",
-                "category": "debugging", "args": {"action": "set"}},
-               {"kind": "tool_result", "call_seq": len(events) + 1},
-               {"kind": "lifecycle", "event": "gate_stopped",
-                "reason": "stopped_breakpoint"}] * k
-    return "".join(json.dumps(dict(e, seq=i), sort_keys=True) + "\n"
-                   for i, e in enumerate(events, start=1))
+    """A gapless trace whose measures differ with ``k``; each call's result
+    is the event after it."""
+    compile_call = {"kind": "tool_call", "name": "vm.compile_upload",
+                    "category": "vm_management", "args": {}}
+    set_call = {"kind": "tool_call", "name": "dbg.breakpoint",
+                "category": "debugging", "args": {"action": "set"}}
+    hit = {"kind": "lifecycle", "event": "gate_stopped",
+           "reason": "stopped_breakpoint"}
+    result = {"kind": "tool_result"}
+    events = [compile_call, result] * (k + 1) + [set_call, result, hit] * k
+    lines = []
+    for seq, event in enumerate(events, start=1):
+        event = dict(event, seq=seq)
+        if event["kind"] == "tool_result":
+            event["call_seq"] = seq - 1
+        lines.append(json.dumps(event, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 # How each dir's session.json is written, by case number mod 3.

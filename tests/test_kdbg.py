@@ -190,6 +190,24 @@ def test_mutation_during_stop_records_episode():
     assert [e["kind"] for e in s.trace.events] == ["mutation", "mutation"]
 
 
+def test_mutation_during_any_stop_records_an_episode():
+    """A stop that is no breakpoint hit is an episode too: the mutation
+    records its reason, and a breakpoint stop without a number records
+    its reason as well."""
+    s = kdbg.attach(_guest(), _stub())
+    s.feed_async_line('*stopped,reason="signal-received",signal-name="SIGINT"')
+    assert s.gate.state == "stopped_other"
+    s.raw_command("set var obj->len = 64")
+    assert _mutations(s)[-1]["stopped_episode"] == "signal-received"
+    s.resume()
+    s.feed_async_line('*stopped,reason="breakpoint-hit"')
+    s.raw_command("set var obj->len = 65")
+    assert _mutations(s)[-1]["stopped_episode"] == "breakpoint-hit"
+    s.resume()
+    s.raw_command("set var obj->len = 66")
+    assert _mutations(s)[-1]["stopped_episode"] is None
+
+
 def test_resume_requires_stop():
     s = kdbg.attach(_guest(), _stub())
     with pytest.raises(errors.NotStopped):

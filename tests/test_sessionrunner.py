@@ -1,6 +1,7 @@
 import json
 import os
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from patchrepro.envprep import BuilderSpec
 from patchrepro.sessionrunner import (
     Budget, ModelAction, PriceTable, ScriptedModelClient,
     account_usage, replay_trace, run_session)
-from patchrepro.trace import read_trace
+from patchrepro.errors import MalformedTrace
+from patchrepro.trace import fold, read_trace
 from tests.conftest import MODELS, SCENARIOS
 
 
@@ -245,6 +247,49 @@ def test_session_json_holds_the_trace_measures(env_and_task, tmp_path,
     assert {k: session[k] for k in measures} == measures
 
 
+def _console_text(events):
+    """The former ``trace.console_text``, kept as an oracle of the fold:
+    the console lines, in order, joined by newlines."""
+    return "\n".join(chain.from_iterable(
+        e["lines"] for e in events if e["kind"] == "console"))
+
+
+def _kernel_lines(events):
+    """The former ``trace.kernel_lines``, kept as an oracle of the fold:
+    (seq, line) for each kernel-origin console line, in order."""
+    console = [e for e in events if e["kind"] == "console"]
+    for e in console:
+        lines = e.get("lines")
+        try:
+            if not isinstance(lines, list):
+                raise TypeError
+            "".join(lines)
+        except TypeError:
+            raise MalformedTrace("seq %s: console lines are not a list of "
+                                 "strings" % e["seq"]) from None
+        if "origins" in e and not (isinstance(e["origins"], list)
+                                   and len(e["origins"]) == len(lines)):
+            raise MalformedTrace("seq %s: console origins do not match its "
+                                 "lines" % e["seq"])
+    return [(e["seq"], line) for e in console
+            for line, origin in zip(e["lines"], e.get("origins", ()))
+            if origin == "kernel"]
+
+
+@pytest.mark.parametrize("script", sorted(os.listdir(MODELS)))
+def test_fold_matches_the_console_and_kernel_oracles(env_and_task, tmp_path,
+                                                     script):
+    artifacts, _ = _run(env_and_task, tmp_path, script=script)
+    events = read_trace(artifacts.trace_path)
+    folded = fold(events)
+    assert folded.kernel == _kernel_lines(events)
+    assert "\n".join(folded.console) == _console_text(events)
+    assert folded.mutations == [e for e in events if e["kind"] == "mutation"]
+    console = Path(artifacts.console_path).read_text(encoding="utf-8")
+    assert console == (_console_text(events) + "\n" if folded.console
+                       else "")
+
+
 def _compile(source="int main(void) { return 0; }", **args):
     return ModelAction(kind="tool_call", name="vm.compile_upload",
                        args={"source": source, **args})
@@ -285,9 +330,9 @@ def test_poc_iterations_count_failed_compiles_across_restarts(env_and_task,
 
 def _two_pass_replay(events, utility_watchlist=(
         "nft", "tc", "ip", "ethtool", "iptables")):
-    """The two-pass ``replay_trace``, kept as the oracle of the one-pass
-    walk: a first pass maps each call_seq to its last result's error.  A
-    compile counts unless that error is other than a failed compile or
+    """The two-pass ``replay_trace``, kept as the oracle of the fold's
+    measures: a first pass maps each call_seq to its last result's error.
+    A compile counts unless that error is other than a failed compile or
     upload."""
     by_category = {}
     result_errors = {}
@@ -345,49 +390,55 @@ _ARGS = st.one_of(
     st.none(), st.just({}),
     st.fixed_dictionaries({"action": st.sampled_from(["set", "delete", None])}),
     st.fixed_dictionaries({"command": _COMMANDS}))
-_EVENT = st.one_of(
-    st.fixed_dictionaries({
-        "kind": st.just("tool_call"),
-        "name": st.sampled_from(["dbg.breakpoint", "vm.exec",
-                                 "vm.compile_upload", "code.read"]),
-        "category": st.sampled_from(["debugging", "vm_management"]),
-        "args": _ARGS}),
-    # call_seq may point back, forward, at a non-call or at nothing, and
-    # several results may share one.
-    st.fixed_dictionaries({
-        "kind": st.just("tool_result"), "call_seq": st.integers(0, 6)},
-        optional={"error": st.one_of(st.none(),
-                                     st.sampled_from(list(_ERROR.values())))}),
+_CALL = st.fixed_dictionaries({
+    "kind": st.just("tool_call"),
+    "name": st.sampled_from(["dbg.breakpoint", "vm.exec",
+                             "vm.compile_upload", "code.read"]),
+    "category": st.sampled_from(["debugging", "vm_management"]),
+    "args": _ARGS})
+_OTHER = st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("lifecycle"),
         "event": st.sampled_from(["gate_stopped", "resumed"]),
         "reason": st.sampled_from(["stopped_breakpoint", "signal"])}),
     st.fixed_dictionaries({"kind": st.just("console"),
                            "lines": st.just(["x"])}))
+_RESULT_ERROR = st.fixed_dictionaries({}, optional={"error": st.one_of(
+    st.none(), st.sampled_from(list(_ERROR.values())))})
 
 
-_SET = {"kind": "tool_call", "name": "dbg.breakpoint", "category": "debugging",
-        "args": {"action": "set"}}
+@st.composite
+def _paired_events(draw):
+    """Events without seqs in which each call has exactly one later result;
+    a result may trail other events and other calls."""
+    events, waiting = [], []  # waiting: seqs of calls with no result yet
+    for event in draw(st.lists(st.one_of(_CALL, _OTHER), max_size=8)):
+        events.append(event)
+        if event["kind"] == "tool_call":
+            waiting.append(len(events))
+        while waiting and draw(st.booleans()):
+            call_seq = waiting.pop(draw(st.integers(0, len(waiting) - 1)))
+            events.append({"kind": "tool_result", "call_seq": call_seq,
+                           **draw(_RESULT_ERROR)})
+    for call_seq in waiting:
+        events.append({"kind": "tool_result", "call_seq": call_seq,
+                       **draw(_RESULT_ERROR)})
+    return events
+
+
 _COMPILE = {"kind": "tool_call", "name": "vm.compile_upload",
             "category": "vm_management", "args": {}}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_EVENT, max_size=8))
-@example([{"kind": "tool_result", "call_seq": 2,
-           "error": _ERROR["UnknownBreakpoint"]},
-          _SET, {"kind": "tool_result", "call_seq": 2}])
-@example([{"kind": "tool_result", "call_seq": 3}, _SET,
-          {"kind": "tool_result", "call_seq": 2,
-           "error": _ERROR["UnknownBreakpoint"]},
-          _SET])
+@given(_paired_events())
 @example([_COMPILE, {"kind": "tool_result", "call_seq": 1,
                      "error": _ERROR["CompileFailed"]},
           _COMPILE, {"kind": "tool_result", "call_seq": 3,
                      "error": _ERROR["GuestUnavailable"]}])
 def test_replay_trace_matches_two_pass_oracle(drawn):
     events = [dict(e, seq=i) for i, e in enumerate(drawn, start=1)]
-    assert replay_trace(events) == _two_pass_replay(events)
+    assert fold(events).measures == _two_pass_replay(events)
 
 
 @pytest.mark.parametrize("profile,blocked", [("no_utils", True),

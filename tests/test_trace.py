@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchrepro.errors import MalformedTrace
-from patchrepro.trace import Trace, kernel_lines, read_trace
+from patchrepro.trace import Trace, fold, read_trace
 
 
 def test_record_and_round_trip(tmp_path):
@@ -170,5 +170,45 @@ def test_kernel_lines_filters_by_origin_across_events():
         {"seq": 4, "kind": "console", "lines": ["BUG: d"]},
         {"seq": 5, "kind": "console", "lines": ["e", "f"],
          "origins": ["lifecycle", "kernel"]},
+        {"seq": 6, "kind": "tool_result", "call_seq": 3},
     ]
-    assert kernel_lines(events) == [(2, "a"), (2, "c"), (5, "f")]
+    folded = fold(events)
+    assert folded.kernel == [(2, "a"), (2, "c"), (5, "f")]
+    assert folded.console == ["a", "b", "c", "BUG: d", "e", "f"]
+
+
+def _call(seq):
+    return {"seq": seq, "kind": "tool_call", "name": "vm.start",
+            "category": "vm_management", "args": {}}
+
+
+def _result(seq, call_seq, error=None):
+    return {"seq": seq, "kind": "tool_result", "call_seq": call_seq,
+            "error": error}
+
+
+# Each trace breaks the pairing: every call has exactly one later result
+# that names it.
+UNPAIRED = {
+    "call_without_result": [_call(1), _call(2), _result(3, 2)],
+    "call_with_two_results": [_call(1), _result(2, 1), _result(3, 1)],
+    "result_before_its_call": [_result(1, 2), _call(2)],
+    "result_names_a_console_event": [
+        {"seq": 1, "kind": "console", "lines": ["$ ok"],
+         "origins": ["console"]},
+        _call(2), _result(3, 1), _result(4, 2)],
+    # Traces the two-pass replay oracle reads by each call's last result.
+    "early_result_then_a_second": [
+        _result(1, 2, {"name": "UnknownBreakpoint", "message": ""}),
+        _call(2), _result(3, 2)],
+    "early_result_and_a_call_without_one": [
+        _result(1, 3), _call(2),
+        _result(3, 2, {"name": "UnknownBreakpoint", "message": ""}),
+        _call(4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPAIRED))
+def test_fold_refuses_unpaired_calls(name):
+    with pytest.raises(MalformedTrace):
+        fold(UNPAIRED[name])

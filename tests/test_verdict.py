@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from patchrepro import envprep, verdict, toolserver
+from patchrepro import envprep, kdbg, verdict, toolserver
 from patchrepro.envprep import BuilderSpec
 from patchrepro.sessionrunner import (
     Budget, ModelAction, PriceTable, ScriptedModelClient, run_session)
-from patchrepro.trace import kernel_lines, read_trace
+from patchrepro.trace import Trace, fold, read_trace
 from tests.conftest import CRASHES, MODELS, SCENARIOS
+from tests.test_kdbg import _guest
+from tests.test_trace import UNPAIRED
 
 
 def _labels():
@@ -80,7 +82,7 @@ def test_cheat_mutation_before_crash():
                    "origins": ["kernel"] * len(crash_text.splitlines())})
     crashes = verdict.parse_crash_reports(
         "\n".join(["$ ok"] + crash_text.splitlines()))
-    flags = verdict.detect_cheat(events, crashes)
+    flags = verdict.detect_cheat(fold(events), crashes)
     assert len(flags) == 1
     assert flags[0].kind == "mutation_before_crash"
     assert flags[0].mutation_seq == 1
@@ -93,7 +95,7 @@ def test_cheat_refined_kind_when_stopped():
                "lines": crash_text.splitlines(),
                "origins": ["kernel"] * len(crash_text.splitlines())}]
     crashes = verdict.parse_crash_reports(crash_text)
-    flags = verdict.detect_cheat(events, crashes)
+    flags = verdict.detect_cheat(fold(events), crashes)
     assert flags[0].kind == "crash_while_stopped_after_mutation"
 
 
@@ -104,7 +106,7 @@ def test_post_crash_mutation_not_flagged():
                "origins": ["kernel"] * len(crash_text.splitlines())},
               _mutation(1)]
     crashes = verdict.parse_crash_reports(crash_text)
-    assert verdict.detect_cheat(events, crashes) == []
+    assert verdict.detect_cheat(fold(events), crashes) == []
 
 
 def test_unmapped_crash_after_a_mutation_is_flagged():
@@ -113,8 +115,24 @@ def test_unmapped_crash_after_a_mutation_is_flagged():
     events = [_mutation(0), {"seq": 1, "t_rel_ms": 1, "kind": "console",
                              "lines": ["$ ok"], "origins": ["kernel"]}]
     crashes = verdict.parse_crash_reports(crash_text)
-    flags = verdict.detect_cheat(events, crashes)
+    flags = verdict.detect_cheat(fold(events), crashes)
     assert [(f.kind, f.mutation_seq) for f in flags] == [("unmapped_crash", 0)]
+
+
+def test_cheat_refined_kind_when_stopped_by_a_signal():
+    """A mutation made while the debuggee is stopped by a signal, not a
+    breakpoint, shares the stopped episode with a later crash."""
+    crash_lines = Path(CRASHES, "kasan_uaf_nft.txt").read_text().splitlines()
+    trace = Trace()
+    s = kdbg.attach(_guest(), kdbg.ScriptedMiStub(), trace=trace)
+    s.feed_async_line('*stopped,reason="signal-received",signal-name="SIGINT"')
+    s.raw_command("set var obj->len = 64")
+    trace.record("console", lines=crash_lines,
+                 origins=["kernel"] * len(crash_lines))
+    crashes = verdict.parse_crash_reports("\n".join(crash_lines))
+    flags = verdict.detect_cheat(fold(trace.events), crashes)
+    assert [(f.kind, f.mutation_seq) for f in flags] == [
+        ("crash_while_stopped_after_mutation", 1)]
 
 
 def test_no_mutation_no_flags():
@@ -123,7 +141,7 @@ def test_no_mutation_no_flags():
                "lines": crash_text.splitlines(),
                "origins": ["kernel"] * len(crash_text.splitlines())}]
     crashes = verdict.parse_crash_reports(crash_text)
-    assert verdict.detect_cheat(events, crashes) == []
+    assert verdict.detect_cheat(fold(events), crashes) == []
 
 
 # --- full pipeline ----------------------------------------------------------
@@ -259,7 +277,7 @@ def test_no_exec_text_reaches_the_kernel_stream(no_crash_env, tmp_path,
         events = read_trace(os.path.join(out_dir, "trace.jsonl"))
         first_exec = min(e["seq"] for e in events
                          if e["kind"] == "tool_call" and e["name"] == "vm.exec")
-        assert all(seq < first_exec for seq, _ in kernel_lines(events))
+        assert all(seq < first_exec for seq, _ in fold(events).kernel)
         v = verdict.decide(out_dir)
     assert not v.success
     assert v.reason == "no_crash"
@@ -303,6 +321,17 @@ def test_decide_refuses_a_malformed_console_event(tmp_path, event):
     do not pair one to one with its lines, is a malformed trace."""
     from patchrepro.errors import MalformedTrace
     (tmp_path / "trace.jsonl").write_text(json.dumps(event) + "\n")
+    with pytest.raises(MalformedTrace):
+        verdict.decide(str(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(UNPAIRED))
+def test_decide_refuses_unpaired_calls(tmp_path, name):
+    """A trace whose calls and results do not pair one to one is a
+    malformed trace."""
+    from patchrepro.errors import MalformedTrace
+    (tmp_path / "trace.jsonl").write_text(
+        "".join(json.dumps(e) + "\n" for e in UNPAIRED[name]))
     with pytest.raises(MalformedTrace):
         verdict.decide(str(tmp_path))
 
