@@ -222,7 +222,9 @@ class ScriptedMiStub:
 
     Knows a symbol table, a memory map, expression values, and optional
     per-command scripted responses.  Commands it does not recognize get an
-    empty ``^done``.
+    empty ``^done``.  Each location, address, value and message it writes
+    goes through ``mi.quote_cstring``, so one holding ``"`` or ``\\``
+    reads back as itself.
     """
 
     def __init__(self, symbols=(), memory=None, expressions=None,
@@ -237,52 +239,54 @@ class ScriptedMiStub:
     def send(self, command: str) -> List[str]:
         if command in self.scripted:
             return list(self.scripted[command])
+        quote = mi.quote_cstring
         if command.startswith("-break-insert "):
             loc = command.split(None, 1)[1]
             if loc not in self.symbols:
-                return ['^error,msg="Function \\"%s\\" not defined."' % loc,
-                        mi.TERMINATOR]
+                return ["^error,msg=%s" % quote('Function "%s" not defined.'
+                                                % loc), mi.TERMINATOR]
             self._bp_counter += 1
-            return ['^done,bkpt={number="%d",type="breakpoint",func="%s",'
+            return ['^done,bkpt={number="%d",type="breakpoint",func=%s,'
                     'addr="0xffffffff81%06x"}'
-                    % (self._bp_counter, loc, 0x100000 + self._bp_counter),
+                    % (self._bp_counter, quote(loc), 0x100000 + self._bp_counter),
                     mi.TERMINATOR]
         if command.startswith("-break-delete"):
             return ["^done", mi.TERMINATOR]
         if command == "-exec-continue":
             return ["^running", '*running,thread-id="all"', mi.TERMINATOR]
         if command == "-data-list-register-values x":
-            vals = ",".join('{number="%d",value="%s"}' % (i, v)
+            vals = ",".join('{number="%d",value=%s}' % (i, quote(v))
                             for i, v in enumerate(self.registers.values()))
             return ['^done,register-values=[%s]' % vals, mi.TERMINATOR]
         if command.startswith("-data-read-memory-bytes"):
             _, addr, length = command.split()
             data = self.memory.get(addr)
             if data is None:
-                return ['^error,msg="Cannot access memory at address %s"' % addr,
+                return ["^error,msg=%s" % quote("Cannot access memory at "
+                                                "address %s" % addr),
                         mi.TERMINATOR]
             contents = data[: 2 * int(length)]
-            return ['^done,memory=[{begin="%s",offset="0x0",end="%s",'
-                    'contents="%s"}]' % (addr, addr, contents), mi.TERMINATOR]
+            return ['^done,memory=[{begin=%s,offset="0x0",end=%s,'
+                    'contents=%s}]' % (quote(addr), quote(addr), quote(contents)),
+                    mi.TERMINATOR]
         if command.startswith("-data-evaluate-expression"):
             expr = command.split(None, 1)[1].strip()
             if expr.startswith('"'):
                 try:
                     expr = mi.parse_cstring(expr)
                 except MalformedRecord as exc:
-                    return ["^error,msg=%s" % mi.quote_cstring(str(exc)),
-                            mi.TERMINATOR]
+                    return ["^error,msg=%s" % quote(str(exc)), mi.TERMINATOR]
             if expr in self.expressions:
                 value = self.expressions[expr]
                 if value == "<optimized out>":
                     return ['^error,msg="value has been optimized out"',
                             mi.TERMINATOR]
-                return ['^done,value="%s"' % value, mi.TERMINATOR]
+                return ["^done,value=%s" % quote(value), mi.TERMINATOR]
             base = _ASSIGN_RE.split(expr)[0].strip()
             if base.startswith("p "):
                 base = base[2:].strip()
             if base in self.expressions:
-                return ['^done,value="%s"' % self.expressions[base],
+                return ["^done,value=%s" % quote(self.expressions[base]),
                         mi.TERMINATOR]
             return ['^done,value="0"', mi.TERMINATOR]
         return ["^done", mi.TERMINATOR]

@@ -7,7 +7,10 @@ marker.  Payloads are key-to-value trees; unknown fields are preserved
 verbatim so that parse -> serialize -> parse is a fixpoint.
 
 A line is read by compiled patterns matched at a position (record head,
-c-string, variable name) and by recursive descent over those positions.
+c-string, variable name) and by recursive descent over those positions.  A
+list of tuples of c-string results with no backslash in it, the shape of
+register and memory dumps, is matched whole by one pattern and read in one
+pass.
 """
 
 import re
@@ -41,6 +44,12 @@ _CSTRING = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.S)
 # A result, ``name=``, with its value too when that value is a c-string.
 _RESULT = re.compile(r"([\w-]+)=(?:%s)?" % _CSTRING.pattern, re.S)
 _ESCAPE = re.compile(r"\\(?:([0-7]{1,3})|(.))", re.S)
+# A list of tuples whose results are all c-strings, each item maybe named:
+# register and memory dumps, frame lists.  Bodies are read as ``[^"]*``,
+# which is a c-string's whole body only where the span holds no backslash.
+_FLAT_RESULT = r'[\w-]+="[^"]*"'
+_FLAT_ITEM = r"(?:[\w-]+=)?\{%s(?:,%s)*\}" % (_FLAT_RESULT, _FLAT_RESULT)
+_FLAT_LIST = re.compile(r"\[%s(?:,%s)*\]" % (_FLAT_ITEM, _FLAT_ITEM))
 
 # GDB's c-string escapes, octal ``\NNN`` included; any other escaped
 # character is kept as a backslash and that character.
@@ -114,6 +123,23 @@ def parse_cstring(text: str) -> str:
     return value
 
 
+def _flat_items(span: str) -> list:
+    """The items of a list ``_FLAT_LIST`` matched whole, with no backslash
+    in it.  Split at ``"``, the span alternates punctuation-and-name parts
+    with c-string bodies, each body the value of the name just before it."""
+    parts = span.split('"')
+    items = []
+    for sep, body in zip(parts[::2], parts[1::2]):
+        if sep[0] == ",":  # ',name=': the tuple's next result
+            node[sep[1:-1]] = body
+        else:  # '[' or '},', maybe 'item=', then '{name=': a new tuple
+            brace = sep.index("{")
+            node = {sep[brace + 1:-1]: body}
+            items.append(node if sep[brace - 1] != "=" else
+                         (sep[:brace - 1].lstrip("[},"), node))
+    return items
+
+
 def _parse_value(text: str, pos: int, depth: int) -> Tuple[MiValue, int]:
     """The value that starts at ``pos`` and the position just after it."""
     opener = text[pos:pos + 1]
@@ -122,6 +148,10 @@ def _parse_value(text: str, pos: int, depth: int) -> Tuple[MiValue, int]:
     if opener == "{":
         node, close = {}, "}"
     elif opener == "[":
+        if depth + 1 < MAX_DEPTH:  # its tuples must parse at depth + 1
+            flat = _FLAT_LIST.match(text, pos)
+            if flat is not None and text.find("\\", pos, flat.end()) < 0:
+                return _flat_items(flat.group()), flat.end()
         node, close = [], "]"
     else:
         raise MalformedRecord("expected value at %d in %r" % (pos, text))

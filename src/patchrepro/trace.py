@@ -94,7 +94,9 @@ class Folded(NamedTuple):
 
     @property
     def measures(self) -> dict:
-        """Tool counts and behaviour measures of the paired calls."""
+        """Tool counts and behaviour measures of the paired calls.  Raises
+        MalformedTrace for a call whose ``args`` is not an object and a
+        result whose ``error`` is neither null nor an object."""
         by_category: Dict[str, int] = {}
         poc_iterations = breakpoints_set = 0
         utilities: Dict[str, int] = {}
@@ -104,6 +106,12 @@ class Folded(NamedTuple):
             by_category[category] = by_category.get(category, 0) + 1
             name, error = call.get("name"), result.get("error")
             args = call.get("args") or {}
+            if not isinstance(args, dict):
+                raise MalformedTrace("seq %s: call args are not an object"
+                                     % call["seq"])
+            if not (error is None or isinstance(error, dict)):
+                raise MalformedTrace("seq %s: result error is not an object"
+                                     % result["seq"])
             if name == "vm.exec":
                 command = str(args.get("command", ""))
                 words = command.split()
@@ -131,10 +139,11 @@ class Folded(NamedTuple):
 
 def fold(events) -> Folded:
     """The one reading of a session's events, in a single pass.  Raises
-    MalformedTrace for a result that names no open call, a call left
-    without a result, a console event whose ``lines`` is not a list of
-    strings, and one whose ``origins`` is not a list as long as its
-    ``lines``.  A console event without ``origins`` gives no kernel line."""
+    MalformedTrace for a result that names no open call (one whose
+    ``call_seq`` is a list or an object included), a call left without a
+    result, a console event whose ``lines`` is not a list of strings, and
+    one whose ``origins`` is not a list as long as its ``lines``.  A
+    console event without ``origins`` gives no kernel line."""
     console, kernel, mutations, calls = [], [], [], []
     open_calls = {}  # seq -> tool_call event still waiting for its result
     breakpoints_hit = 0
@@ -143,7 +152,10 @@ def fold(events) -> Folded:
         if kind == "tool_call":
             open_calls[event["seq"]] = event
         elif kind == "tool_result":
-            call = open_calls.pop(event.get("call_seq"), None)
+            try:
+                call = open_calls.pop(event.get("call_seq"), None)
+            except TypeError:  # a list or an object names no call
+                call = None
             if call is None:
                 raise MalformedTrace("seq %s: result for no open call (%r)"
                                      % (event["seq"], event.get("call_seq")))

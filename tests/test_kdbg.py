@@ -115,6 +115,55 @@ def test_inspect_registers_memory_expression():
         s.inspect_state("memory", "0xdeadbeef", 8)
 
 
+@pytest.mark.parametrize("location", ['no"such', "no\\such", 'a\\"b'])
+def test_unresolvable_location_with_quote_or_backslash(location):
+    """The stub's error names the location as it was given; it is an
+    unresolvable location, not a malformed reply."""
+    s = kdbg.attach(_guest(), _stub())
+    with pytest.raises(errors.UnresolvableLocation) as info:
+        s.manage_breakpoint("set", location)
+    assert str(info.value) == 'Function "%s" not defined.' % location
+
+
+def test_values_with_quotes_and_backslashes_read_back():
+    value = '0xffff "hi\\n"'  # how the debugger prints a char *
+    regs = {"rip": "0x1", "xmm0": '{v16_int8 = "a\tb\\c"}'}
+    s = kdbg.attach(_guest(), _stub(expressions={"name": value},
+                                    registers=regs,
+                                    memory={'0x"2': "4142"}))
+    (rec,) = s.inspect_state("expression", "name")
+    assert rec.get("value") == value
+    (rec,) = s.inspect_state("registers")
+    assert rec.get("register-values") == [
+        {"number": "0", "value": "0x1"},
+        {"number": "1", "value": regs["xmm0"]}]
+    (rec,) = s.inspect_state("memory", '0x"2', 1)
+    assert rec.get("memory") == [{"begin": '0x"2', "offset": "0x0",
+                                  "end": '0x"2', "contents": "41"}]
+    with pytest.raises(errors.StubError) as info:
+        s.inspect_state("memory", '0x"1', 8)
+    assert str(info.value) == 'Cannot access memory at address 0x"1'
+
+
+def test_replies_for_plain_inputs_are_unchanged():
+    stub = _stub(registers={"rip": "0x1", "rsp": "0x2"})
+    assert [stub.send(c)[0] for c in (
+        "-break-insert nft_chain_lookup", "-break-insert nope",
+        "-data-list-register-values x",
+        "-data-read-memory-bytes 0xffff888004a1c000 2",
+        "-data-read-memory-bytes 0x1 2", '-data-evaluate-expression "size"',
+        '-data-evaluate-expression "size = 3"')] == [
+        '^done,bkpt={number="1",type="breakpoint",func="nft_chain_lookup",'
+        'addr="0xffffffff81100001"}',
+        '^error,msg="Function \\"nope\\" not defined."',
+        '^done,register-values=[{number="0",value="0x1"},'
+        '{number="1",value="0x2"}]',
+        '^done,memory=[{begin="0xffff888004a1c000",offset="0x0",'
+        'end="0xffff888004a1c000",contents="0000"}]',
+        '^error,msg="Cannot access memory at address 0x1"',
+        '^done,value="128"', '^done,value="128"']
+
+
 class _RecordingStub(kdbg.ScriptedMiStub):
     def __init__(self, **kw):
         super().__init__(**kw)

@@ -2,7 +2,7 @@ import os
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from patchrepro import mi
 from patchrepro.errors import MalformedRecord
@@ -354,6 +354,64 @@ def test_generated_records_match_oracle(line):
     _assert_agrees_with_oracle(line)
 
 
+# Lists of tuples of c-string results, the shape of register and memory
+# dumps, and the same lists with one change that takes them off that shape
+# or puts a backslash late in them.
+_FLAT_CSTR = st.lists(st.one_of(_PLAIN, st.just("\r")), max_size=6).map(
+    lambda parts: '"%s"' % "".join(parts))
+_TWISTS = ("escape", "empty_tuple", "duplicate_key", "tuple_value",
+           "list_value", "named_item", "cut", "swapped_separator")
+
+
+@st.composite
+def _flat_lists(draw):
+    tuples = draw(st.lists(
+        st.lists(st.tuples(_NAME, _FLAT_CSTR), min_size=1, max_size=4),
+        min_size=1, max_size=70))
+    twist = draw(st.one_of(st.none(), st.sampled_from(_TWISTS)))
+    late = draw(st.integers(len(tuples) // 2, len(tuples) - 1))
+    results = tuples[late]
+    at = draw(st.integers(0, len(results) - 1))
+    name, body = results[at]
+    if twist == "escape":
+        cut = draw(st.integers(1, len(body) - 1))
+        results[at] = (name, body[:cut] + draw(_ESCAPED) + body[cut:])
+    elif twist == "duplicate_key":
+        results.append((name, draw(_FLAT_CSTR)))
+    elif twist == "tuple_value":
+        results[at] = (name, "{%s=%s}" % (draw(_NAME), body))
+    elif twist == "list_value":
+        results[at] = (name, "[%s]" % body)
+    items = ["{%s}" % ",".join("%s=%s" % r for r in t) for t in tuples]
+    if twist == "empty_tuple":
+        items.insert(late, "{}")
+    elif twist == "named_item":
+        items[late] = "%s=%s" % (draw(_NAME), items[late])
+    line = "^done,register-values=[%s]" % ",".join(items)
+    if twist == "cut":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif twist == "swapped_separator":
+        at = draw(st.sampled_from([i for i, ch in enumerate(line)
+                                   if ch in _SEPARATORS]))
+        other = draw(st.sampled_from(_SEPARATORS.replace(line[at], "")))
+        line = line[:at] + other + line[at + 1:]
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_flat_lists())
+@example(line='^done,r=[{a="1"},{a="x\\ty"}]')
+@example(line='^done,r=[{a="1"},{a="x\\",b="y"}]')
+@example(line='^done,r=[{a="1",b="2",a="3"},{a="4"}]')
+def test_flat_lists_match_oracle(line):
+    """Equal records, same key order too, or the same exception."""
+    assume(not _NEW_ESCAPE.search(line))
+    got, want = _outcome(mi.parse_mi_record, line), _outcome(_oracle_parse, line)
+    assert got == want, line
+    if isinstance(got, mi.MiRecord):
+        assert mi.serialize_mi_record(got) == mi.serialize_mi_record(want)
+
+
 @pytest.mark.parametrize("escaped, text", [
     ("\\n", "\n"), ("\\t", "\t"), ("\\r", "\r"), ('\\"', '"'), ("\\\\", "\\"),
     ("\\a", "\a"), ("\\b", "\b"), ("\\e", "\x1b"), ("\\f", "\f"),
@@ -383,6 +441,16 @@ def test_nesting_deeper_than_the_limit_is_malformed():
         for depth in (mi.MAX_DEPTH + 1, 5000):
             with pytest.raises(MalformedRecord):
                 mi.parse_mi_record(line(depth))
+
+    # A flat list of c-string tuples, its tuples at ``depth`` (the record's
+    # own results are at 0): the limit holds for it as for any tuple.
+    def flat(depth):
+        return ("^done,x=" + "[x=" * (depth - 1) + '[{a="1"},{b="2"}]'
+                + "]" * (depth - 1))
+    line = flat(mi.MAX_DEPTH - 1)
+    assert mi.parse_mi_record(line) == _oracle_parse(line)
+    with pytest.raises(MalformedRecord):
+        mi.parse_mi_record(flat(mi.MAX_DEPTH))
 
 
 def test_token_digits_are_ascii():

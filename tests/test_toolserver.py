@@ -12,6 +12,7 @@ from patchrepro import codebrowse, envprep, kdbg, toolserver
 from patchrepro.envprep import BuilderSpec
 from patchrepro.trace import Trace
 from tests.conftest import SCENARIOS, SENTINEL_MESSAGE
+from tests.test_mi import _oracle_parse
 
 
 @pytest.fixture
@@ -224,6 +225,33 @@ def test_hostile_mi_reply_is_a_malformed_record_error(env_and_task, reply):
                and e["name"] == "dbg.raw"]
     assert len(results) == 1
     assert results[0]["error"]["name"] == "MalformedRecord"
+
+
+def test_register_dump_matches_the_oracle_payload_and_digest(env_and_task):
+    """A 64-register reply reaches the caller and the trace as the
+    reference parser reads it, escapes in the last value decoded too."""
+    regs = {"r%d" % i: "0x%016x" % (i * 0x9e3779b97f4a7c15 % 2 ** 64)
+            for i in range(63)}
+    regs["xmm0"] = "{v2_int64 = {0x0, 0x1}}\t\\"
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    srv.handle.debug_stub = kdbg.ScriptedMiStub(registers=regs)
+    (line, _) = srv.handle.debug_stub.send("-data-list-register-values x")
+    want = {"records": [_oracle_parse(line).payload]}
+    assert len(want["records"][0]["register-values"]) == 64
+    assert srv.dispatch_call("dbg.inspect", {"what": "registers"}) == {
+        "result": want}
+    (result,) = [e for e in srv.trace.events if e["kind"] == "tool_result"
+                 and e["name"] == "dbg.inspect"]
+    assert result["result_digest"] == toolserver._digest(want)
+
+
+def test_location_with_a_quote_is_unresolvable(env_and_task):
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    out = srv.dispatch_call("dbg.breakpoint",
+                            {"action": "set", "location": 'no"such'})
+    assert out["error"]["name"] == "UnresolvableLocation"
 
 
 def test_server_with_debugger_is_freed_without_a_collection(env_and_task):

@@ -205,6 +205,9 @@ UNPAIRED = {
         _result(1, 3), _call(2),
         _result(3, 2, {"name": "UnknownBreakpoint", "message": ""}),
         _call(4)],
+    # A call_seq that is not a seq at all names no call.
+    "call_seq_is_a_list": [_call(1), _result(2, [1])],
+    "call_seq_is_an_object": [_call(1), _result(2, {"seq": 1})],
 }
 
 
@@ -212,3 +215,32 @@ UNPAIRED = {
 def test_fold_refuses_unpaired_calls(name):
     with pytest.raises(MalformedTrace):
         fold(UNPAIRED[name])
+
+
+# Each trace pairs its calls, but a field the measures read has the wrong
+# JSON type.
+MALFORMED_MEASURES = {
+    "exec_args_is_a_list": [
+        {"seq": 1, "kind": "tool_call", "name": "vm.exec",
+         "category": "vm_interaction", "args": ["./trigger"]},
+        _result(2, 1)],
+    "breakpoint_args_is_a_string": [
+        {"seq": 1, "kind": "tool_call", "name": "dbg.breakpoint",
+         "category": "debugging", "args": "set"},
+        _result(2, 1)],
+    "compile_error_is_a_string": [
+        {"seq": 1, "kind": "tool_call", "name": "vm.compile_upload",
+         "category": "vm_management", "args": {}},
+        _result(2, 1, "CompileFailed")],
+    "breakpoint_error_is_a_list": [
+        {"seq": 1, "kind": "tool_call", "name": "dbg.breakpoint",
+         "category": "debugging", "args": {"action": "set"}},
+        _result(2, 1, ["UnresolvableLocation"])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MEASURES))
+def test_measures_refuse_malformed_args_and_errors(name):
+    folded = fold(MALFORMED_MEASURES[name])
+    with pytest.raises(MalformedTrace):
+        folded.measures
