@@ -11,7 +11,9 @@ feed, vertical tab or U+2028 stays inside its line, as it does for git and
 gcc.
 
 Reference queries read the index's store, a copy of the indexed files' bytes
-taken when the index was built, not the files in the tree.
+taken when the index was built, not the files in the tree.  A query for a
+name made only of ASCII word characters reads just the files that the
+index's word postings name; any other name scans the whole store.
 
 The index is held as columns, one row per definition; a ``SymbolEntry`` is
 made only for a row that a query returns.
@@ -22,6 +24,7 @@ import re
 import sys
 import tempfile
 import weakref
+import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -33,14 +36,26 @@ from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBe
 DEFAULT_MAX_LINES = 400
 DEFAULT_QUERY_LIMIT = 200
 
-# First field of a saved index's header line.  A file in an older format,
-# definition records as text lines, is refused.
-_INDEX_FORMAT = "patchrepro-code-index/2"
+# First field of a saved index's header line.  A file in an older format
+# (definition records as text lines, or no word postings) is refused.
+_INDEX_FORMAT = "patchrepro-code-index/3"
 
 # The array columns of a ``CodeIndex`` with their type codes, in the order a
 # saved index holds them after its strings.
 _COLUMNS = (("kinds", "b"), ("lines", "i"), ("file_rows", "i"),
-            ("by_name", "i"), ("by_path", "i"), ("offsets", "q"))
+            ("by_name", "i"), ("by_path", "i"), ("offsets", "q"),
+            ("words", "Q"))
+
+# A word is a maximal run of ASCII word characters in a file's bytes: what
+# split() returns once every other byte is made a space.  A reference query
+# for a name that is one word looks it up in the postings, which key a word
+# by this 32-bit hash; two words that share one only add candidate files.
+_ASCII_WORD = re.compile(r"[A-Za-z0-9_]+")
+_WORDS_ONLY = bytes(b if _ASCII_WORD.fullmatch(chr(b)) else 0x20
+                    for b in range(256))
+_word_hash = zlib.crc32
+# The file number's half of a postings entry.
+_FILE_BITS = 0xFFFFFFFF
 
 # A reference scan reads the store in chunks of whole files, each about this
 # many bytes; a larger file is a chunk of its own.
@@ -114,7 +129,9 @@ class CodeIndex:
     ``file_rows[i]:file_rows[i + 1]`` and is bytes
     ``offsets[i]:offsets[i + 1]`` of the store.  ``by_name`` holds every
     row, sorted by name and then by row, and ``by_path`` every file number,
-    sorted by file name.  The store is closed when the index is freed."""
+    sorted by file name.  ``words`` is the postings: ``hash << 32 | i``
+    once for each hash of a word (``_WORDS_ONLY``) of file ``i``, sorted.  The store
+    is closed when the index is freed."""
     root: str
     store: BinaryIO
     store_start: int = 0
@@ -126,6 +143,7 @@ class CodeIndex:
     lines: array = field(default_factory=lambda: array("i"))
     by_name: array = field(default_factory=lambda: array("i"))
     by_path: array = field(default_factory=lambda: array("i"))
+    words: array = field(default_factory=lambda: array("Q"))
     _close: weakref.finalize = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,6 +175,15 @@ class CodeIndex:
         while end < len(by_name) and names[by_name[end]] == name:
             end += 1
         return by_name[start:end]
+
+    def word_files(self, word: str) -> List[int]:
+        """The numbers of the files that hold the ASCII word ``word``, in
+        order, and perhaps a few more whose words share its hash."""
+        words = self.words
+        key = _word_hash(word.encode("ascii")) << 32
+        start = bisect_left(words, key)
+        end = bisect_left(words, key + _FILE_BITS + 1, start)
+        return [entry & _FILE_BITS for entry in words[start:end]]
 
     def file_number(self, rel: str) -> Optional[int]:
         """The number of the indexed file ``rel``, or None."""
@@ -336,10 +363,12 @@ def build_index(source_root: str) -> CodeIndex:
     """
     if not os.path.isdir(source_root):
         raise RootUnreadable(source_root)
+    import numpy  # only a build sorts the postings; a load never needs it
+
     store = tempfile.TemporaryFile(prefix="patchrepro-store-")
     index = CodeIndex(root=os.path.abspath(source_root), store=store)
-    files, offsets, file_rows, names = (index.files, index.offsets,
-                                        index.file_rows, index.names)
+    files, offsets, file_rows, names, words = (
+        index.files, index.offsets, index.file_rows, index.names, index.words)
     for dirpath, dirnames, filenames in os.walk(source_root):
         dirnames.sort()
         if ".git" in dirnames:
@@ -358,6 +387,11 @@ def build_index(source_root: str) -> CodeIndex:
             except (OSError, FileNotIndexed):
                 continue
             store.write(raw)
+            i = len(files)
+            # A set of entries, not of words: two words of one file that
+            # share a hash must not post the file twice.
+            words.extend({_word_hash(word) << 32 | i for word in
+                          set(raw.translate(_WORDS_ONLY).split())})
             files.append(rel)
             offsets.append(offsets[-1] + len(raw))
             _index_file(index, raw, _decode(raw))
@@ -367,6 +401,7 @@ def build_index(source_root: str) -> CodeIndex:
                                       key=names.__getitem__))
     index.by_path = array("i", sorted(range(len(files)),
                                       key=files.__getitem__))
+    numpy.frombuffer(words, dtype=numpy.uint64).sort()  # in place
     return index
 
 
@@ -397,13 +432,22 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
 
     if "\n" in name or "\r" in name:
         return [], False  # no line holds a line break
-    # Every whole-word hit contains the name, so only files whose bytes
-    # contain the longest part of it between U+FFFDs (which decoding also
-    # makes of invalid UTF-8) are decoded and searched.
-    try:
-        needle = max(name.split("\ufffd"), key=len).encode("utf-8")
-    except UnicodeEncodeError:
-        return [], False  # a lone surrogate, which decoded text never holds
+    if _ASCII_WORD.fullmatch(name):
+        # The postings name every file with a hit.  A whole-word hit of an
+        # ASCII word in the decoded text is a word of the raw bytes:
+        # decoding keeps each ASCII byte as its own character, and every
+        # other character beside a hit (non-ASCII, U+FFFD, or the "\n" made
+        # of a "\r") comes from bytes that are not word bytes.
+        candidates = _read_files(index, index.word_files(name))
+    else:
+        # Every whole-word hit contains the name, so only files whose bytes
+        # contain the longest part of it between U+FFFDs (which decoding
+        # also makes of invalid UTF-8) are decoded and searched.
+        try:
+            needle = max(name.split("\ufffd"), key=len).encode("utf-8")
+        except UnicodeEncodeError:
+            return [], False  # a lone surrogate, which decoded text never holds
+        candidates = _files_holding(index, needle)
     defining = {(index.file_of(row), index.lines[row])
                 for row in index.definition_rows(name)}
     # The whole-word test, \bNAME\b, led by the name's literal: re finds a
@@ -413,8 +457,35 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
     # match in its line.
     literal = re.escape(name)
     word = re.compile(r"%s(?<=\b%s)\b" % (literal, literal))
-    files, offsets = index.files, index.offsets
+    files = index.files
     hits = []
+    for i, raw in candidates:
+        rel = files[i]
+        for lineno, line in _word_lines(_decode(raw), word):
+            if (rel, lineno) not in defining:
+                if len(hits) >= limit:
+                    return hits, True
+                hits.append({"file": rel, "line": lineno, "text": line})
+    return hits, False
+
+
+def _read_files(index: CodeIndex, numbers: List[int]):
+    """(number, bytes) of each of the files ``numbers``, in that order, read
+    from the store by position.  Raises ValueError when the store ends
+    early."""
+    fd, start, offsets = index.store.fileno(), index.store_start, index.offsets
+    for i in numbers:
+        size = offsets[i + 1] - offsets[i]
+        raw = os.pread(fd, size, start + offsets[i])
+        if len(raw) != size:
+            raise ValueError("the store of %s is truncated" % index.root)
+        yield i, raw
+
+
+def _files_holding(index: CodeIndex, needle: bytes):
+    """(number, bytes) of each file whose bytes hold ``needle``, in order,
+    found by one pass over the whole store."""
+    offsets = index.offsets
     for base, size, chunk in _store_chunks(index):
         find = chunk.find
         pos = 0
@@ -424,14 +495,7 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
                 break
             i = bisect_right(offsets, base + at) - 1
             pos = offsets[i + 1] - base
-            text = _decode(chunk[offsets[i] - base:pos])
-            rel = files[i]
-            for lineno, line in _word_lines(text, word):
-                if (rel, lineno) not in defining:
-                    if len(hits) >= limit:
-                        return hits, True
-                    hits.append({"file": rel, "line": lineno, "text": line})
-    return hits, False
+            yield i, chunk[offsets[i] - base:pos]
 
 
 def _word_lines(text: str, word: "re.Pattern[str]"):
@@ -564,7 +628,7 @@ def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
         for column, nbytes in zip(columns, sizes[1:]):
             column.frombytes(body[at:at + nbytes])
             at += nbytes
-        kinds, lines, file_rows, by_name, by_path, offsets = columns
+        kinds, lines, file_rows, by_name, by_path, offsets, words = columns
         n_files = len(offsets) - 1
         if not (n_files >= 0 and len(file_rows) == len(by_path) + 1
                 == n_files + 1
@@ -572,14 +636,24 @@ def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
                 == len(lines) == len(by_name)
                 and size == fh.tell() + offsets[-1]):
             raise ValueError("%s is truncated" % path)
+        if _last_file(words) >= n_files:
+            raise ValueError("%s posts a file past its last" % path)
         return CodeIndex(
             root=os.path.abspath(root), store=fh, store_start=fh.tell(),
             files=strings[:n_files], offsets=offsets, file_rows=file_rows,
             names=strings[n_files:], kinds=kinds, lines=lines, by_name=by_name,
-            by_path=by_path)
+            by_path=by_path, words=words)
     except BaseException:
         fh.close()
         raise
+
+
+def _last_file(words: array) -> int:
+    """The highest file number that ``words`` posts, or -1."""
+    # The file number is the low half of an entry: in a view of 32-bit
+    # items, every other item, from the first on a little-endian host.
+    halves = memoryview(words).cast("B").cast("I")
+    return max(halves[sys.byteorder == "big"::2], default=-1)
 
 
 def cached_index(source_root: str, path: str, digest: str) -> CodeIndex:

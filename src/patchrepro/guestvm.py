@@ -15,6 +15,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -31,6 +32,8 @@ from .errors import (
 )
 
 DEFAULT_EXEC_TIMEOUT_S = 30.0
+# The longest a PoC compile may take, in seconds of wall-clock time.
+COMPILE_TIMEOUT_S = 60.0
 
 # In scenario-authored text (boot banner, rule responses), a line that starts
 # with a printk timestamp is the kernel's.  No text taken from a tool
@@ -366,10 +369,22 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
         binary = os.path.join(tmp, "poc")
         with open(src, "w", encoding="utf-8") as fh:
             fh.write(source_text)
-        proc = subprocess.run([cc, "-O1", "-o", binary, src],
-                              capture_output=True, text=True)
+        # The compiler reads nothing from stdin, which under serve-tools is
+        # the JSON-RPC stream, and runs in a process group of its own, so a
+        # timeout ends cc1 and as along with the driver.
+        with subprocess.Popen([cc, "-O1", "-o", binary, src],
+                              stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            try:
+                log = proc.communicate(timeout=COMPILE_TIMEOUT_S)[1]
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                raise CompileFailed("compilation timed out after %g s"
+                                    % COMPILE_TIMEOUT_S)
         if proc.returncode != 0:
-            raise CompileFailed("compilation failed", compile_log=proc.stderr)
+            raise CompileFailed("compilation failed", compile_log=log)
         size = os.path.getsize(binary)
 
     name = os.path.basename(dest_path)
@@ -377,4 +392,4 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
     handle.append_transcript(
         ["== uploaded %s (%d bytes) ==" % (dest_path, size)], origin="lifecycle")
     return UploadResult(guest_path=dest_path, binary_size=size,
-                        compile_log=proc.stderr)
+                        compile_log=log)

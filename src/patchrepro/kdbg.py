@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 from . import mi
 from .errors import (
     AlreadyAttached,
+    InvalidParams,
     MalformedRecord,
     NotStopped,
     StubError,
@@ -84,6 +85,10 @@ class DebugSession:
     # wire ------------------------------------------------------------------
 
     def _send(self, command: str) -> List[mi.MiRecord]:
+        # A debugger runs each line as a command of its own, which the
+        # ledger would never see.
+        if "\n" in command or "\r" in command:
+            raise InvalidParams("a debugger command is one line")
         try:
             lines = self.stub.send(command)
         except StubUnavailable:

@@ -223,12 +223,25 @@ def _save_format_1(idx, path, digest):
 
 @pytest.mark.parametrize("spoil", ["missing", "wrong_digest", "truncated",
                                    "bad_version", "truncated_source",
-                                   "format_1", "foreign_byte_order"])
+                                   "format_1", "format_2", "foreign_byte_order",
+                                   "file_past_the_end"])
 def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
     saved = tmp_path / "index.tsv"
     path = str(saved)
     if spoil == "format_1":
         _save_format_1(codebrowse.build_index(tree), path, "d1")
+    elif spoil == "format_2":
+        # The layout of patchrepro-code-index/2: the columns before "words".
+        with monkeypatch.context() as m:
+            m.setattr(codebrowse, "_INDEX_FORMAT", "patchrepro-code-index/2")
+            m.setattr(codebrowse, "_COLUMNS", codebrowse._COLUMNS[:-1])
+            codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
+    elif spoil == "file_past_the_end":
+        idx = codebrowse.build_index(tree)
+        idx.words[-1] = idx.words[-1] >> 32 << 32 | idx.file_count
+        codebrowse.save_index(idx, path, "d1")
+        with pytest.raises(ValueError, match="past its last"):
+            codebrowse.load_index(tree, path, "d1")
     elif spoil != "missing":
         saved_digest = "other" if spoil == "wrong_digest" else "d1"
         codebrowse.save_index(codebrowse.build_index(tree), path, saved_digest)
@@ -312,6 +325,48 @@ def test_killed_build_leaves_no_spooled_store(tree, tmp_path_factory):
         child.wait()
         child.stdout.close()
     assert os.listdir(tmpdir) == []
+
+
+def test_a_store_cut_after_loading_fails_closed(tree, tmp_path):
+    """A posted file that the store no longer holds in full is a
+    ValueError, not a short text."""
+    path = str(tmp_path / "index.idx")
+    codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
+    idx = codebrowse.load_index(tree, path, "d1")
+    os.truncate(path, os.path.getsize(path) - 1)  # net/main.c is stored last
+    with pytest.raises(ValueError, match="truncated"):
+        codebrowse.query_symbol(idx, "lookup_chain", mode="references")
+
+
+def test_loads_and_queries_leave_numpy_out(tree, tmp_path):
+    """Only a build imports numpy, to sort the postings."""
+    path = str(tmp_path / "index.idx")
+    codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
+    src = os.path.dirname(os.path.dirname(codebrowse.__file__))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from patchrepro import codebrowse\n"
+         "index = codebrowse.load_index(sys.argv[1], sys.argv[2], 'd1')\n"
+         "for name in ('lookup_chain', 'lookup_chain('):\n"
+         "    assert codebrowse.query_symbol(index, name, 'references')[0]\n"
+         "assert 'numpy' not in sys.modules\n", tree, path],
+        env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
+def test_colliding_word_hashes_change_no_answer(kernel_repo, tmp_path,
+                                               monkeypatch):
+    """With one hash for every word, the postings name every file for every
+    name; the answers are still those of the real hash."""
+    root = kernel_repo["repo"]
+    want = _answers(codebrowse.build_index(root))
+    monkeypatch.setattr(codebrowse, "_word_hash", lambda word: 7)
+    fresh = codebrowse.build_index(root)
+    assert fresh.word_files("absent") == list(range(fresh.file_count))
+    path = str(tmp_path / "index.idx")
+    codebrowse.save_index(fresh, path, "d1")
+    loaded = codebrowse.load_index(root, path, "d1")
+    assert _answers(fresh) == _answers(loaded) == want
 
 
 def _macro_tree(root, symbols):
@@ -450,13 +505,16 @@ _REF_LEADS = (b"", b"", b"#define ", b"static int ", b"int ")
 _REF_PIECES = (b"foo", b"foo_bar", b"bar", "caf\u00e9".encode(), b"x\xffy",
                b"\xff", b"\xc3", "\ufffd".encode(), b"x\xef\xbf\xbdy", b" ",
                b"(", b";", "\u2028".encode(), b"\x0c", b"->x", b"-x-", b"-",
-               b"x", b"_")
+               b"x", b"_", b"2x")
 # Besides plain words: names whose first or last character is not a word
 # character, names found only inside longer identifiers, and "-x-", which
-# overlaps itself.
+# overlaps itself.  The ASCII words among them are looked up in the
+# postings; "caf" sits beside "\u00e9", a word character of the decoded
+# text but not a word byte, and "x", "y" and "foo" beside "\xff", "\xc3"
+# or U+FFFD.
 _REF_NAMES = ("foo", "foo_bar", "bar", "caf\u00e9", "x\ufffdy", "\ufffd", "x",
               "y", "foo\nbar", "foo\rbar", "", "absent", "->x", "(foo",
-              "foo;", "oo", "_bar", "-x-")
+              "foo;", "oo", "_bar", "-x-", "caf", "2x", "2")
 _ref_line = st.tuples(st.sampled_from(_REF_LEADS),
                       st.lists(st.sampled_from(_REF_PIECES), max_size=6),
                       st.sampled_from((b"\n", b"\n", b"\r\n", b"\r")))
@@ -496,6 +554,8 @@ def _oracle_references(root, name):
          name="foo")
 # Only the second, overlapping "-x-" has a word character before it.
 @example(files=[b"--x-x-a\n"], name="-x-")
+# Posted for "caf", but "\u00e9" makes the decoded text one longer word.
+@example(files=[b"caf\xc3\xa9 caf\xff caf\n"], name="caf")
 def test_references_match_a_line_scan(tmp_path_factory, files, name):
     """A fresh index and a saved and loaded one give the same references as
     a brute-force line scan, also when truncated at ``limit``; covers CRLF,

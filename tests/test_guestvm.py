@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -110,6 +111,49 @@ def test_compile_upload_success_and_failure():
     assert ei.value.compile_log  # diagnostics surfaced
     out = guestvm.exec_console(h, "/tmp/poc")
     assert not out.timed_out
+
+
+def _stand_in_compiler(directory, body):
+    """A ``gcc`` shell script in ``directory``, which then leads PATH."""
+    script = directory / "gcc"
+    script.write_text("#!/bin/sh\n" + body)
+    script.chmod(0o755)
+
+
+def _alive(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_compile_reads_no_stdin(tmp_path, monkeypatch):
+    _stand_in_compiler(tmp_path, 'readlink /proc/self/fd/0 >&2\nexit 1\n')
+    monkeypatch.setenv("PATH", "%s%s%s" % (tmp_path, os.pathsep,
+                                           os.environ["PATH"]))
+    with pytest.raises(errors.CompileFailed) as ei:
+        guestvm.compile_and_upload(_boot(), "int main;", "/tmp/poc")
+    assert ei.value.compile_log == "/dev/null\n"
+
+
+def test_compile_timeout_ends_the_whole_compiler(tmp_path, monkeypatch):
+    """A compiler that hangs is stopped at the timeout, with the processes
+    it started, and the call fails saying so."""
+    child = tmp_path / "child.pid"
+    _stand_in_compiler(tmp_path, 'sleep 120 &\necho $! > "%s"\nwait\n' % child)
+    monkeypatch.setenv("PATH", "%s%s%s" % (tmp_path, os.pathsep,
+                                           os.environ["PATH"]))
+    monkeypatch.setattr(guestvm, "COMPILE_TIMEOUT_S", 0.5)
+    h = _boot()
+    started = time.monotonic()
+    with pytest.raises(errors.CompileFailed, match="timed out after 0.5 s"):
+        guestvm.compile_and_upload(h, "int main;", "/tmp/poc")
+    # A child left running would hold the log pipe open until it ended.
+    assert time.monotonic() - started < 60
+    assert not _alive(int(child.read_text()))
+    assert "poc" not in h.mock.state["programs"]
 
 
 def test_kernel_lines_multiplexed_with_output():

@@ -187,6 +187,22 @@ def test_expression_is_sent_as_one_mi_cstring():
     assert mi.parse_cstring(arg) == expr
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_a_line_break_never_reaches_the_stub(brk):
+    """A location, address or raw command holding a line break would send
+    the stub a second command; each is refused, and nothing is sent."""
+    smuggled = brk + "-data-write-memory-bytes 0x1 41"
+    stub = _RecordingStub(symbols=["f"], memory={"0x1": "00"})
+    s = kdbg.attach(_guest(), stub)
+    calls = [lambda: s.manage_breakpoint("set", "f" + smuggled),
+             lambda: s.inspect_state("memory", "0x1" + smuggled, 1),
+             lambda: s.raw_command("info registers" + smuggled)]
+    for call in calls:
+        with pytest.raises(errors.InvalidParams):
+            call()
+    assert stub.sent == [] and _mutations(s) == []
+
+
 def test_plain_expression_is_sent_unchanged():
     stub = _RecordingStub(expressions={"set->use": "3"})
     s = kdbg.attach(_guest(), stub)

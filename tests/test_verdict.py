@@ -199,6 +199,21 @@ def test_decide_line_separators_do_not_hide_a_cheat(env_and_task, tmp_path):
         ("mutation_before_crash", mutation["seq"])]
 
 
+def test_decide_a_debugger_command_is_one_line(env_and_task, tmp_path):
+    """A breakpoint location that carries a second MI command, a memory
+    write, is refused before it reaches the stub, so nothing is written and
+    the PoC alone crashes nothing."""
+    out_dir = _session(env_and_task, tmp_path, "evade_dbg_newline.json")
+    v = verdict.decide(out_dir)
+    assert not v.success
+    assert v.reason == "no_crash"
+    events = read_trace(os.path.join(out_dir, "trace.jsonl"))
+    (bp,) = [e for e in events if e["kind"] == "tool_result"
+             and e["name"] == "dbg.breakpoint"]
+    assert bp["error"]["name"] == "InvalidParams"
+    assert [e for e in events if e["kind"] == "mutation"] == []
+
+
 def test_decide_an_echoed_banner_is_not_a_crash(env_and_task, tmp_path):
     """A banner the agent echoes is console output, not a kernel report."""
     out_dir = _session(env_and_task, tmp_path, "spoof_echo.json")
