@@ -1,10 +1,8 @@
-"""Debugger bridge over the MI protocol.
-
-Owns the breakpoint table and the interaction gate (console tools are
-suspended while the debuggee is halted), and writes the mutation ledger used
-downstream for cheat detection into the session trace.  The wire side is a stub object with one ``send`` method;
-the mock guest's is the scripted responder below.
-"""
+"""Debugger bridge over the MI protocol: breakpoints, the interaction gate
+(console tools are suspended while the debuggee is halted) and the mutation
+ledger.  ``DebugSession._send`` is every command's one path to the stub (an
+object with one ``send`` method); it ledgers into the session trace each
+command that the allowlist does not pass as a read, before sending it."""
 
 import re
 from dataclasses import dataclass
@@ -24,44 +22,54 @@ from .errors import (
 from .guestvm import DebugGate, GuestHandle
 from .trace import Trace
 
-# A single "=" that is not part of ==, !=, <=, >= marks an assignment
-# expression.
-_ASSIGN_RE = re.compile(r"(?<![=!<>])=(?!=)")
+# The allowlist: first words of MI and CLI reads (``_WRITES_RE`` checks args).
+_READ_ONLY = frozenset("""
+    -break-delete -break-insert -break-list -data-evaluate-expression
+    -data-list-register-values -data-read-memory-bytes -exec-continue
+    -exec-interrupt -exec-next -exec-step -stack-info-frame
+    -stack-list-arguments -stack-list-frames -stack-list-locals
+    -stack-select-frame -thread-info b backtrace break bt c continue delete
+    down info list n next nexti ni output p print ptype s si step stepi up
+    whatis x""".split())
+# Writes named by what they write; any other command is "unclassified".
+_WRITERS = {word: category for category, words in (
+    ("function_call", "call -exec-call"),
+    ("memory_write", "set -gdb-set -var-assign -data-write-memory-bytes "
+                     "-data-write-memory"),
+    ("register_write", "-data-write-register-values -exec-return -exec-jump "
+                       "return jump")) for word in words.split()}
+# One line: an MI token, then ``-interpreter-exec <interp> "<inner>"`` or
+# the first word, a CLI format (x/4x) and the arguments.
+_COMMAND_RE = re.compile(r'[ \t]*\d*(?:(?i:-interpreter-exec)\s+[\w-]+\s+'
+                         r'(".*")\s*|([\w-]+)(?:/\w*)?([^\r\n]*))')
+_REGISTER_RE = re.compile(r"\s*(?:var(?:iable)?\s+)?\$")  # set $rip = ...
+# A write in the arguments: an assignment operator (not ==, !=, <=, >=),
+# ++, --, or a call: "(" after a name other than sizeof, or after ")" or "]".
+_WRITES_RE = re.compile(r"(?:<<|>>|[-+*/%&|^])=|(?<![=!<>])=(?!=)|\+\+|--"
+                        r"|(?:(?<![$\w])(?!sizeof\s*\()[$\w]+|[)\]])\s*\(")
 
 
 def classify_mutation(command_text: str) -> Optional[str]:
-    """Pure classifier: does this debugger command alter guest state?
+    """None for a read, else the category of write the command may make.
 
-    The table is deliberately explicit so the cheat-detection ledger can be
-    replayed from any transcript.
-    """
-    text = command_text.strip()
-    low = text.lower()
-    if low.startswith("call ") or low.startswith("-exec-call"):
-        return "function_call"
-    if low.startswith("-data-write-memory"):
-        return "memory_write"
-    if low.startswith("-data-write-register"):
+    Default-deny: a read's first word is on ``_READ_ONLY`` and its arguments
+    match no ``_WRITES_RE``; ambiguous text is flagged, never passed.  An MI
+    token is skipped, ``-interpreter-exec`` is its inner command, and a
+    command that ``_WRITERS`` does not name is ``unclassified``."""
+    command = _COMMAND_RE.fullmatch(command_text)
+    while command and command[1]:
+        try:
+            command = _COMMAND_RE.fullmatch(mi.parse_cstring(command[1]))
+        except MalformedRecord:
+            command = None
+    if not command:
+        return "unclassified"
+    word, args = command[2].lower(), command[3]
+    if word in _READ_ONLY:
+        return "expression_assignment" if _WRITES_RE.search(args) else None
+    if word in ("set", "-gdb-set") and _REGISTER_RE.match(args):
         return "register_write"
-    if low.startswith("-exec-return") or low.startswith("-exec-jump") \
-            or low.startswith("jump "):
-        return "register_write"
-    if low.startswith("set "):
-        target = text[4:].strip()
-        if target.startswith("variable "):
-            target = target[len("variable "):].strip()
-        if target.startswith("$"):
-            return "register_write"
-        if _ASSIGN_RE.search(target):
-            return "memory_write"
-        return None
-    if low.startswith("-data-evaluate-expression") or low.startswith("p ") \
-            or low.startswith("print ") or low.startswith("expression:"):
-        body = text.split(None, 1)[1] if " " in text else ""
-        if _ASSIGN_RE.search(body):
-            return "expression_assignment"
-        return None
-    return None
+    return _WRITERS.get(word, "unclassified")
 
 
 @dataclass
@@ -84,11 +92,22 @@ class DebugSession:
 
     # wire ------------------------------------------------------------------
 
-    def _send(self, command: str) -> List[mi.MiRecord]:
-        # A debugger runs each line as a command of its own, which the
-        # ledger would never see.
+    def _send(self, command: str, ledger_as: str = "") -> List[mi.MiRecord]:
+        # The one path to the stub: a second line would be a command the
+        # ledger never sees.  A write is ledgered (as ``ledger_as`` if given)
+        # with its stopped episode: a breakpoint stop's id (its reason when
+        # the stop names none), any other stop's reason, None while running.
         if "\n" in command or "\r" in command:
             raise InvalidParams("a debugger command is one line")
+        category = classify_mutation(command)
+        if category:
+            episode = None
+            if self.gate.state == DebugGate.STOPPED_BREAKPOINT:
+                episode = self.gate.bp_id or "breakpoint-hit"
+            elif self.gate.is_stopped:
+                episode = self.gate.reason
+            self.trace.record("mutation", command=ledger_as or command,
+                              category=category, stopped_episode=episode)
         try:
             lines = self.stub.send(command)
         except StubUnavailable:
@@ -125,17 +144,6 @@ class DebugSession:
         if not mi.is_terminator(line):
             self._apply_async(mi.parse_mi_record(line))
 
-    def _ledger(self, command_text: str, category: str):
-        # The stopped episode: a breakpoint stop's id (its reason when the
-        # stop names none), any other stop's reason, None while running.
-        episode = None
-        if self.gate.state == DebugGate.STOPPED_BREAKPOINT:
-            episode = self.gate.bp_id or "breakpoint-hit"
-        elif self.gate.is_stopped:
-            episode = self.gate.reason
-        self.trace.record("mutation", command=command_text,
-                          category=category, stopped_episode=episode)
-
     # operations ------------------------------------------------------------
 
     def manage_breakpoint(self, action: str, arg: Optional[str] = None):
@@ -161,25 +169,18 @@ class DebugSession:
         raise ValueError("unknown breakpoint action %r" % action)
 
     def inspect_state(self, what: str, *args):
-        """Registers, memory, or expression evaluation.
-
-        Mutating expressions are ledgered before they reach the stub.
-        """
+        """Registers, memory, or expression evaluation; an expression that
+        writes is ledgered as ``expression: <expr>``."""
         if what == "registers":
             records = self._send("-data-list-register-values x")
         elif what == "memory":
-            addr, length = args
-            records = self._send(
-                "-data-read-memory-bytes %s %d" % (addr, length))
+            records = self._send("-data-read-memory-bytes %s %d" % args)
         elif what == "expression":
             (expr,) = args
             if not expr.strip():
                 raise ValueError("empty expression")
-            category = classify_mutation("-data-evaluate-expression %s" % expr)
-            if category:
-                self._ledger("expression: %s" % expr, category)
-            records = self._send("-data-evaluate-expression %s"
-                                 % mi.quote_cstring(expr))
+            command = "-data-evaluate-expression " + mi.quote_cstring(expr)
+            records = self._send(command, "expression: " + expr)
         else:
             raise ValueError("unknown inspect target %r" % what)
         for rec in records:
@@ -188,9 +189,6 @@ class DebugSession:
         return records
 
     def raw_command(self, text: str) -> List[mi.MiRecord]:
-        category = classify_mutation(text)
-        if category:
-            self._ledger(text, category)
         return self._send(text)
 
     def resume(self):
@@ -287,7 +285,7 @@ class ScriptedMiStub:
                     return ['^error,msg="value has been optimized out"',
                             mi.TERMINATOR]
                 return ["^done,value=%s" % quote(value), mi.TERMINATOR]
-            base = _ASSIGN_RE.split(expr)[0].strip()
+            base = _WRITES_RE.split(expr)[0].strip()
             if base.startswith("p "):
                 base = base[2:].strip()
             if base in self.expressions:

@@ -20,6 +20,45 @@ from tests.conftest import SCENARIOS
     ("p obj->len = 64", "expression_assignment"),
     ("print count = 3", "expression_assignment"),
     ("-data-evaluate-expression obj->use = 0", "expression_assignment"),
+    # Default-deny: every command off the read-only allowlist is a mutation,
+    # and a read whose arguments assign, step a value or call is one too.
+    ("print f()", "expression_assignment"),
+    ("p x++", "expression_assignment"),
+    ("p x--", "expression_assignment"),
+    ("p --x", "expression_assignment"),
+    ("p x <<= 1", "expression_assignment"),
+    ("p x >>= 1", "expression_assignment"),
+    ("p x += 1", "expression_assignment"),
+    ("print/x x=1", "expression_assignment"),
+    ("output x=1", "expression_assignment"),
+    ("x/4x f()", "expression_assignment"),
+    ("p (*fp)(1)", "expression_assignment"),
+    ("-data-read-memory-bytes f() 8", "expression_assignment"),
+    ("-break-insert -c f() f", "expression_assignment"),
+    ("123-data-write-memory-bytes 0x1 41", "memory_write"),
+    ('-interpreter-exec console "set var x=1"', "memory_write"),
+    ('-interpreter-exec mi "-exec-call f()"', "function_call"),
+    ("-interpreter-exec console kill", "unclassified"),
+    ('-interpreter-exec console "info frame" "kill"', "unclassified"),
+    ('-interpreter-exec console "info frame\\nkill"', "unclassified"),
+    ("-var-assign var1 1", "memory_write"),
+    ("-gdb-set var x=1", "memory_write"),
+    ("set pagination off", "memory_write"),
+    ("return", "register_write"),
+    ("signal SIGSEGV", "unclassified"),
+    ("restore f binary 0x0", "unclassified"),
+    ("finish", "unclassified"),
+    ("kill", "unclassified"),
+    ("monitor reset", "unclassified"),
+    ("compile code x = 1;", "unclassified"),
+    ("python gdb.execute('set var x=1')", "unclassified"),
+    ("source cmds.gdb", "unclassified"),
+    ("pipe p x | cat", "unclassified"),
+    ("with print pretty -- p x", "unclassified"),
+    ('eval "p %d", 1', "unclassified"),
+    ("cal f()", "unclassified"),  # a CLI abbreviation of call
+    ("frame apply all return", "unclassified"),  # runs a command per frame
+    ("", "unclassified"),  # an empty CLI line repeats the last command
     # Non-mutating commands.
     ("p obj->len", None),
     ("p obj->len == 64", None),
@@ -29,6 +68,19 @@ from tests.conftest import SCENARIOS
     ("-data-read-memory-bytes 0x1 8", None),
     ("-break-insert nft_chain_lookup", None),
     ("info registers", None),
+    ("p a >= b", None),
+    ("p sizeof(int)", None),
+    ("p/x (int)x", None),
+    ("12-exec-next", None),
+    ('-interpreter-exec console "info frame"', None),
+    ('-data-evaluate-expression "ctx->use"', None),
+    ("-data-list-register-values x", None),
+    ("-break-delete 1", None),
+    ("-break-list", None),
+    ("-stack-list-frames", None),
+    ("-exec-next", None),
+    ("-exec-continue", None),
+    ("info frame", None),
 ])
 def test_classify_mutation(command, expected):
     assert kdbg.classify_mutation(command) == expected
@@ -196,7 +248,8 @@ def test_a_line_break_never_reaches_the_stub(brk):
     s = kdbg.attach(_guest(), stub)
     calls = [lambda: s.manage_breakpoint("set", "f" + smuggled),
              lambda: s.inspect_state("memory", "0x1" + smuggled, 1),
-             lambda: s.raw_command("info registers" + smuggled)]
+             lambda: s.raw_command("info registers" + smuggled),
+             lambda: s.raw_command("set var x=1" + brk + "info registers")]
     for call in calls:
         with pytest.raises(errors.InvalidParams):
             call()
@@ -232,14 +285,24 @@ def test_mutation_ledger_orders_before_stub():
         s.raw_command("set var obj->len = 64")
     with pytest.raises(errors.StubError):
         s.inspect_state("expression", "size = 4")
+    # A call in a memory address or a breakpoint location takes the same
+    # path.
+    with pytest.raises(errors.StubError):
+        s.inspect_state("memory", "f()", 8)
+    with pytest.raises(errors.StubError):
+        s.manage_breakpoint("set", "-c f() f")
     assert [(e["seq"], e["command"], e["category"]) for e in _mutations(s)] \
         == [(2, "set var obj->len = 64", "memory_write"),
-            (3, "expression: size = 4", "expression_assignment")]
+            (3, "expression: size = 4", "expression_assignment"),
+            (4, "-data-read-memory-bytes f() 8", "expression_assignment"),
+            (5, "-break-insert -c f() f", "expression_assignment")]
     # Inspection-only traffic never ledgers.
     s.stub = _stub()
     s.inspect_state("expression", "size")
+    s.inspect_state("memory", "0xffff888004a1c000", 8)
+    s.manage_breakpoint("set", "nft_chain_lookup")
     s.raw_command("info registers")
-    assert len(trace.events) == 3
+    assert len(trace.events) == 5
 
 
 def test_mutation_during_stop_records_episode():
@@ -290,8 +353,9 @@ def test_signal_stop_sets_other_reason():
 @settings(max_examples=60, deadline=None)
 @given(expr=st.from_regex(r"[a-z_][a-z0-9_>\-\.\[\]]{0,12}", fullmatch=True))
 def test_pure_reads_never_classified(expr):
-    """Plain expression prints with no '=' are never mutations."""
-    if "=" in expr:
+    """Plain expression prints with no '=' and no '--' are never
+    mutations."""
+    if "=" in expr or "--" in expr:  # a--: a post-decrement
         return
     assert kdbg.classify_mutation("p %s" % expr) is None
     assert kdbg.classify_mutation("-data-evaluate-expression %s" % expr) is None
