@@ -10,6 +10,8 @@ class HarnessError(Exception):
     name, unless a subclass sets its own."""
 
     name = "HarnessError"
+    # Wire-visible detail beside the message (a JSON object), or None.
+    data = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -88,6 +90,8 @@ class CompileFailed(HarnessError):
     def __init__(self, message="", compile_log=""):
         super().__init__(message)
         self.compile_log = compile_log
+        if compile_log:
+            self.data = {"compile_log": compile_log}
 
 
 class UploadFailed(HarnessError):

@@ -4,6 +4,14 @@ The guest is a deterministic mock driven by a scenario file: restored from
 a frozen snapshot, answering console commands from the scenario's rules and
 a tiny builtin shell, and shelling out only to compile PoCs on the host.
 
+``build_poc`` is that compile; ``compile_and_upload`` builds and then uploads.
+A build is keyed by its ``digest``, the sha256 of the resolved compiler
+path, the compile flags and the source, and a guest lineage (a started guest
+and the guests ``restart_guest`` makes from it, so one session) keeps its
+successful builds by that key in ``GuestHandle.builds``: a source the session
+has built is uploaded again without a compile.  Nothing else keeps a build,
+so a second session over the same environment compiles again.
+
 A single multiplexed channel carries both command output and kernel log
 lines.  The guest tags each line with its origin where it makes the line:
 ``console``, ``kernel`` or ``lifecycle``.  A line ends at ``"\n"`` only.
@@ -20,7 +28,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     CompileFailed,
@@ -34,6 +42,10 @@ from .errors import (
 DEFAULT_EXEC_TIMEOUT_S = 30.0
 # The longest a PoC compile may take, in seconds of wall-clock time.
 COMPILE_TIMEOUT_S = 60.0
+# The most of a compiler's log a build keeps, in characters.
+COMPILE_LOG_MAX_CHARS = 8192
+# Passed before ``-o``; they are part of a build's key.
+COMPILE_FLAGS = ("-O1",)
 
 # In scenario-authored text (boot banner, rule responses), a line that starts
 # with a printk timestamp is the kernel's.  No text taken from a tool
@@ -113,6 +125,16 @@ class UploadResult:
     binary_size: int
     compile_log: str
     compiler_id: str = "host-cc x86_64-linux-gnu"
+
+
+@dataclass(frozen=True)
+class PocBuild:
+    """One successful PoC compile: the binary's bytes, the compiler's log
+    and the build's ``digest`` (see ``build_poc``)."""
+
+    digest: str
+    binary: bytes
+    compile_log: str
 
 
 @dataclass
@@ -230,6 +252,9 @@ class GuestHandle:
         self.transcript: List[dict] = []  # {origin, line}
         self.debug_stub = None  # MI responder a debug session talks to
         self.debug_session = None  # the one attached kdbg.DebugSession
+        # PoC builds by digest; ``restart_guest`` hands them on, and nothing
+        # else keeps them, so they live exactly one session.
+        self.builds: Dict[str, PocBuild] = {}
 
     # transcript -------------------------------------------------------------
 
@@ -272,6 +297,7 @@ def restart_guest(handle: GuestHandle) -> GuestHandle:
     fresh = restore_from_snapshot(handle.snapshot_ref)
     fresh.gate = handle.gate
     fresh.transcript = handle.transcript
+    fresh.builds = handle.builds
     fresh.append_transcript(["== guest restarted =="], origin="lifecycle")
     return fresh
 
@@ -348,22 +374,28 @@ def send_signal(handle: GuestHandle, signal: str) -> dict:
     return {"signal": signal, "prompt_regained": regained}
 
 
-def compile_and_upload(handle: GuestHandle, source_text: str,
-                       dest_path: str) -> UploadResult:
-    """Compile C source on the host and place the binary in the guest.
+def build_poc(source_text: str,
+              builds: Optional[Dict[str, PocBuild]] = None) -> PocBuild:
+    """Compile C source on the host into a ``PocBuild``.
 
-    Every call that gets past the gate, a failed compile or upload included,
-    is one PoC iteration (counted by ``trace.fold``).
+    The build's key, its ``digest``, is the sha256 of the resolved compiler
+    path, ``COMPILE_FLAGS`` and the source.  With ``builds`` (digest ->
+    ``PocBuild``, a guest lineage's ``GuestHandle.builds``), a build with
+    the same key is reused and a new one is kept; only a successful build
+    is kept, so a failed or timed-out one is built again the next time.
+    A host header that changes in the middle of a session is not in the
+    key, so a reuse does not see it; a dependency list from the compiler
+    (``-MD``) would add it.  The log is capped at
+    ``COMPILE_LOG_MAX_CHARS``, and the temporary build path in it reads
+    ``poc.c``.
     """
-    if "\n" in dest_path:
-        raise InvalidParams("a guest path is one line")
-    handle.gate.check()
-    if handle.state != "running":
-        raise UploadFailed("guest state is %s" % handle.state)
-
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         raise CompileFailed("no host C compiler available")
+    digest = hashlib.sha256(
+        json.dumps([cc, *COMPILE_FLAGS, source_text]).encode()).hexdigest()
+    if builds is not None and digest in builds:
+        return builds[digest]
     with tempfile.TemporaryDirectory(prefix="pocbuild-") as tmp:
         src = os.path.join(tmp, "poc.c")
         binary = os.path.join(tmp, "poc")
@@ -372,7 +404,7 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
         # The compiler reads nothing from stdin, which under serve-tools is
         # the JSON-RPC stream, and runs in a process group of its own, so a
         # timeout ends cc1 and as along with the driver.
-        with subprocess.Popen([cc, "-O1", "-o", binary, src],
+        with subprocess.Popen([cc, *COMPILE_FLAGS, "-o", binary, src],
                               stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True,
                               start_new_session=True) as proc:
@@ -383,13 +415,41 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
                 proc.communicate()
                 raise CompileFailed("compilation timed out after %g s"
                                     % COMPILE_TIMEOUT_S)
+        log = log.replace(tmp + os.sep, "")
+        if len(log) > COMPILE_LOG_MAX_CHARS:
+            log = (log[:COMPILE_LOG_MAX_CHARS]
+                   + "\n[log cut at %d characters]\n" % COMPILE_LOG_MAX_CHARS)
         if proc.returncode != 0:
             raise CompileFailed("compilation failed", compile_log=log)
-        size = os.path.getsize(binary)
+        with open(binary, "rb") as fh:
+            build = PocBuild(digest=digest, binary=fh.read(), compile_log=log)
+    if builds is not None:
+        builds[digest] = build
+    return build
 
-    name = os.path.basename(dest_path)
-    handle.mock.state["programs"].append(name)
+
+def upload_poc(handle: GuestHandle, build: PocBuild,
+               dest_path: str) -> UploadResult:
+    """Place a built PoC in the guest at ``dest_path``."""
+    handle.mock.state["programs"].append(os.path.basename(dest_path))
     handle.append_transcript(
-        ["== uploaded %s (%d bytes) ==" % (dest_path, size)], origin="lifecycle")
-    return UploadResult(guest_path=dest_path, binary_size=size,
-                        compile_log=log)
+        ["== uploaded %s (%d bytes) ==" % (dest_path, len(build.binary))],
+        origin="lifecycle")
+    return UploadResult(guest_path=dest_path, binary_size=len(build.binary),
+                        compile_log=build.compile_log)
+
+
+def compile_and_upload(handle: GuestHandle, source_text: str,
+                       dest_path: str) -> UploadResult:
+    """Build C source (once per guest lineage, see ``build_poc``) and place
+    the binary in the guest.
+
+    Every call that gets past the gate, a failed compile or upload included,
+    is one PoC iteration (counted by ``trace.fold``).
+    """
+    if "\n" in dest_path:
+        raise InvalidParams("a guest path is one line")
+    handle.gate.check()
+    if handle.state != "running":
+        raise UploadFailed("guest state is %s" % handle.state)
+    return upload_poc(handle, build_poc(source_text, handle.builds), dest_path)

@@ -42,6 +42,13 @@ _WRITERS = {word: category for category, words in (
 # the first word, a CLI format (x/4x) and the arguments.
 _COMMAND_RE = re.compile(r'[ \t]*\d*(?:(?i:-interpreter-exec)\s+[\w-]+\s+'
                          r'(".*")\s*|([\w-]+)(?:/\w*)?([^\r\n]*))')
+# MI options that may lead a read's arguments, with how many numeric values
+# each takes; an MI read (first word "-...") is checked after them.
+_MI_OPTIONS = {"--thread": 1, "--frame": 1, "--simple-values": 0,
+               "--all-values": 0, "--no-values": 0, "--skip-unavailable": 0}
+_MI_OPTIONS_RE = re.compile(r"(?:\s+(?:%s)(?!\S))*" % "|".join(
+    re.escape(option) + r"\s+[0-9]+" * arity
+    for option, arity in _MI_OPTIONS.items()))
 _REGISTER_RE = re.compile(r"\s*(?:var(?:iable)?\s+)?\$")  # set $rip = ...
 # A write in the arguments: an assignment operator (not ==, !=, <=, >=),
 # ++, --, or a call: "(" after a name other than sizeof, or after ")" or "]".
@@ -65,6 +72,8 @@ def classify_mutation(command_text: str) -> Optional[str]:
     if not command:
         return "unclassified"
     word, args = command[2].lower(), command[3]
+    if "--" in args and word[0] == "-":
+        args = args[_MI_OPTIONS_RE.match(args).end():]
     if word in _READ_ONLY:
         return "expression_assignment" if _WRITES_RE.search(args) else None
     if word in ("set", "-gdb-set") and _REGISTER_RE.match(args):
@@ -262,7 +271,8 @@ class ScriptedMiStub:
                             for i, v in enumerate(self.registers.values()))
             return ['^done,register-values=[%s]' % vals, mi.TERMINATOR]
         if command.startswith("-data-read-memory-bytes"):
-            _, addr, length = command.split()
+            # The length is the last field; the address is all before it.
+            addr, _, length = command.split(None, 1)[-1].rpartition(" ")
             data = self.memory.get(addr)
             if data is None:
                 return ["^error,msg=%s" % quote("Cannot access memory at "

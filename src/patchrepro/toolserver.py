@@ -294,7 +294,8 @@ class ToolServer:
 
     def dispatch_call(self, name: str, args: dict) -> dict:
         """Route one tool call, recording it in the trace regardless of
-        outcome.  Harness errors come back as {"error": ...} results."""
+        outcome.  Harness errors come back as {"error": ...} results, with
+        the error's ``data`` when it has some."""
         if name not in self.tools:
             raise KeyError(name)
         category = self.tools[name].category
@@ -307,6 +308,8 @@ class ToolServer:
             result = getattr(self, "_tool_" + name.replace(".", "_"))(**args)
         except HarnessError as exc:
             error = {"name": exc.name, "message": str(exc)}
+            if exc.data is not None:
+                error["data"] = exc.data
         except (KeyError, TypeError, ValueError) as exc:
             error = {"name": "InvalidParams", "message": str(exc)}
         finally:

@@ -1,5 +1,6 @@
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -120,6 +121,28 @@ def _stand_in_compiler(directory, body):
     script.chmod(0o755)
 
 
+def _lead_path(monkeypatch, directory):
+    monkeypatch.setenv("PATH", "%s%s%s" % (directory, os.pathsep,
+                                           os.environ["PATH"]))
+
+
+def _counting_compiler(directory, monkeypatch, body=""):
+    """A stand-in ``gcc`` leading PATH that adds a line to ``runs`` each
+    time it runs, then runs ``body``; by default it writes a 4-byte
+    "binary" where ``-o`` says.  Returns a function giving the run count."""
+    directory.mkdir(exist_ok=True)
+    runs = directory / "runs"
+    _stand_in_compiler(directory, 'echo run >> "%s"\n' % runs + (
+        body or 'while [ "$1" != -o ]; do shift; done\nprintf stub > "$2"\n'))
+    _lead_path(monkeypatch, directory)
+    return lambda: len(runs.read_text().splitlines()) if runs.exists() else 0
+
+
+def _uploads(handle):
+    return [r["line"] for r in handle.transcript if r["origin"] == "lifecycle"
+            and r["line"].startswith("== uploaded")]
+
+
 def _alive(pid):
     """Whether process ``pid`` exists and is not a zombie."""
     try:
@@ -131,8 +154,7 @@ def _alive(pid):
 
 def test_compile_reads_no_stdin(tmp_path, monkeypatch):
     _stand_in_compiler(tmp_path, 'readlink /proc/self/fd/0 >&2\nexit 1\n')
-    monkeypatch.setenv("PATH", "%s%s%s" % (tmp_path, os.pathsep,
-                                           os.environ["PATH"]))
+    _lead_path(monkeypatch, tmp_path)
     with pytest.raises(errors.CompileFailed) as ei:
         guestvm.compile_and_upload(_boot(), "int main;", "/tmp/poc")
     assert ei.value.compile_log == "/dev/null\n"
@@ -143,8 +165,7 @@ def test_compile_timeout_ends_the_whole_compiler(tmp_path, monkeypatch):
     it started, and the call fails saying so."""
     child = tmp_path / "child.pid"
     _stand_in_compiler(tmp_path, 'sleep 120 &\necho $! > "%s"\nwait\n' % child)
-    monkeypatch.setenv("PATH", "%s%s%s" % (tmp_path, os.pathsep,
-                                           os.environ["PATH"]))
+    _lead_path(monkeypatch, tmp_path)
     monkeypatch.setattr(guestvm, "COMPILE_TIMEOUT_S", 0.5)
     h = _boot()
     started = time.monotonic()
@@ -154,6 +175,102 @@ def test_compile_timeout_ends_the_whole_compiler(tmp_path, monkeypatch):
     assert time.monotonic() - started < 60
     assert not _alive(int(child.read_text()))
     assert "poc" not in h.mock.state["programs"]
+
+
+SOURCE = "int main(void) { return 0; }"
+
+
+def test_a_source_is_built_once_per_session(tmp_path, monkeypatch):
+    """After a restart the same source is uploaded again, from the first
+    build."""
+    runs = _counting_compiler(tmp_path, monkeypatch)
+    h = _boot()
+    first = guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
+    fresh = guestvm.restart_guest(h)
+    assert fresh.builds is h.builds
+    again = guestvm.compile_and_upload(fresh, SOURCE, "/tmp/poc")
+    assert runs() == 1
+    assert again == first and first.binary_size == len("stub")
+    assert _uploads(fresh) == ["== uploaded /tmp/poc (4 bytes) =="] * 2
+    assert "poc" in fresh.mock.state["programs"]
+
+
+def test_build_poc_without_builds_compiles_each_time(tmp_path, monkeypatch):
+    runs = _counting_compiler(tmp_path, monkeypatch)
+    builds = {}
+    kept = guestvm.build_poc(SOURCE, builds)
+    assert builds == {kept.digest: kept}
+    assert guestvm.build_poc(SOURCE) == guestvm.build_poc(SOURCE) == kept
+    assert runs() == 3
+
+
+def test_a_new_source_or_compiler_is_built_again(tmp_path, monkeypatch):
+    runs = _counting_compiler(tmp_path / "a", monkeypatch)
+    h = _boot()
+    guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
+    guestvm.compile_and_upload(h, SOURCE + "\n", "/tmp/poc")
+    assert runs() == 2
+    other = _counting_compiler(tmp_path / "b", monkeypatch)
+    guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
+    assert (runs(), other()) == (2, 1)
+    assert len(h.builds) == 3
+
+
+# A stand-in compile that fails, naming the source file it was given.
+FAILS = 'for arg; do src=$arg; done\necho "$src:1:1: error: no" >&2\nexit 1\n'
+
+
+@pytest.mark.parametrize("body,timeout_s,message", [
+    (FAILS, 60, "compilation failed"),
+    ("sleep 30\n", 0.3, "timed out after 0.3 s")])
+def test_a_failed_or_timed_out_compile_is_built_again(tmp_path, monkeypatch,
+                                                      body, timeout_s,
+                                                      message):
+    runs = _counting_compiler(tmp_path, monkeypatch, body=body)
+    monkeypatch.setattr(guestvm, "COMPILE_TIMEOUT_S", timeout_s)
+    h = _boot()
+    for attempt in (1, 2):
+        with pytest.raises(errors.CompileFailed, match=message):
+            guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
+        assert runs() == attempt
+    assert h.builds == {} and _uploads(h) == []
+
+
+def test_a_failed_compile_log_names_the_source_poc_c(tmp_path, monkeypatch):
+    _counting_compiler(tmp_path, monkeypatch, body=FAILS)
+    with pytest.raises(errors.CompileFailed) as ei:
+        guestvm.compile_and_upload(_boot(), SOURCE, "/tmp/poc")
+    assert ei.value.compile_log == "poc.c:1:1: error: no\n"
+    assert ei.value.data == {"compile_log": ei.value.compile_log}
+
+
+def test_a_long_compile_log_is_cut(tmp_path, monkeypatch):
+    _counting_compiler(tmp_path, monkeypatch, body=(
+        "printf '%0300d' 0 >&2\nexit 1\n"))
+    monkeypatch.setattr(guestvm, "COMPILE_LOG_MAX_CHARS", 100)
+    with pytest.raises(errors.CompileFailed) as ei:
+        guestvm.compile_and_upload(_boot(), SOURCE, "/tmp/poc")
+    assert ei.value.compile_log == "0" * 100 + "\n[log cut at 100 characters]\n"
+
+
+def test_a_built_source_still_waits_for_the_gate(tmp_path, monkeypatch):
+    runs = _counting_compiler(tmp_path, monkeypatch)
+    h = _boot()
+    guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
+    h.gate.stop_breakpoint("1")
+    with pytest.raises(errors.DebuggeeHalted):
+        guestvm.compile_and_upload(h, SOURCE, "/tmp/other")
+    assert runs() == 1
+    assert "other" not in h.mock.state["programs"]
+    assert len(_uploads(h)) == 1
+
+
+def test_each_session_over_one_env_builds_again(tmp_path, monkeypatch):
+    runs = _counting_compiler(tmp_path, monkeypatch)
+    env = SimpleNamespace(snapshot_ref=guestvm.create_snapshot(_boot()))
+    for session in (1, 2):
+        guestvm.compile_and_upload(guestvm.start_guest(env), SOURCE, "/tmp/poc")
+        assert runs() == session
 
 
 def test_kernel_lines_multiplexed_with_output():

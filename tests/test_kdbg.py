@@ -35,6 +35,13 @@ from tests.conftest import SCENARIOS
     ("p (*fp)(1)", "expression_assignment"),
     ("-data-read-memory-bytes f() 8", "expression_assignment"),
     ("-break-insert -c f() f", "expression_assignment"),
+    # MI options are skipped only as listed, with numeric values.
+    ("-data-evaluate-expression --thread f() x", "expression_assignment"),
+    ("-data-evaluate-expression --thread 1 --x", "expression_assignment"),
+    ("-data-evaluate-expression --thread 1x --x", "expression_assignment"),
+    ("-data-evaluate-expression --thread 1 f()", "expression_assignment"),
+    ("-stack-list-locals --simple-values--", "expression_assignment"),
+    ("-stack-list-locals --print-values x--", "expression_assignment"),
     ("123-data-write-memory-bytes 0x1 41", "memory_write"),
     ('-interpreter-exec console "set var x=1"', "memory_write"),
     ('-interpreter-exec mi "-exec-call f()"', "function_call"),
@@ -81,6 +88,11 @@ from tests.conftest import SCENARIOS
     ("-exec-next", None),
     ("-exec-continue", None),
     ("info frame", None),
+    ("-stack-list-locals --simple-values", None),
+    ("-stack-list-arguments --all-values 0", None),
+    ("-data-evaluate-expression --thread 1 x", None),
+    ("-data-evaluate-expression --thread 2 --frame 0 x", None),
+    ("-stack-list-locals --no-values --skip-unavailable", None),
 ])
 def test_classify_mutation(command, expected):
     assert kdbg.classify_mutation(command) == expected
@@ -195,6 +207,22 @@ def test_values_with_quotes_and_backslashes_read_back():
     with pytest.raises(errors.StubError) as info:
         s.inspect_state("memory", '0x"1', 8)
     assert str(info.value) == 'Cannot access memory at address 0x"1'
+
+
+@pytest.mark.parametrize("address", ["a b", "f (x)"])
+def test_memory_address_with_a_space_is_the_stubs_own_error(address):
+    """The length is the command's last field and the address all before
+    it, so an address holding a space is one the stub cannot read."""
+    s = kdbg.attach(_guest(), _stub())
+    with pytest.raises(errors.StubError) as info:
+        s.inspect_state("memory", address, 8)
+    assert str(info.value) == "Cannot access memory at address " + address
+
+
+def test_memory_address_with_a_space_reads_back():
+    s = kdbg.attach(_guest(), _stub(memory={"buf + 8": "41424344"}))
+    (rec,) = s.inspect_state("memory", "buf + 8", 1)
+    assert rec.get("memory")[0]["contents"] == "41"
 
 
 def test_replies_for_plain_inputs_are_unchanged():

@@ -328,6 +328,20 @@ def test_poc_iterations_count_failed_compiles_across_restarts(env_and_task,
     assert _poc_iterations(env_and_task, tmp_path, actions) == 2
 
 
+def test_a_repeated_compile_after_restart(env_and_task, tmp_path):
+    """The same source compiled before and after a restart gives two equal
+    results, and both are PoC iterations."""
+    artifacts, out_dir = _run(env_and_task, tmp_path,
+                              script="recompile_after_restart.json")
+    calls = fold(read_trace(artifacts.trace_path)).calls
+    results = [result for call, result in calls
+               if call["name"] == "vm.compile_upload"]
+    assert len(results) == 2 and results[0]["error"] is None
+    assert results[0]["result_digest"] == results[1]["result_digest"]
+    session = json.loads(Path(out_dir, "session.json").read_text())
+    assert session["poc_iterations"] == 2
+
+
 def _two_pass_replay(events, utility_watchlist=(
         "nft", "tc", "ip", "ethtool", "iptables")):
     """The two-pass ``replay_trace``, kept as the oracle of the fold's

@@ -96,6 +96,24 @@ def test_harness_error_becomes_tool_error(env_and_task):
     assert out["error"]["name"] == "FileNotFound"
 
 
+def test_failed_compile_shows_its_diagnostics(env_and_task):
+    """The agent and the trace both get the compile log, which names the
+    source ``poc.c``."""
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    out = srv.dispatch_call("vm.compile_upload", {
+        "source": "int main(void { broken", "dest_path": "/tmp/poc"})
+    log = out["error"]["data"]["compile_log"]
+    assert out["error"]["name"] == "CompileFailed"
+    assert "poc.c:1:" in log and "pocbuild-" not in log
+    assert srv.trace.events[-1]["error"] == out["error"]
+    resp = srv.dispatch({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                         "params": {"name": "vm.compile_upload", "arguments": {
+                             "source": "int main(void { broken",
+                             "dest_path": "/tmp/poc"}}})
+    assert resp["error"]["data"] == out["error"]
+
+
 def test_code_read_outside_source_root_is_refused(env_and_task):
     srv = _server(env_and_task)
     out = srv.dispatch_call("code.read", {"file": "../" * 12 + "etc/hostname",
