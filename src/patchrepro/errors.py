@@ -94,6 +94,11 @@ class CompileFailed(HarnessError):
             self.data = {"compile_log": compile_log}
 
 
+class HostPathRefused(HarnessError):
+    """A PoC build read a host file outside the build dir and the
+    compiler's system include dirs; it carries no compile log."""
+
+
 class UploadFailed(HarnessError):
     pass
 

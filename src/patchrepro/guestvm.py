@@ -10,7 +10,9 @@ path, the compile flags and the source, and a guest lineage (a started guest
 and the guests ``restart_guest`` makes from it, so one session) keeps its
 successful builds by that key in ``GuestHandle.builds``: a source the session
 has built is uploaded again without a compile.  Nothing else keeps a build,
-so a second session over the same environment compiles again.
+so a second session over the same environment compiles again.  A build that
+read a host file outside the compiler's system include dirs is refused, and
+its log, which would quote the file, is not shown.
 
 A single multiplexed channel carries both command output and kernel log
 lines.  The guest tags each line with its origin where it makes the line:
@@ -18,6 +20,7 @@ lines.  The guest tags each line with its origin where it makes the line:
 """
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -34,6 +37,7 @@ from .errors import (
     CompileFailed,
     DebuggeeHalted,
     GuestUnavailable,
+    HostPathRefused,
     InvalidParams,
     SnapshotFailed,
     UploadFailed,
@@ -374,57 +378,148 @@ def send_signal(handle: GuestHandle, signal: str) -> dict:
     return {"signal": signal, "prompt_regained": regained}
 
 
-def build_poc(source_text: str,
-              builds: Optional[Dict[str, PocBuild]] = None) -> PocBuild:
+def _run_compiler(argv: List[str], work_dir: str,
+                  deadline: float) -> Tuple[int, str]:
+    """Run one compiler command in ``work_dir``, which also holds its
+    temporary files, until ``deadline`` (a ``time.monotonic`` reading);
+    its return code and its log (stderr).
+
+    The compiler reads nothing from stdin, which under serve-tools is the
+    JSON-RPC stream, and runs in a process group of its own, so a timeout
+    ends cc1 and as along with the driver."""
+    with subprocess.Popen(argv, cwd=work_dir,
+                          env=dict(os.environ, TMPDIR=work_dir),
+                          stdin=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            log = proc.communicate(
+                timeout=max(0.0, deadline - time.monotonic()))[1]
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise CompileFailed("compilation timed out after %g s"
+                                % COMPILE_TIMEOUT_S)
+    return proc.returncode, log
+
+
+@functools.lru_cache(maxsize=None)
+def _system_include_dirs(cc: str) -> Tuple[str, ...]:
+    """The real paths of ``cc``'s ``#include <...>`` search list, as
+    ``cc -E -v`` prints it; empty if it prints none.  It is a fact of the
+    compiler, not of a build, so the process keeps it per compiler path."""
+    code, log = _run_compiler(
+        [cc, "-E", "-v", "-x", "c", os.devnull, "-o", os.devnull],
+        tempfile.gettempdir(), time.monotonic() + COMPILE_TIMEOUT_S)
+    search = re.search(r"^#include <\.\.\.> search starts here:\n(.*?)"
+                       r"^End of search list\.", log, re.M | re.S)
+    if code != 0 or search is None:
+        return ()
+    return tuple(os.path.realpath(line.strip())
+                 for line in search[1].splitlines())
+
+
+def _listed_reads(path: str) -> Optional[List[str]]:
+    """The files named in the make rule that ``gcc -MD`` or ``as --MD``
+    wrote at ``path`` (a backslash escapes the next character, and ends a
+    line that goes on), or None if none was written."""
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            rule = fh.read().replace("\\\n", " ")
+    except FileNotFoundError:
+        return None
+    return [re.sub(r"\\(.)", r"\1", name.replace("$$", "$"))
+            for name in re.findall(r"(?:\\.|[^\s\\])+",
+                                   rule.partition(": ")[2])]
+
+
+def _refuse_host_reads(cc: str, build_dir: str, reads: List[str]) -> None:
+    """Raise ``HostPathRefused`` unless each file a build read lies in
+    ``build_dir`` or under one of ``cc``'s system include dirs."""
+    def within(path, dirs):
+        return any(path == d or path.startswith(d.rstrip(os.sep) + os.sep)
+                   for d in dirs)
+
+    build_real = os.path.realpath(build_dir)
+    for name in reads:
+        real = os.path.realpath(os.path.join(build_real, name))
+        if not within(real, (build_real,)) and not within(
+                real, _system_include_dirs(cc)):
+            raise HostPathRefused(
+                "the PoC build reads %s, outside the system include dirs"
+                % name.replace(build_dir + os.sep, ""))
+
+
+def build_poc(source_text: str, builds: Dict[str, PocBuild]) -> PocBuild:
     """Compile C source on the host into a ``PocBuild``.
 
-    The build's key, its ``digest``, is the sha256 of the resolved compiler
-    path, ``COMPILE_FLAGS`` and the source.  With ``builds`` (digest ->
-    ``PocBuild``, a guest lineage's ``GuestHandle.builds``), a build with
-    the same key is reused and a new one is kept; only a successful build
-    is kept, so a failed or timed-out one is built again the next time.
-    A host header that changes in the middle of a session is not in the
-    key, so a reuse does not see it; a dependency list from the compiler
-    (``-MD``) would add it.  The log is capped at
-    ``COMPILE_LOG_MAX_CHARS``, and the temporary build path in it reads
-    ``poc.c``.
+    ``builds`` maps a build's key, its ``digest``, to the build: a guest
+    lineage's ``GuestHandle.builds``, or ``{}`` for a one-off build.  The
+    key is the sha256 of the resolved compiler path, ``COMPILE_FLAGS`` and
+    the source.  A build with the same key is reused, and only a
+    successful build is kept, so a failed or timed-out one is built again
+    the next time.  A host header that changes in the middle of a session
+    is not in the key, so a reuse does not see it.
+
+    The compiler (``-MD``) and the assembler (``--MD``) list every file
+    they read.  A build that read a file outside the build dir and the
+    compiler's system include dirs raises ``HostPathRefused`` with no log,
+    as the log of an ``#include`` or ``.include`` quotes the file.  GNU as
+    lists its reads only when it succeeds, so a failed assembly shows no
+    log either.  A ``__has_include`` probe reads no file content and is
+    not listed.  The log is capped at ``COMPILE_LOG_MAX_CHARS``, and all
+    the compiler runs of a build share one ``COMPILE_TIMEOUT_S``.
     """
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         raise CompileFailed("no host C compiler available")
     digest = hashlib.sha256(
         json.dumps([cc, *COMPILE_FLAGS, source_text]).encode()).hexdigest()
-    if builds is not None and digest in builds:
+    if digest in builds:
         return builds[digest]
+    deadline = time.monotonic() + COMPILE_TIMEOUT_S
     with tempfile.TemporaryDirectory(prefix="pocbuild-") as tmp:
-        src = os.path.join(tmp, "poc.c")
-        binary = os.path.join(tmp, "poc")
-        with open(src, "w", encoding="utf-8") as fh:
+        with open(os.path.join(tmp, "poc.c"), "w", encoding="utf-8") as fh:
             fh.write(source_text)
-        # The compiler reads nothing from stdin, which under serve-tools is
-        # the JSON-RPC stream, and runs in a process group of its own, so a
-        # timeout ends cc1 and as along with the driver.
-        with subprocess.Popen([cc, *COMPILE_FLAGS, "-o", binary, src],
-                              stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True,
-                              start_new_session=True) as proc:
-            try:
-                log = proc.communicate(timeout=COMPILE_TIMEOUT_S)[1]
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                raise CompileFailed("compilation timed out after %g s"
-                                    % COMPILE_TIMEOUT_S)
+
+        def run(*args):
+            return _run_compiler([cc, *COMPILE_FLAGS, *args], tmp, deadline)
+
+        def listed(name):
+            return _listed_reads(os.path.join(tmp, name))
+
+        code, log = run("-MD", "-MF", "poc.c.d", "-Wa,--MD,poc.s.d",
+                        "-o", "poc", "poc.c")
+        as_reads = listed("poc.s.d")
+        if as_reads is None and code != 0:
+            # cc1 or as failed, and as lists nothing when it fails.  Compiled
+            # again to assembly only, a failure is cc1's, and its log is all.
+            code_s, log = run("-S", "-MD", "-MF", "poc.c.d", "-o", "poc.s",
+                              "poc.c")
+            if code_s == 0:
+                raise CompileFailed("assembly failed; the assembler lists no "
+                                    "files it read, so no log is shown")
+            as_reads = []
+        reads = listed("poc.c.d")
+        if reads is None and code != 0:
+            # A fatal preprocessor error (a missing header, say) lists
+            # nothing; -MG lists what the source reads without stopping.
+            run("-M", "-MG", "-MF", "poc.c.d", "poc.c")
+            reads = listed("poc.c.d")
+        if reads is None or as_reads is None:
+            raise CompileFailed("compilation failed; the compiler did not "
+                                "list the files it read, so no log is shown")
+        reads += as_reads
+        _refuse_host_reads(cc, tmp, reads)
         log = log.replace(tmp + os.sep, "")
         if len(log) > COMPILE_LOG_MAX_CHARS:
             log = (log[:COMPILE_LOG_MAX_CHARS]
                    + "\n[log cut at %d characters]\n" % COMPILE_LOG_MAX_CHARS)
-        if proc.returncode != 0:
+        if code != 0:
             raise CompileFailed("compilation failed", compile_log=log)
-        with open(binary, "rb") as fh:
+        with open(os.path.join(tmp, "poc"), "rb") as fh:
             build = PocBuild(digest=digest, binary=fh.read(), compile_log=log)
-    if builds is not None:
-        builds[digest] = build
+    builds[digest] = build
     return build
 
 
@@ -444,8 +539,8 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
     """Build C source (once per guest lineage, see ``build_poc``) and place
     the binary in the guest.
 
-    Every call that gets past the gate, a failed compile or upload included,
-    is one PoC iteration (counted by ``trace.fold``).
+    Every call that gets past the gate, a failed, refused or timed-out
+    build included, is one PoC iteration (counted by ``trace.fold``).
     """
     if "\n" in dest_path:
         raise InvalidParams("a guest path is one line")

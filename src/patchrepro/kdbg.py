@@ -42,13 +42,11 @@ _WRITERS = {word: category for category, words in (
 # the first word, a CLI format (x/4x) and the arguments.
 _COMMAND_RE = re.compile(r'[ \t]*\d*(?:(?i:-interpreter-exec)\s+[\w-]+\s+'
                          r'(".*")\s*|([\w-]+)(?:/\w*)?([^\r\n]*))')
-# MI options that may lead a read's arguments, with how many numeric values
-# each takes; an MI read (first word "-...") is checked after them.
-_MI_OPTIONS = {"--thread": 1, "--frame": 1, "--simple-values": 0,
-               "--all-values": 0, "--no-values": 0, "--skip-unavailable": 0}
-_MI_OPTIONS_RE = re.compile(r"(?:\s+(?:%s)(?!\S))*" % "|".join(
-    re.escape(option) + r"\s+[0-9]+" * arity
-    for option, arity in _MI_OPTIONS.items()))
+# MI options that may lead a read's arguments (--thread N, --frame N and
+# the value and availability switches); an MI read is checked after them.
+_MI_OPTIONS_RE = re.compile(r"(?:\s+(?:--(?:thread|frame)\s+[0-9]+"
+                            r"|--(?:simple|all|no)-values|--skip-unavailable)"
+                            r"(?!\S))*")
 _REGISTER_RE = re.compile(r"\s*(?:var(?:iable)?\s+)?\$")  # set $rip = ...
 # A write in the arguments: an assignment operator (not ==, !=, <=, >=),
 # ++, --, or a call: "(" after a name other than sizeof, or after ")" or "]".

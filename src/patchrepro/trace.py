@@ -16,13 +16,14 @@ import json
 import time
 from typing import Dict, List, NamedTuple, Tuple
 
-from .errors import CompileFailed, MalformedTrace, UploadFailed
+from .errors import CompileFailed, HostPathRefused, MalformedTrace, UploadFailed
 
 EVENT_KINDS = ("tool_call", "tool_result", "console", "model_usage",
                "lifecycle", "mutation")
 DEFAULT_UTILITY_WATCHLIST = ("nft", "tc", "ip", "ethtool", "iptables")
 # Errors of a vm.compile_upload call that still count as a PoC iteration.
-POC_ATTEMPT_ERRORS = (CompileFailed.name, UploadFailed.name)
+POC_ATTEMPT_ERRORS = (CompileFailed.name, HostPathRefused.name,
+                      UploadFailed.name)
 
 
 class Trace:

@@ -22,6 +22,7 @@ WIRE_NAMES = {
     "GuestUnavailable": "GuestUnavailable",
     "DebuggeeHalted": "DebuggeeHalted",
     "CompileFailed": "CompileFailed",
+    "HostPathRefused": "HostPathRefused",
     "UploadFailed": "UploadFailed",
     "StubUnavailable": "StubUnavailable",
     "AlreadyAttached": "AlreadyAttached",

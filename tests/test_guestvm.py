@@ -128,12 +128,20 @@ def _lead_path(monkeypatch, directory):
 
 def _counting_compiler(directory, monkeypatch, body=""):
     """A stand-in ``gcc`` leading PATH that adds a line to ``runs`` each
-    time it runs, then runs ``body``; by default it writes a 4-byte
-    "binary" where ``-o`` says.  Returns a function giving the run count."""
+    time it runs and lists its last argument, the file it reads, where
+    ``-MF`` and ``-Wa,--MD,`` say; then it runs ``body``, which by default
+    writes a 4-byte "binary" where ``-o`` says.  Returns a function giving
+    the run count."""
     directory.mkdir(exist_ok=True)
     runs = directory / "runs"
-    _stand_in_compiler(directory, 'echo run >> "%s"\n' % runs + (
-        body or 'while [ "$1" != -o ]; do shift; done\nprintf stub > "$2"\n'))
+    _stand_in_compiler(directory, (
+        'echo run >> "%s"\n'
+        'for arg; do src=$arg; done\n'
+        'for arg; do\n'
+        '  case $prev in -o) out=$arg;; -MF) echo "out: $src" > "$arg";; esac\n'
+        '  case $arg in -Wa,--MD,*) echo "out: $src" > "${arg#-Wa,--MD,}";; esac\n'
+        '  prev=$arg\n'
+        'done\n' % runs) + (body or 'printf stub > "$out"\n'))
     _lead_path(monkeypatch, directory)
     return lambda: len(runs.read_text().splitlines()) if runs.exists() else 0
 
@@ -153,11 +161,11 @@ def _alive(pid):
 
 
 def test_compile_reads_no_stdin(tmp_path, monkeypatch):
-    _stand_in_compiler(tmp_path, 'readlink /proc/self/fd/0 >&2\nexit 1\n')
-    _lead_path(monkeypatch, tmp_path)
-    with pytest.raises(errors.CompileFailed) as ei:
-        guestvm.compile_and_upload(_boot(), "int main;", "/tmp/poc")
-    assert ei.value.compile_log == "/dev/null\n"
+    stdin = tmp_path / "stdin"
+    _counting_compiler(tmp_path / "cc", monkeypatch, body=(
+        'readlink /proc/self/fd/0 >> "%s"\nprintf stub > "$out"\n' % stdin))
+    guestvm.compile_and_upload(_boot(), "int main;", "/tmp/poc")
+    assert stdin.read_text() == "/dev/null\n"
 
 
 def test_compile_timeout_ends_the_whole_compiler(tmp_path, monkeypatch):
@@ -195,12 +203,12 @@ def test_a_source_is_built_once_per_session(tmp_path, monkeypatch):
     assert "poc" in fresh.mock.state["programs"]
 
 
-def test_build_poc_without_builds_compiles_each_time(tmp_path, monkeypatch):
+def test_a_one_off_build_compiles_each_time(tmp_path, monkeypatch):
     runs = _counting_compiler(tmp_path, monkeypatch)
     builds = {}
     kept = guestvm.build_poc(SOURCE, builds)
     assert builds == {kept.digest: kept}
-    assert guestvm.build_poc(SOURCE) == guestvm.build_poc(SOURCE) == kept
+    assert guestvm.build_poc(SOURCE, {}) == guestvm.build_poc(SOURCE, {}) == kept
     assert runs() == 3
 
 
@@ -217,7 +225,7 @@ def test_a_new_source_or_compiler_is_built_again(tmp_path, monkeypatch):
 
 
 # A stand-in compile that fails, naming the source file it was given.
-FAILS = 'for arg; do src=$arg; done\necho "$src:1:1: error: no" >&2\nexit 1\n'
+FAILS = 'echo "$src:1:1: error: no" >&2\nexit 1\n'
 
 
 @pytest.mark.parametrize("body,timeout_s,message", [
@@ -251,6 +259,49 @@ def test_a_long_compile_log_is_cut(tmp_path, monkeypatch):
     with pytest.raises(errors.CompileFailed) as ei:
         guestvm.compile_and_upload(_boot(), SOURCE, "/tmp/poc")
     assert ei.value.compile_log == "0" * 100 + "\n[log cut at 100 characters]\n"
+
+
+MARKER = "host_file_marker_7c1e"
+
+
+NOT_C = "%s is not C\n" % MARKER
+WARNS = "#warning %s\nint %s;\n" % (MARKER, MARKER)
+REFUSED = (errors.HostPathRefused, "outside the system include dirs")
+
+
+@pytest.mark.parametrize("host_text,reads,refusal", [
+    (NOT_C, '#include "%s"\n', REFUSED),
+    (WARNS, '#include "%s"\n', REFUSED),
+    (NOT_C, 'asm(".incbin \\"%s\\"");\n', REFUSED),
+    (NOT_C, 'asm(".include \\"%s\\"");\n',
+     (errors.CompileFailed, "assembly failed"))],
+    ids=["include_fails", "include_builds", "incbin_builds",
+         "asm_include_fails"])
+def test_a_build_that_reads_a_host_file_shows_none_of_it(tmp_path, host_text,
+                                                         reads, refusal):
+    """The file's text would be in the log; the build is refused, or fails
+    with no log, and nothing is uploaded or kept."""
+    host = tmp_path / "host.h"
+    host.write_text(host_text)
+    h = _boot()
+    with pytest.raises(refusal[0], match=refusal[1]) as ei:
+        guestvm.compile_and_upload(h, reads % host + SOURCE, "/tmp/poc")
+    assert MARKER not in str(ei.value) and ei.value.data is None
+    assert h.builds == {} and _uploads(h) == []
+
+
+@pytest.mark.parametrize("source,diagnostic", [
+    ("#include <no_such_header_9f2.h>\n" + SOURCE,
+     "poc.c:1:10: fatal error: no_such_header_9f2.h"),
+    ("int main(void { broken", "poc.c:1:15: error:"),
+    ("void f(void);\nint main(void) { f(); return 0; }\n",
+     "undefined reference to `f'")],
+    ids=["preprocessor", "compiler", "linker"])
+def test_a_failed_build_shows_its_diagnostics(source, diagnostic):
+    with pytest.raises(errors.CompileFailed) as ei:
+        guestvm.compile_and_upload(_boot(), source, "/tmp/poc")
+    assert diagnostic in ei.value.data["compile_log"]
+    assert "pocbuild-" not in ei.value.data["compile_log"]
 
 
 def test_a_built_source_still_waits_for_the_gate(tmp_path, monkeypatch):

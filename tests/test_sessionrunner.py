@@ -366,7 +366,8 @@ def _two_pass_replay(events, utility_watchlist=(
             error = result_errors.get(event["seq"])
             if name == "vm.compile_upload" and (
                     error is None
-                    or error["name"] in ("CompileFailed", "UploadFailed")):
+                    or error["name"] in ("CompileFailed", "HostPathRefused",
+                                         "UploadFailed")):
                 poc_iterations += 1
             if name == "dbg.breakpoint" and args.get("action") == "set" \
                     and error is None:
@@ -395,7 +396,7 @@ def _two_pass_replay(events, utility_watchlist=(
 
 _ERROR = {name: {"name": name, "message": ""}
           for name in ("UnknownBreakpoint", "CompileFailed", "UploadFailed",
-                       "GuestUnavailable")}
+                       "HostPathRefused", "GuestUnavailable")}
 _COMMANDS = st.one_of(
     st.sampled_from(["nft list ruleset", "ip a", "cat /proc/x /sys/y", "",
                      "  tc qdisc"]),

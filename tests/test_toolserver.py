@@ -114,6 +114,22 @@ def test_failed_compile_shows_its_diagnostics(env_and_task):
     assert resp["error"]["data"] == out["error"]
 
 
+def test_a_compile_that_reads_a_host_file_shows_none_of_it(env_and_task,
+                                                          tmp_path):
+    """The log of an ``#include`` of a host file would quote the file; the
+    tool error and the trace hold no word of it."""
+    host = tmp_path / "answer.txt"
+    host.write_text("host_file_marker_58aa is not C\n")
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    out = srv.dispatch_call("vm.compile_upload", {
+        "source": '#include "%s"\nint main(void) { return 0; }\n' % host,
+        "dest_path": "/tmp/poc"})
+    assert out["error"]["name"] == "HostPathRefused"
+    assert "data" not in out["error"]
+    assert "host_file_marker_58aa" not in json.dumps(srv.trace.events)
+
+
 def test_code_read_outside_source_root_is_refused(env_and_task):
     srv = _server(env_and_task)
     out = srv.dispatch_call("code.read", {"file": "../" * 12 + "etc/hostname",
