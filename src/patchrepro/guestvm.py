@@ -48,8 +48,10 @@ DEFAULT_EXEC_TIMEOUT_S = 30.0
 COMPILE_TIMEOUT_S = 60.0
 # The most of a compiler's log a build keeps, in characters.
 COMPILE_LOG_MAX_CHARS = 8192
-# Passed before ``-o``; they are part of a build's key.
-COMPILE_FLAGS = ("-O1",)
+# Passed before ``-o``; they are part of a build's key.  To draw a caret
+# under a diagnostic, gcc reads the source line from the file a ``#line``
+# directive names, which no dependency list shows, so no caret is drawn.
+COMPILE_FLAGS = ("-O1", "-fno-diagnostics-show-caret")
 
 # In scenario-authored text (boot banner, rule responses), a line that starts
 # with a printk timestamp is the kernel's.  No text taken from a tool

@@ -290,6 +290,22 @@ def test_a_build_that_reads_a_host_file_shows_none_of_it(tmp_path, host_text,
     assert h.builds == {} and _uploads(h) == []
 
 
+@pytest.mark.parametrize("directive", ['#line 1 "%s"\n', '# 1 "%s"\n'],
+                         ids=["line", "linemarker"])
+def test_a_line_directive_naming_a_host_file_shows_none_of_it(tmp_path,
+                                                             directive):
+    """The file is named, not read, so no dependency list holds it; the
+    diagnostic names it, but quotes none of its text."""
+    host = tmp_path / "host.h"
+    host.write_text(NOT_C)
+    with pytest.raises(errors.CompileFailed) as ei:
+        guestvm.compile_and_upload(
+            _boot(), directive % host + "int main(void) { return x; }\n",
+            "/tmp/poc")
+    assert "host.h:1:25: error:" in ei.value.data["compile_log"]
+    assert MARKER not in ei.value.data["compile_log"]
+
+
 @pytest.mark.parametrize("source,diagnostic", [
     ("#include <no_such_header_9f2.h>\n" + SOURCE,
      "poc.c:1:10: fatal error: no_such_header_9f2.h"),
