@@ -12,7 +12,8 @@ successful builds by that key in ``GuestHandle.builds``: a source the session
 has built is uploaded again without a compile.  Nothing else keeps a build,
 so a second session over the same environment compiles again.  A build that
 read a host file outside the compiler's system include dirs is refused, and
-its log, which would quote the file, is not shown.
+its log, which would quote the file, is not shown; no diagnostic quotes a
+source line.
 
 A single multiplexed channel carries both command output and kernel log
 lines.  The guest tags each line with its origin where it makes the line:
