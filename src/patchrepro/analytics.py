@@ -9,6 +9,7 @@ aggregation.  Descriptive summaries use nearest-rank percentiles.
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -250,16 +251,52 @@ def expected_overall_time(success_durations: Sequence[float], n_fail: int,
 
 # --- corpus ingestion -------------------------------------------------------
 
-def _run_measures(case_dir) -> dict:
+# What ``_read_json`` returns when there is no file; a file may hold null.
+_MISSING = object()
+
+
+def _read_json(path):
+    """The JSON value in the regular file at ``path``, or ``_MISSING`` when
+    ``os.path.isfile`` would say there is none: one open, one fstat and
+    reads to EOF.  A directory, FIFO or device under that name is not read,
+    and O_NONBLOCK keeps the open of a FIFO from waiting for a writer.  The
+    text is what a text-mode read gives: strict UTF-8, so a BOM or a UTF-16
+    file is refused, and newlines translated, so a JSON error names the
+    same position."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        return _MISSING
+    except OSError:
+        # A socket, a symlink loop, an unsearchable dir: skipped if isfile
+        # says there is no file, the error raised if there is one.
+        if not os.path.isfile(path):
+            return _MISSING
+        raise
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return _MISSING
+        chunks = []
+        while True:
+            chunk = os.read(fd, st.st_size + 1)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
+
+
+def _run_measures(case_dir, session) -> dict:
     """The trace measures of one run dir.  A session writes them into
     session.json; a dir written before sessions did has them replayed from
     its trace.jsonl."""
-    session_path = os.path.join(case_dir, sessionrunner.ARTIFACT_SESSION)
-    if os.path.isfile(session_path):
-        with open(session_path, "r", encoding="utf-8") as fh:
-            session = json.load(fh)
-        if "tool_counts" in session:
-            return session
+    if session is not _MISSING and "tool_counts" in session:
+        return session
     trace_path = os.path.join(case_dir, sessionrunner.ARTIFACT_TRACE)
     if not os.path.isfile(trace_path):
         return {}
@@ -268,24 +305,26 @@ def _run_measures(case_dir) -> dict:
 
 def load_run_records(runs_dirs: Sequence[str],
                      metadata: Optional[dict] = None) -> List[RunRecord]:
-    """Ingest directories of per-case artifact sets (verdict.json, and the
-    trace measures of ``_run_measures``); a dir without a verdict is
-    skipped."""
+    """Ingest directories of per-case artifact sets (verdict.json, the
+    profile from session.json, and the trace measures of
+    ``_run_measures``); a dir without a verdict is skipped."""
     records = []
     for runs_dir in runs_dirs:
         for name in sorted(os.listdir(runs_dir)):
             case_dir = os.path.join(runs_dir, name)
-            verdict_path = os.path.join(case_dir,
-                                        sessionrunner.ARTIFACT_VERDICT)
-            if not os.path.isfile(verdict_path):
+            v = _read_json(os.path.join(case_dir,
+                                        sessionrunner.ARTIFACT_VERDICT))
+            if v is _MISSING:
                 continue
-            with open(verdict_path, "r", encoding="utf-8") as fh:
-                v = json.load(fh)
-            measures = _run_measures(case_dir)
+            session = _read_json(os.path.join(case_dir,
+                                              sessionrunner.ARTIFACT_SESSION))
+            measures = _run_measures(case_dir, session)
             meta = (metadata or {}).get(v["case_id"], {})
             records.append(RunRecord(
                 case_id=v["case_id"],
                 success=v["success"],
+                profile=(session.get("profile", "baseline")
+                         if isinstance(session, dict) else "baseline"),
                 elapsed_min=float(v.get("elapsed_min", 0.0)),
                 cost=float(v.get("cost_usd", 0.0)),
                 tool_counts=measures.get("tool_counts", {}),

@@ -276,7 +276,14 @@ class ScriptedMiStub:
                 return ["^error,msg=%s" % quote("Cannot access memory at "
                                                 "address %s" % addr),
                         mi.TERMINATOR]
-            contents = data[: 2 * int(length)]
+            try:
+                count = int(length)
+            except ValueError:
+                count = -1
+            if count < 0:
+                return ["^error,msg=%s" % quote("Invalid length: %s" % length),
+                        mi.TERMINATOR]
+            contents = data[: 2 * count]
             return ['^done,memory=[{begin=%s,offset="0x0",end=%s,'
                     'contents=%s}]' % (quote(addr), quote(addr), quote(contents)),
                     mi.TERMINATOR]

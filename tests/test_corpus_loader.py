@@ -2,8 +2,10 @@
 trace, over a corpus that mixes run dirs written with and without the trace
 measures in session.json."""
 
+import codecs
 import json
 import os
+import signal
 
 import pytest
 
@@ -11,10 +13,12 @@ from patchrepro import analytics, sessionrunner
 from patchrepro.analytics import RunRecord
 from patchrepro.errors import MalformedTrace
 from patchrepro.sessionrunner import replay_trace
+from tests.test_cli import _run_cli
 
 
 def _serial_load(runs_dirs, metadata=None):
-    """The reader that replays each trace.jsonl, kept as the oracle."""
+    """The reader that replays each trace.jsonl and takes the profile from
+    session.json, kept as the oracle."""
     records = []
     for runs_dir in runs_dirs:
         for name in sorted(os.listdir(runs_dir)):
@@ -24,13 +28,20 @@ def _serial_load(runs_dirs, metadata=None):
                 continue
             with open(verdict_path, "r", encoding="utf-8") as fh:
                 v = json.load(fh)
+            profile = "baseline"
+            session_path = os.path.join(case_dir, "session.json")
+            if os.path.isfile(session_path):
+                with open(session_path, "r", encoding="utf-8") as fh:
+                    session = json.load(fh)
+                if isinstance(session, dict):
+                    profile = session.get("profile", profile)
             measures = {}
             trace_path = os.path.join(case_dir, "trace.jsonl")
             if os.path.isfile(trace_path):
                 measures = replay_trace(trace_path)
             meta = (metadata or {}).get(v["case_id"], {})
             records.append(RunRecord(
-                case_id=v["case_id"], success=v["success"],
+                case_id=v["case_id"], success=v["success"], profile=profile,
                 elapsed_min=float(v.get("elapsed_min", 0.0)),
                 cost=float(v.get("cost_usd", 0.0)),
                 tool_counts=measures.get("tool_counts", {}),
@@ -181,3 +192,113 @@ def test_corrupt_verdict_raises_the_serial_error(corpus, tmp_path,
     expected = _error_of(_serial_load, runs_dirs)
     assert expected[0] is error
     assert _error_of(analytics.load_run_records, runs_dirs) == expected
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that blocks, instead of hanging the run."""
+    def expire(signum, frame):
+        pytest.fail("the loader blocked")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _replace(path, make):
+    os.unlink(path)
+    make(path)
+
+
+def _symlink_loop(path):
+    os.symlink(os.path.basename(path), path)
+
+
+@pytest.mark.parametrize("make", [
+    os.mkfifo,
+    lambda path: os.symlink(os.devnull, path),
+    os.mkdir,
+    _symlink_loop,
+], ids=["fifo", "devnull_symlink", "directory", "symlink_loop"])
+def test_a_verdict_that_is_not_a_regular_file_is_skipped(corpus, tmp_path,
+                                                         alarm, make):
+    """A FIFO (no writer, so a blocking open or read would wait), a device
+    and a directory named verdict.json are skipped unread, as the oracle's
+    ``isfile`` skips them, and so is a name that cannot be resolved."""
+    runs_dirs, metadata = corpus
+    _replace(str(tmp_path / "attempt-0" / "case-004" / "verdict.json"), make)
+    records = analytics.load_run_records(runs_dirs, metadata=metadata)
+    assert records == _serial_load(runs_dirs, metadata)
+    assert len(records) == sum(COUNTS) - 1
+
+
+def test_a_session_fifo_falls_back_to_the_trace(corpus, tmp_path, alarm,
+                                                monkeypatch):
+    """case-003's session.json holds the measures; as a FIFO it is not read
+    and the trace is replayed."""
+    runs_dirs, metadata = corpus
+    case_dir = tmp_path / "attempt-0" / "case-003"
+    _replace(str(case_dir / "session.json"), os.mkfifo)
+    replayed = []
+
+    def recording_replay(path):
+        replayed.append(path)
+        return replay_trace(path)
+
+    monkeypatch.setattr(sessionrunner, "replay_trace", recording_replay)
+    records = analytics.load_run_records(runs_dirs, metadata=metadata)
+    monkeypatch.undo()
+    assert records == _serial_load(runs_dirs, metadata)
+    assert str(case_dir / "trace.jsonl") in replayed
+
+
+def test_a_stray_file_in_a_runs_dir_is_skipped(corpus, tmp_path):
+    runs_dirs, metadata = corpus
+    (tmp_path / "attempt-1" / "README.txt").write_text("not a run dir\n")
+    records = analytics.load_run_records(runs_dirs, metadata=metadata)
+    assert records == _serial_load(runs_dirs, metadata)
+    assert len(records) == sum(COUNTS)
+
+
+_VERDICT = '{"case_id": "case-030", "success": true}'
+
+
+@pytest.mark.parametrize("name, content, error", [
+    ("verdict.json", codecs.BOM_UTF8 + _VERDICT.encode(), json.JSONDecodeError),
+    ("verdict.json", _VERDICT.encode("utf-16"), UnicodeDecodeError),
+    ("session.json", codecs.BOM_UTF8 + b"{}", json.JSONDecodeError),
+    ("session.json", "{}".encode("utf-16"), UnicodeDecodeError),
+    # A text-mode read turns CRLF into one newline before the decoder
+    # counts the position.
+    ("verdict.json", b'{\r\n"case_id":\r\n\r\n}', json.JSONDecodeError),
+    ("verdict.json", b"\r\rnull", TypeError),
+], ids=["verdict_bom", "verdict_utf16", "session_bom", "session_utf16",
+        "crlf_position", "null"])
+def test_an_undecodable_file_raises_the_serial_error(corpus, tmp_path, name,
+                                                     content, error):
+    runs_dirs, _ = corpus
+    (tmp_path / "attempt-1" / "case-030" / name).write_bytes(content)
+    expected = _error_of(_serial_load, runs_dirs)
+    assert expected[0] is error
+    assert _error_of(analytics.load_run_records, runs_dirs) == expected
+
+
+def test_the_profile_comes_from_session_json(kernel_repo, tmp_path):
+    """A no_gdb session's record says so, as does an old session.json
+    without the trace measures; with no session.json it is baseline."""
+    for i, profile in enumerate(("no_gdb", "baseline", "no_gdb")):
+        code, out = _run_cli(kernel_repo, tmp_path, profile=profile,
+                             subdir=os.path.join("runs", "case-%d" % i))
+        assert code == 0
+    old = tmp_path / "runs" / "case-2" / "session.json"
+    session = json.loads(old.read_text())
+    old.write_text(json.dumps({"case_id": session["case_id"],
+                               "profile": session["profile"]}))
+    os.unlink(tmp_path / "runs" / "case-1" / "session.json")
+    runs_dirs = [str(tmp_path / "runs")]
+    records = analytics.load_run_records(runs_dirs)
+    assert records == _serial_load(runs_dirs)
+    assert [r.profile for r in records] == ["no_gdb", "baseline", "no_gdb"]
+    assert records[2].tool_counts == session["tool_counts"]

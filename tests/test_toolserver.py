@@ -261,6 +261,20 @@ def test_hostile_mi_reply_is_a_malformed_record_error(env_and_task, reply):
     assert results[0]["error"]["name"] == "MalformedRecord"
 
 
+@pytest.mark.parametrize("length", ["x", "-1"])
+def test_a_bad_memory_length_is_the_stubs_mi_error(env_and_task, length):
+    """A length that is not a count gets the stub's ``^error`` reply: no
+    Python exception text reaches the tool result or the trace."""
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    srv.handle.debug_stub = kdbg.ScriptedMiStub(memory={"0x1": "41424344"})
+    out = srv.dispatch_call("dbg.raw", {
+        "command": "-data-read-memory-bytes 0x1 %s" % length})
+    assert out == {"result": {"records": [
+        {"kind": "error", "payload": {"msg": "Invalid length: " + length}}]}}
+    assert "int()" not in json.dumps(srv.trace.events)
+
+
 def test_register_dump_matches_the_oracle_payload_and_digest(env_and_task):
     """A 64-register reply reaches the caller and the trace as the
     reference parser reads it, escapes in the last value decoded too."""
