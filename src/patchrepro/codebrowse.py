@@ -16,7 +16,13 @@ name made only of ASCII word characters reads just the files that the
 index's word postings name; any other name scans the whole store.
 
 The index is held as columns, one row per definition; a ``SymbolEntry`` is
-made only for a row that a query returns.
+made only for a row that a query returns.  Loading a saved index
+(``patchrepro-code-index/4``) parses its header, splits the file names,
+reads the definition names as one blob that ``_Names`` decodes a name of
+when it is read, and reads each column into an array; nothing is done per
+name or per posting.  A query checks the numbers it reads from the
+postings, and a saved index that fails that check, or whose store is cut
+short, raises ``CorruptIndex``.
 """
 
 import os
@@ -27,8 +33,9 @@ import weakref
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBeyondEof
@@ -37,25 +44,28 @@ DEFAULT_MAX_LINES = 400
 DEFAULT_QUERY_LIMIT = 200
 
 # First field of a saved index's header line.  A file in an older format
-# (definition records as text lines, or no word postings) is refused.
-_INDEX_FORMAT = "patchrepro-code-index/3"
+# (definition records as text lines, no word postings, or the file and
+# definition names as one string) is refused.
+_INDEX_FORMAT = "patchrepro-code-index/4"
 
 # The array columns of a ``CodeIndex`` with their type codes, in the order a
-# saved index holds them after its strings.
+# saved index holds them after its two strings and the definition names'
+# offsets (``_Names.offsets``, "i").
 _COLUMNS = (("kinds", "b"), ("lines", "i"), ("file_rows", "i"),
-            ("by_name", "i"), ("by_path", "i"), ("offsets", "q"),
+            ("name_keys", "Q"), ("by_path", "i"), ("offsets", "q"),
             ("words", "Q"))
 
 # A word is a maximal run of ASCII word characters in a file's bytes: what
 # split() returns once every other byte is made a space.  A reference query
 # for a name that is one word looks it up in the postings, which key a word
 # by this 32-bit hash; two words that share one only add candidate files.
+# A definition lookup keys a name's UTF-8 bytes by the same hash.
 _ASCII_WORD = re.compile(r"[A-Za-z0-9_]+")
 _WORDS_ONLY = bytes(b if _ASCII_WORD.fullmatch(chr(b)) else 0x20
                     for b in range(256))
 _word_hash = zlib.crc32
-# The file number's half of a postings entry.
-_FILE_BITS = 0xFFFFFFFF
+# The low half of a postings entry: a file number, or a row number.
+_LOW_BITS = 0xFFFFFFFF
 
 # A reference scan reads the store in chunks of whole files, each about this
 # many bytes; a larger file is a chunk of its own.
@@ -101,6 +111,55 @@ KINDS = ("function", "struct", "union", "enum", "macro", "typedef", "global")
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 
+class CorruptIndex(ValueError):
+    """A loaded index whose postings name a file past its last, or whose
+    store ends early: the saved file is spoiled, and a fresh build of the
+    tree answers in its place."""
+
+
+class _Names(Sequence):
+    """Definition names as a read-only sequence over one UTF-8 ``blob``,
+    each name followed by a NUL: name ``r`` is bytes
+    ``offsets[r]:offsets[r + 1] - 1``, decoded each time it is read.  A
+    load makes no string per name."""
+
+    __slots__ = ("blob", "offsets")
+
+    def __init__(self, blob: bytes, offsets: array):
+        self.blob, self.offsets = blob, offsets
+
+    @classmethod
+    def pack(cls, names: List[str]) -> "_Names":
+        """The names ``names``, in that order, as one blob.  No object per
+        name is kept while the blob is made."""
+        blob = ("\0".join(names) + "\0").encode(
+            "utf-8", "surrogatepass") if names else b""
+        offsets = array("i", [0])
+        offsets.extend(accumulate(
+            len(name.encode("utf-8", "surrogatepass")) + 1 for name in names))
+        return cls(blob, offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, r):
+        offsets = self.offsets
+        if type(r) is not int:  # a slice, decoded in one piece
+            start, stop, step = r.indices(len(offsets) - 1)
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            if start >= stop:
+                return []
+            return self.blob[offsets[start]:offsets[stop] - 1].decode(
+                "utf-8", "surrogatepass").split("\0")
+        if r < 0:
+            r += len(offsets) - 1
+            if r < 0:
+                raise IndexError("name index out of range")
+        return self.blob[offsets[r]:offsets[r + 1] - 1].decode(
+            "utf-8", "surrogatepass")
+
+
 class SymbolEntry(NamedTuple):
     name: str
     kind: str  # one of KINDS
@@ -127,21 +186,23 @@ class CodeIndex:
     on line ``lines[r]``.  Rows are in build order: file by file, in line
     order within a file.  File ``i`` defines rows
     ``file_rows[i]:file_rows[i + 1]`` and is bytes
-    ``offsets[i]:offsets[i + 1]`` of the store.  ``by_name`` holds every
-    row, sorted by name and then by row, and ``by_path`` every file number,
-    sorted by file name.  ``words`` is the postings: ``hash << 32 | i``
-    once for each hash of a word (``_WORDS_ONLY``) of file ``i``, sorted.  The store
-    is closed when the index is freed."""
+    ``offsets[i]:offsets[i + 1]`` of the store.  ``name_keys`` holds
+    ``hash << 32 | r`` for every row ``r``, the hash being that of its
+    name's UTF-8 bytes, sorted, and ``by_path`` every file number, sorted
+    by file name.  ``words`` is the postings: ``hash << 32 | i`` once for
+    each hash of a word (``_WORDS_ONLY``) of file ``i``, sorted.  The store
+    is closed when the index is freed.  ``names`` is a list only while a
+    build appends rows, and a ``_Names`` once it is done."""
     root: str
     store: BinaryIO
     store_start: int = 0
     files: List[str] = field(default_factory=list)  # indexed, in walk order
     offsets: array = field(default_factory=lambda: array("q", [0]))
     file_rows: array = field(default_factory=lambda: array("i", [0]))
-    names: List[str] = field(default_factory=list)
+    names: Sequence[str] = field(default_factory=list)
     kinds: array = field(default_factory=lambda: array("b"))
     lines: array = field(default_factory=lambda: array("i"))
-    by_name: array = field(default_factory=lambda: array("i"))
+    name_keys: array = field(default_factory=lambda: array("Q"))
     by_path: array = field(default_factory=lambda: array("i"))
     words: array = field(default_factory=lambda: array("Q"))
     _close: weakref.finalize = field(init=False, repr=False, compare=False)
@@ -166,24 +227,39 @@ class CodeIndex:
             self.names[rows], map(KINDS.__getitem__, self.kinds[rows]),
             repeat(self.files[i]), self.lines[rows])))
 
-    def definition_rows(self, name: str) -> array:
-        """The rows that define ``name``, in build order."""
-        by_name, names = self.by_name, self.names
-        # Most names have one definition, so the run's end is found by
-        # stepping on from its start rather than by a second search.
-        start = end = bisect_left(by_name, name, key=names.__getitem__)
-        while end < len(by_name) and names[by_name[end]] == name:
-            end += 1
-        return by_name[start:end]
+    def definition_rows(self, name: str) -> List[int]:
+        """The rows that define ``name``, in build order.  Raises
+        ``CorruptIndex`` when ``name_keys`` names a row past the last."""
+        keys, names, count = self.name_keys, self.names, len(self.kinds)
+        key = _name_hash(name)
+        # A name's rows are among the few its hash keys, and most names
+        # have one, so the run's end is found by stepping on from its start
+        # rather than by a second search.  Only those names are decoded.
+        rows = []
+        at = bisect_left(keys, key << 32)
+        while at < len(keys) and keys[at] >> 32 == key:
+            row = keys[at] & _LOW_BITS
+            if row >= count:
+                raise CorruptIndex("a name key names row %d, past the last "
+                                   "of %d" % (row, count))
+            if names[row] == name:
+                rows.append(row)
+            at += 1
+        return rows
 
     def word_files(self, word: str) -> List[int]:
         """The numbers of the files that hold the ASCII word ``word``, in
-        order, and perhaps a few more whose words share its hash."""
+        order, and perhaps a few more whose words share its hash.  Raises
+        ``CorruptIndex`` when the postings name a file past the last."""
         words = self.words
         key = _word_hash(word.encode("ascii")) << 32
         start = bisect_left(words, key)
-        end = bisect_left(words, key + _FILE_BITS + 1, start)
-        return [entry & _FILE_BITS for entry in words[start:end]]
+        end = bisect_left(words, key + _LOW_BITS + 1, start)
+        numbers = [entry & _LOW_BITS for entry in words[start:end]]
+        if numbers and max(numbers) >= len(self.files):
+            raise CorruptIndex("the postings name file %d, past the last of "
+                               "%d" % (max(numbers), len(self.files)))
+        return numbers
 
     def file_number(self, rel: str) -> Optional[int]:
         """The number of the indexed file ``rel``, or None."""
@@ -223,6 +299,12 @@ class CodeIndex:
         self.names.append(hit[0])
         self.kinds.append(_KIND_CODES[hit[1]])
         self.lines.append(line)
+
+
+def _name_hash(name: str) -> int:
+    """The key of a definition name in ``name_keys``; a lone surrogate,
+    which no indexed name holds, hashes as any other character."""
+    return _word_hash(name.encode("utf-8", "surrogatepass"))
 
 
 def _decode(raw: bytes) -> str:
@@ -397,11 +479,13 @@ def build_index(source_root: str) -> CodeIndex:
             _index_file(index, raw, _decode(raw))
             file_rows.append(len(names))
     store.flush()
-    index.by_name = array("i", sorted(range(len(names)),
-                                      key=names.__getitem__))
+    index.names = _Names.pack(names)
+    index.name_keys = array("Q", (_name_hash(name) << 32 | row
+                                  for row, name in enumerate(names)))
     index.by_path = array("i", sorted(range(len(files)),
                                       key=files.__getitem__))
-    numpy.frombuffer(words, dtype=numpy.uint64).sort()  # in place
+    for postings in (words, index.name_keys):
+        numpy.frombuffer(postings, dtype=numpy.uint64).sort()  # in place
     return index
 
 
@@ -471,14 +555,14 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
 
 def _read_files(index: CodeIndex, numbers: List[int]):
     """(number, bytes) of each of the files ``numbers``, in that order, read
-    from the store by position.  Raises ValueError when the store ends
-    early."""
+    from the store by position.  Raises ``CorruptIndex`` when the store
+    ends early."""
     fd, start, offsets = index.store.fileno(), index.store_start, index.offsets
     for i in numbers:
         size = offsets[i + 1] - offsets[i]
         raw = os.pread(fd, size, start + offsets[i])
         if len(raw) != size:
-            raise ValueError("the store of %s is truncated" % index.root)
+            raise CorruptIndex("the store of %s is truncated" % index.root)
         yield i, raw
 
 
@@ -522,23 +606,25 @@ def _word_lines(text: str, word: "re.Pattern[str]"):
 
 def _store_chunks(index: CodeIndex):
     """(store offset, size, buffer) of each chunk of whole files, in order,
-    read from the index's open store file.  A chunk is the first ``size`` bytes
-    of ``buffer``, which later chunks overwrite: reusing one buffer saves
-    the page faults of a fresh one per chunk.  Raises ValueError when the
-    store ends early."""
+    read from the index's open store file by position, as ``_read_files``
+    reads, so no bytes that a file object buffered before the store was cut
+    are read.  A chunk is the first ``size`` bytes of ``buffer``, which
+    later chunks overwrite: reusing one buffer saves the page faults of a
+    fresh one per chunk.  Raises ``CorruptIndex`` when the store ends
+    early."""
     offsets, last = index.offsets, len(index.files)
     # No bigger than a small store: a zero-filled buffer is resident memory.
     buffer = bytearray(min(_SCAN_CHUNK, offsets[-1]))
-    store = index.store
-    store.seek(index.store_start)
+    fd, start = index.store.fileno(), index.store_start
     i = 0
     while i < last:
         j = max(bisect_right(offsets, offsets[i] + _SCAN_CHUNK) - 1, i + 1)
         size = offsets[j] - offsets[i]
         if size > len(buffer):
             buffer = bytearray(size)
-        if store.readinto(memoryview(buffer)[:size]) != size:
-            raise ValueError("the store of %s is truncated" % index.root)
+        if os.preadv(fd, [memoryview(buffer)[:size]],
+                     start + offsets[i]) != size:
+            raise CorruptIndex("the store of %s is truncated" % index.root)
         yield offsets[i], size, buffer
         i = j
 
@@ -563,27 +649,31 @@ def read_range(source_root: str, file: str, start: int, end: int,
 
 
 def save_index(index: CodeIndex, path: str, digest: str = ""):
-    """Persist: a header line, the strings, the array columns, then the
-    store's bytes.
+    """Persist: a header line, the file names, the definition names, the
+    array columns, then the store's bytes.
 
     The header's tab-separated fields are the format, ``digest``, the byte
-    order, the strings' length, then for each of ``_COLUMNS`` its type code,
-    item size and length (``i4:1024``); lengths are in bytes.  The strings
-    are the file names, then the definition names, UTF-8, separated by NUL,
-    which no file name can hold.  The file is written beside ``path`` and
-    renamed over it only once complete; from then on the index reads its
-    store from there."""
-    strings = "\0".join(index.files + index.names).encode(
-        "utf-8", "surrogateescape")
-    columns = [getattr(index, name) for name, _typecode in _COLUMNS]
-    head = [_INDEX_FORMAT, digest, sys.byteorder, str(len(strings))] + [
+    order, the lengths of the two name strings, then for the names'
+    offsets and each of ``_COLUMNS`` its type code, item size and length
+    (``i4:1024``); lengths are in bytes.  The file names are UTF-8,
+    separated by NUL, which no file name can hold; the definition names
+    are a ``_Names`` blob.  The file is written beside ``path`` and renamed
+    over it only once complete; from then on the index reads its store from
+    there."""
+    files = "\0".join(index.files).encode("utf-8", "surrogateescape")
+    names = index.names
+    columns = [names.offsets] + [getattr(index, name)
+                                 for name, _typecode in _COLUMNS]
+    head = [_INDEX_FORMAT, digest, sys.byteorder, str(len(files)),
+            str(len(names.blob))] + [
         "%s%d:%d" % (c.typecode, c.itemsize, len(c) * c.itemsize)
         for c in columns]
     fd, tmp = tempfile.mkstemp(prefix=".index-", dir=os.path.dirname(path) or ".")
     fh = open(fd, "w+b")
     try:
         fh.write(("\t".join(head) + "\n").encode("utf-8"))
-        fh.write(strings)
+        fh.write(files)
+        fh.write(names.blob)
         for column in columns:
             column.tofile(fh)
         start = fh.tell()
@@ -600,18 +690,20 @@ def save_index(index: CodeIndex, path: str, digest: str = ""):
 
 def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
     """An index saved by ``save_index`` under ``digest``, reading its store
-    from ``path``; the store is not read here.  Raises ValueError for
-    another format, digest or byte order, or a truncated file."""
+    from ``path``; the store is not read here, and neither the postings nor
+    the definition names are walked.  Raises ValueError for another
+    format, digest or byte order, or a truncated file."""
     fh = open(path, "rb")
     try:
         head = fh.readline().decode("utf-8").rstrip("\n").split("\t")
         if (head[:3] != [_INDEX_FORMAT, digest, sys.byteorder]
-                or len(head) != 4 + len(_COLUMNS)):
+                or len(head) != 6 + len(_COLUMNS)):
             raise ValueError("%s is not a code index for digest %r and byte "
                              "order %s" % (path, digest, sys.byteorder))
-        columns = [array(typecode) for _name, typecode in _COLUMNS]
-        sizes = [int(head[3])]
-        for column, spec in zip(columns, head[4:]):
+        columns = [array("i")] + [array(typecode)
+                                  for _name, typecode in _COLUMNS]
+        sizes = [int(head[3]), int(head[4])]
+        for column, spec in zip(columns, head[5:]):
             kind, _, nbytes = spec.partition(":")
             if kind != "%s%d" % (column.typecode, column.itemsize):
                 raise ValueError("%s has %s items, not %s%d"
@@ -621,49 +713,48 @@ def load_index(root: str, path: str, digest: str = "") -> CodeIndex:
         size = os.fstat(fh.fileno()).st_size
         if min(sizes) < 0 or fh.tell() + sum(sizes) > size:
             raise ValueError("%s is truncated" % path)
-        body = memoryview(fh.read(sum(sizes)))
-        at = sizes[0]
-        text = str(body[:at], "utf-8", "surrogateescape")
-        strings = text.split("\0") if text else []
-        for column, nbytes in zip(columns, sizes[1:]):
-            column.frombytes(body[at:at + nbytes])
-            at += nbytes
-        kinds, lines, file_rows, by_name, by_path, offsets, words = columns
-        n_files = len(offsets) - 1
-        if not (n_files >= 0 and len(file_rows) == len(by_path) + 1
-                == n_files + 1
-                and len(strings) - n_files == file_rows[-1] == len(kinds)
-                == len(lines) == len(by_name)
+        text = fh.read(sizes[0]).decode("utf-8", "surrogateescape")
+        files = text.split("\0") if text else []
+        blob = fh.read(sizes[1])
+        # Each column is read straight into an array of its length.  Bytes
+        # read first and copied into the arrays made fresh memory fault in
+        # on each load, which took several times as long.
+        for column, nbytes in zip(columns, sizes[2:]):
+            column.append(0)
+            column *= nbytes // column.itemsize
+            if fh.readinto(column) != nbytes:
+                raise ValueError("%s is truncated" % path)
+        (name_offsets, kinds, lines, file_rows, name_keys, by_path, offsets,
+         words) = columns
+        if not (len(files) == len(offsets) - 1 == len(by_path)
+                == len(file_rows) - 1
+                and len(name_offsets) - 1 == file_rows[-1] == len(kinds)
+                == len(lines) == len(name_keys)
+                and name_offsets[-1] == len(blob)
                 and size == fh.tell() + offsets[-1]):
             raise ValueError("%s is truncated" % path)
-        if _last_file(words) >= n_files:
-            raise ValueError("%s posts a file past its last" % path)
         return CodeIndex(
             root=os.path.abspath(root), store=fh, store_start=fh.tell(),
-            files=strings[:n_files], offsets=offsets, file_rows=file_rows,
-            names=strings[n_files:], kinds=kinds, lines=lines, by_name=by_name,
-            by_path=by_path, words=words)
+            files=files, offsets=offsets, file_rows=file_rows,
+            names=_Names(blob, name_offsets), kinds=kinds, lines=lines,
+            name_keys=name_keys, by_path=by_path, words=words)
     except BaseException:
         fh.close()
         raise
 
 
-def _last_file(words: array) -> int:
-    """The highest file number that ``words`` posts, or -1."""
-    # The file number is the low half of an entry: in a view of 32-bit
-    # items, every other item, from the first on a little-endian host.
-    halves = memoryview(words).cast("B").cast("I")
-    return max(halves[sys.byteorder == "big"::2], default=-1)
-
-
 def cached_index(source_root: str, path: str, digest: str) -> CodeIndex:
     """The index saved at ``path`` for ``digest``; when that file is
-    missing, unreadable, corrupt or for another digest, a fresh build,
-    saved there for the next session with the same digest."""
+    missing, unreadable, corrupt or for another digest, ``fresh_index``."""
     try:
         return load_index(source_root, path, digest)
     except (OSError, ValueError):
-        pass
+        return fresh_index(source_root, path, digest)
+
+
+def fresh_index(source_root: str, path: str, digest: str) -> CodeIndex:
+    """A new build of ``source_root``, saved at ``path`` (over any file
+    there) for the next session with ``digest``."""
     index = build_index(source_root)
     try:
         save_index(index, path, digest)

@@ -131,17 +131,19 @@ class UploadResult:
     guest_path: str
     binary_size: int
     compile_log: str
-    compiler_id: str = "host-cc x86_64-linux-gnu"
+    compiler_id: str
 
 
 @dataclass(frozen=True)
 class PocBuild:
-    """One successful PoC compile: the binary's bytes, the compiler's log
-    and the build's ``digest`` (see ``build_poc``)."""
+    """One successful PoC compile: the binary's bytes, the compiler's log,
+    the compiler that ran (``_compiler_id``) and the build's ``digest``
+    (see ``build_poc``)."""
 
     digest: str
     binary: bytes
     compile_log: str
+    compiler_id: str
 
 
 @dataclass
@@ -406,12 +408,18 @@ def _run_compiler(argv: List[str], work_dir: str,
     return proc.returncode, log
 
 
+# The return code and log of ``cc -E -v`` for each compiler path that has
+# run it in this process.
+_VERBOSE_RUNS: Dict[str, Tuple[int, str]] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _system_include_dirs(cc: str) -> Tuple[str, ...]:
     """The real paths of ``cc``'s ``#include <...>`` search list, as
     ``cc -E -v`` prints it; empty if it prints none.  It is a fact of the
-    compiler, not of a build, so the process keeps it per compiler path."""
-    code, log = _run_compiler(
+    compiler, not of a build, so the process runs it once per compiler
+    path, and keeps its log for ``_compiler_id``."""
+    _VERBOSE_RUNS[cc] = code, log = _run_compiler(
         [cc, "-E", "-v", "-x", "c", os.devnull, "-o", os.devnull],
         tempfile.gettempdir(), time.monotonic() + COMPILE_TIMEOUT_S)
     search = re.search(r"^#include <\.\.\.> search starts here:\n(.*?)"
@@ -420,6 +428,16 @@ def _system_include_dirs(cc: str) -> Tuple[str, ...]:
         return ()
     return tuple(os.path.realpath(line.strip())
                  for line in search[1].splitlines())
+
+
+def _compiler_id(cc: str) -> str:
+    """The resolved compiler path ``cc``, then the ``gcc version`` and
+    ``Target:`` lines of its ``cc -E -v`` log, "; "-separated.  That log is
+    only there once a build has read a host header (see
+    ``_system_include_dirs``); no compiler is run for the id alone."""
+    log = _VERBOSE_RUNS.get(cc, (0, ""))[1]
+    return "; ".join([cc] + [line.strip() for line in re.findall(
+        r"^(?:gcc version |Target: ).*", log, re.M)])
 
 
 def _listed_reads(path: str) -> Optional[List[str]]:
@@ -521,7 +539,8 @@ def build_poc(source_text: str, builds: Dict[str, PocBuild]) -> PocBuild:
         if code != 0:
             raise CompileFailed("compilation failed", compile_log=log)
         with open(os.path.join(tmp, "poc"), "rb") as fh:
-            build = PocBuild(digest=digest, binary=fh.read(), compile_log=log)
+            build = PocBuild(digest=digest, binary=fh.read(),
+                             compile_log=log, compiler_id=_compiler_id(cc))
     builds[digest] = build
     return build
 
@@ -534,7 +553,8 @@ def upload_poc(handle: GuestHandle, build: PocBuild,
         ["== uploaded %s (%d bytes) ==" % (dest_path, len(build.binary))],
         origin="lifecycle")
     return UploadResult(guest_path=dest_path, binary_size=len(build.binary),
-                        compile_log=build.compile_log)
+                        compile_log=build.compile_log,
+                        compiler_id=build.compiler_id)
 
 
 def compile_and_upload(handle: GuestHandle, source_text: str,

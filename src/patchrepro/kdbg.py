@@ -47,6 +47,15 @@ _COMMAND_RE = re.compile(r'[ \t]*\d*(?:(?i:-interpreter-exec)\s+[\w-]+\s+'
 _MI_OPTIONS_RE = re.compile(r"(?:\s+(?:--(?:thread|frame)\s+[0-9]+"
                             r"|--(?:simple|all|no)-values|--skip-unavailable)"
                             r"(?!\S))*")
+# gdb's print options, each a whole word with its value where it takes one,
+# then the standalone "--" that ends them; a CLI print is checked after
+# them.  An unknown or shortened option is not skipped: gdb then reads all
+# of the text as the expression, where "--" is a decrement.
+_PRINT_OPTIONS_RE = re.compile(
+    r"(?:\s+-(?:(?:address|array|array-indexes|memory-tag-violations"
+    r"|null-stop|object|pretty|raw-values|static-members|symbol|union|vtbl)"
+    r"(?:\s+(?:on|off))?|(?:elements|max-depth|repeats)\s+"
+    r"(?:[0-9]+|unlimited))(?!\S))*\s+--(?!\S)")
 _REGISTER_RE = re.compile(r"\s*(?:var(?:iable)?\s+)?\$")  # set $rip = ...
 # A write in the arguments: an assignment operator (not ==, !=, <=, >=),
 # ++, --, or a call: "(" after a name other than sizeof, or after ")" or "]".
@@ -59,8 +68,9 @@ def classify_mutation(command_text: str) -> Optional[str]:
 
     Default-deny: a read's first word is on ``_READ_ONLY`` and its arguments
     match no ``_WRITES_RE``; ambiguous text is flagged, never passed.  An MI
-    token is skipped, ``-interpreter-exec`` is its inner command, and a
-    command that ``_WRITERS`` does not name is ``unclassified``."""
+    token is skipped, ``-interpreter-exec`` is its inner command, MI options
+    and a CLI print's options ended by "--" are skipped, and a command that
+    ``_WRITERS`` does not name is ``unclassified``."""
     command = _COMMAND_RE.fullmatch(command_text)
     while command and command[1]:
         try:
@@ -72,6 +82,10 @@ def classify_mutation(command_text: str) -> Optional[str]:
     word, args = command[2].lower(), command[3]
     if "--" in args and word[0] == "-":
         args = args[_MI_OPTIONS_RE.match(args).end():]
+    elif word in ("p", "print"):
+        options = _PRINT_OPTIONS_RE.match(args)
+        if options:
+            args = args[options.end():]
     if word in _READ_ONLY:
         return "expression_assignment" if _WRITES_RE.search(args) else None
     if word in ("set", "-gdb-set") and _REGISTER_RE.match(args):

@@ -153,6 +153,7 @@ class ToolServer:
         self.handle: Optional[guestvm.GuestHandle] = None
         self.debug_session: Optional[kdbg.DebugSession] = None
         self.code_index: Optional[codebrowse.CodeIndex] = None
+        self._index_rebuilt = False
         self._gate_was_stopped = False
         self._transcript_cursor = 0
 
@@ -218,8 +219,21 @@ class ToolServer:
 
     def _tool_code_query(self, name, mode="definitions",
                          limit=codebrowse.DEFAULT_QUERY_LIMIT):
-        hits, truncated = codebrowse.query_symbol(self._index(), name,
-                                                  mode=mode, limit=limit)
+        try:
+            hits, truncated = codebrowse.query_symbol(self._index(), name,
+                                                      mode=mode, limit=limit)
+        except codebrowse.CorruptIndex:
+            # A load checks no posting, so a spoiled saved index shows
+            # here.  A fresh build answers and is saved over it, once per
+            # session: a fresh build that fails too is the call's error.
+            if self._index_rebuilt:
+                raise
+            self._index_rebuilt = True
+            self.code_index = codebrowse.fresh_index(
+                self.env.source_root, self.env.index_path,
+                self.env.content_digest)
+            hits, truncated = codebrowse.query_symbol(self.code_index, name,
+                                                      mode=mode, limit=limit)
         return {"locations": hits, "truncated": truncated}
 
     def _tool_code_read(self, file, start, end):

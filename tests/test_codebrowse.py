@@ -4,6 +4,9 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
+from array import array
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -165,9 +168,10 @@ def test_save_load_round_trip(tree, tmp_path):
         sorted(str(e) for es in again.entries.values() for e in es)
 
 
-def _answers(idx):
-    """Every query's answer on an index, in the order the tools give it."""
-    names = list(idx.entries)
+def _answers(idx, extra=()):
+    """Every query's answer on an index, in the order the tools give it,
+    for every defined name and the names ``extra``."""
+    names = list(idx.entries) + list(extra)
     return {
         "files": idx.files,
         "definitions": [codebrowse.query_symbol(idx, n) for n in names],
@@ -221,10 +225,32 @@ def _save_format_1(idx, path, digest):
                 fh.write(src.read())
 
 
+def _save_format_3(idx, path, digest):
+    """``idx`` in the layout of ``patchrepro-code-index/3``: the file and
+    definition names as one NUL-separated string, the rows sorted by name
+    as an "i" column in place of ``name_keys``, then the store."""
+    names = list(idx.names)
+    strings = "\0".join(idx.files + names).encode("utf-8", "surrogateescape")
+    by_name = array("i", sorted(range(len(names)), key=names.__getitem__))
+    columns = [idx.kinds, idx.lines, idx.file_rows, by_name, idx.by_path,
+               idx.offsets, idx.words]
+    head = ["patchrepro-code-index/3", digest, sys.byteorder,
+            str(len(strings))] + ["%s%d:%d" % (c.typecode, c.itemsize,
+                                               len(c) * c.itemsize)
+                                  for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(("\t".join(head) + "\n").encode() + strings)
+        for column in columns:
+            column.tofile(fh)
+        for rel in idx.files:
+            with open(os.path.join(idx.root, rel), "rb") as src:
+                fh.write(src.read())
+
+
 @pytest.mark.parametrize("spoil", ["missing", "wrong_digest", "truncated",
                                    "bad_version", "truncated_source",
-                                   "format_1", "format_2", "foreign_byte_order",
-                                   "file_past_the_end"])
+                                   "format_1", "format_2", "format_3",
+                                   "foreign_byte_order"])
 def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
     saved = tmp_path / "index.tsv"
     path = str(saved)
@@ -236,12 +262,8 @@ def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
             m.setattr(codebrowse, "_INDEX_FORMAT", "patchrepro-code-index/2")
             m.setattr(codebrowse, "_COLUMNS", codebrowse._COLUMNS[:-1])
             codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
-    elif spoil == "file_past_the_end":
-        idx = codebrowse.build_index(tree)
-        idx.words[-1] = idx.words[-1] >> 32 << 32 | idx.file_count
-        codebrowse.save_index(idx, path, "d1")
-        with pytest.raises(ValueError, match="past its last"):
-            codebrowse.load_index(tree, path, "d1")
+    elif spoil == "format_3":
+        _save_format_3(codebrowse.build_index(tree), path, "d1")
     elif spoil != "missing":
         saved_digest = "other" if spoil == "wrong_digest" else "d1"
         codebrowse.save_index(codebrowse.build_index(tree), path, saved_digest)
@@ -268,6 +290,39 @@ def test_unusable_saved_index_is_rebuilt(tree, tmp_path, monkeypatch, spoil):
     # The rebuilt index was written back and is reused from now on.
     assert _answers(codebrowse.cached_index(tree, path, "d1")) == _answers(idx)
     assert builds == [tree]
+
+
+def _spoil_last_posting(postings, key, past):
+    """Point the last entry keyed ``key`` at number ``past``, which must be
+    past every number posted, so the postings stay sorted."""
+    end = bisect_left(postings, (key + 1) << 32)
+    assert postings[end - 1] >> 32 == key
+    postings[end - 1] = key << 32 | past
+
+
+def test_a_posting_past_the_last_fails_the_query(tree, tmp_path):
+    """A load checks no posting; the query that reads one naming a file or
+    a row past the last raises ``CorruptIndex``, a ValueError, and the
+    queries that read none still answer."""
+    fresh = codebrowse.build_index(tree)
+    path = str(tmp_path / "index.idx")
+    for column, key, past, query in (
+            ("words", codebrowse._word_hash(b"chain_count"), "files",
+             ("chain_count", "references")),
+            ("name_keys", codebrowse._name_hash("lookup_chain"), "kinds",
+             ("lookup_chain", "definitions"))):
+        spoiled = codebrowse.build_index(tree)
+        _spoil_last_posting(getattr(spoiled, column), key,
+                            len(getattr(spoiled, past)))
+        codebrowse.save_index(spoiled, path, "d1")
+        idx = codebrowse.load_index(tree, path, "d1")
+        with pytest.raises(codebrowse.CorruptIndex, match="past the last"):
+            codebrowse.query_symbol(idx, *query)
+        assert issubclass(codebrowse.CorruptIndex, ValueError)
+        assert codebrowse.query_symbol(idx, "register_chain") == \
+            codebrowse.query_symbol(fresh, "register_chain")
+        assert codebrowse.list_symbols(idx, "util.h") == \
+            codebrowse.list_symbols(fresh, "util.h")
 
 
 def test_every_truncation_is_refused(tree, tmp_path):
@@ -336,6 +391,20 @@ def test_a_store_cut_after_loading_fails_closed(tree, tmp_path):
     os.truncate(path, os.path.getsize(path) - 1)  # net/main.c is stored last
     with pytest.raises(ValueError, match="truncated"):
         codebrowse.query_symbol(idx, "lookup_chain", mode="references")
+
+
+@pytest.mark.parametrize("name", ["lookup_chain", "lookup_chain("])
+def test_a_store_cut_after_loading_fails_every_query_path(tree, tmp_path,
+                                                          name):
+    """A reference query by the postings and one by a scan of the whole
+    store both raise ``CorruptIndex`` once the store is cut short, although
+    the load's read-ahead holds all of this small store."""
+    path = str(tmp_path / "index.idx")
+    codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
+    idx = codebrowse.load_index(tree, path, "d1")
+    os.truncate(path, os.path.getsize(path) - 1)
+    with pytest.raises(codebrowse.CorruptIndex, match="truncated"):
+        codebrowse.query_symbol(idx, name, mode="references")
 
 
 def test_loads_and_queries_leave_numpy_out(tree, tmp_path):
@@ -421,6 +490,31 @@ def test_loading_makes_no_per_symbol_objects(tmp_path):
         gc.set_threshold(*threshold)
         gc.unfreeze()
     assert full == []
+
+
+def test_a_load_makes_no_string_per_name(tmp_path):
+    """The definition names stay one blob when an index is loaded: the
+    blocks that a load allocates in ``codebrowse`` do not grow with the
+    number of symbols."""
+    blocks = []
+    for symbols in (1000, 5000):
+        root = tmp_path / str(symbols)
+        _macro_tree(root, symbols)
+        path = str(tmp_path / ("%d.idx" % symbols))
+        codebrowse.save_index(codebrowse.build_index(str(root)), path)
+        only = [tracemalloc.Filter(True, codebrowse.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only)
+            index = codebrowse.load_index(str(root), path)
+            after = tracemalloc.take_snapshot().filter_traces(only)
+        finally:
+            tracemalloc.stop()
+        blocks.append(sum(stat.count_diff for stat in
+                          after.compare_to(before, "filename")))
+        assert index.names[symbols - 1] == "SYM_9_%d" % (symbols // 10 - 1)
+        del index
+    assert blocks[0] < 100 and blocks[1] - blocks[0] < 10
 
 
 def test_references_do_not_walk_the_tree(tree, monkeypatch):
@@ -689,6 +783,42 @@ def test_index_matches_line_by_line_oracle(tmp_path_factory, files):
     path = str(root / "index.tsv")
     codebrowse.save_index(idx, path, "d")
     _assert_same_index(codebrowse.load_index(str(root), path, "d"), str(root))
+
+
+# Lines that define names which are not ASCII.
+_UNICODE_LINES = ("#define caf\u00e9_%d 1", "static int \u00fcber_%d;",
+                  "struct \u00f1and\u00fa {")
+
+
+@settings(max_examples=40, deadline=None)
+@given(files=st.lists(_file, max_size=4),
+       unicode=st.lists(st.tuples(st.sampled_from(_UNICODE_LINES),
+                                  st.integers(0, 2)), max_size=4),
+       extra=st.lists(st.sampled_from(_REF_NAMES), max_size=3))
+def test_a_loaded_index_answers_like_a_fresh_build(tmp_path_factory, files,
+                                                   unicode, extra):
+    """Every code.* answer of a saved and loaded index equals a fresh
+    build's, for defined names, non-ASCII ones and names defined nowhere;
+    its names read back as the fresh build's do."""
+    root = tmp_path_factory.mktemp("gen")
+    (root / "sub").mkdir()
+    for i, (lines, final_newline) in enumerate(files):
+        (root / ("sub" if i % 2 else ".") / ("f%d.c" % i)).write_bytes(
+            _render(lines, final_newline))
+    (root / "u.h").write_text("".join(line.replace("%d", str(n)) + "\n"
+                                      for line, n in unicode))
+    fresh = codebrowse.build_index(str(root))
+    path = str(tmp_path_factory.mktemp("saved") / "index.idx")
+    codebrowse.save_index(codebrowse.build_index(str(root)), path, "d")
+    loaded = codebrowse.load_index(str(root), path, "d")
+    assert _answers(loaded, extra) == _answers(fresh, extra)
+    names = list(fresh.names)
+    assert len(loaded.names) == len(names) and list(loaded.names) == names
+    assert loaded.names[::2] == names[::2] and loaded.names[1:-1] == names[1:-1]
+    if names:
+        assert loaded.names[-len(names)] == names[0]
+    with pytest.raises(IndexError):
+        loaded.names[-len(names) - 1]
 
 
 @pytest.mark.parametrize("text", [

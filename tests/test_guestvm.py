@@ -224,6 +224,34 @@ def test_a_new_source_or_compiler_is_built_again(tmp_path, monkeypatch):
     assert len(h.builds) == 3
 
 
+def test_an_upload_names_the_compiler_that_ran(tmp_path, monkeypatch):
+    """The upload's ``compiler_id`` is the compiler found on PATH with the
+    target and version lines of its own ``-E -v`` log, which the check of
+    the host header that the build read ran."""
+    include = tmp_path / "include"
+    include.mkdir()
+    _stand_in_compiler(tmp_path, (
+        'for arg; do\n'
+        '  case $prev in -o) out=$arg;; -MF) dep=$arg;; esac\n'
+        '  case $arg in -Wa,--MD,*) echo "poc.o: poc.s" > "${arg#-Wa,--MD,}";;'
+        ' esac\n'
+        '  prev=$arg\n'
+        'done\n'
+        'if [ "$1" = -E ]; then\n'
+        '  printf "Target: toy-elf\\ngcc version 0.1 (stand-in) \\n'
+        '#include <...> search starts here:\\n %s\\nEnd of search list.\\n"'
+        ' >&2\n'
+        '  exit 0\n'
+        'fi\n'
+        'echo "poc: poc.c %s/toy.h" > "$dep"\n'
+        'printf stub > "$out"\n') % (include, include))
+    _lead_path(monkeypatch, tmp_path)
+    res = guestvm.compile_and_upload(_boot(), SOURCE, "/tmp/poc")
+    assert res.binary_size == len("stub")
+    assert res.compiler_id == ("%s; Target: toy-elf; gcc version 0.1 "
+                               "(stand-in)" % (tmp_path / "gcc"))
+
+
 # A stand-in compile that fails, naming the source file it was given.
 FAILS = 'echo "$src:1:1: error: no" >&2\nexit 1\n'
 

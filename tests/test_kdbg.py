@@ -42,6 +42,17 @@ from tests.conftest import SCENARIOS
     ("-data-evaluate-expression --thread 1 f()", "expression_assignment"),
     ("-stack-list-locals --simple-values--", "expression_assignment"),
     ("-stack-list-locals --print-values x--", "expression_assignment"),
+    # CLI print options are skipped only when known, whole, and ended by a
+    # standalone "--"; otherwise gdb reads "--" as a decrement.
+    ("print -- x--", "expression_assignment"),
+    ("print -pretty -- f()", "expression_assignment"),
+    ("print -elements 4 -- x = 1", "expression_assignment"),
+    ("print -pretty --x", "expression_assignment"),
+    ("print -prett -- x", "expression_assignment"),
+    ("print -pretty onx -- x", "expression_assignment"),
+    ("print -elements -- x", "expression_assignment"),
+    ("p -- -- x", "expression_assignment"),
+    ("output -pretty -- x", "expression_assignment"),
     ("123-data-write-memory-bytes 0x1 41", "memory_write"),
     ('-interpreter-exec console "set var x=1"', "memory_write"),
     ('-interpreter-exec mi "-exec-call f()"', "function_call"),
@@ -93,6 +104,10 @@ from tests.conftest import SCENARIOS
     ("-data-evaluate-expression --thread 1 x", None),
     ("-data-evaluate-expression --thread 2 --frame 0 x", None),
     ("-stack-list-locals --no-values --skip-unavailable", None),
+    ("print -pretty -- x", None),
+    ("p -- x", None),
+    ("print/x -pretty on -raw-values -- x", None),
+    ("p -elements 4 -repeats unlimited -max-depth 2 -- x->next", None),
 ])
 def test_classify_mutation(command, expected):
     assert kdbg.classify_mutation(command) == expected

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import gc
 import io
@@ -156,6 +157,82 @@ def test_code_index_reused_by_the_next_session(env_and_task, monkeypatch):
     assert builds == [env.source_root]
     assert answers[0] == answers[1]
     assert answers[0][0]["result"]["locations"]
+
+
+def _spoiled_build(root, build=codebrowse.build_index):
+    """A fresh build of ``root`` whose last posting of the word "chain"
+    names a file past the last."""
+    index = build(root)
+    key = codebrowse._word_hash(b"chain")
+    end = bisect.bisect_left(index.words, (key + 1) << 32)
+    index.words[end - 1] = key << 32 | index.file_count
+    return index
+
+
+def _count_builds(monkeypatch, build=codebrowse.build_index):
+    """Every ``codebrowse.build_index`` call from now on, made by
+    ``build``, adds its root to the returned list."""
+    builds = []
+    monkeypatch.setattr(codebrowse, "build_index",
+                        lambda root: builds.append(root) or build(root))
+    return builds
+
+
+CHAIN_REFS = {"name": "chain", "mode": "references"}
+
+
+def test_a_spoiled_posting_is_rebuilt_by_the_query_that_reads_it(
+        env_and_task, monkeypatch):
+    """A saved index whose postings name a file past the last loads; the
+    first code.query that reads that posting is answered from one fresh
+    build, saved over the file, which the next session loads."""
+    env, _ = env_and_task
+    codebrowse.save_index(_spoiled_build(env.source_root), env.index_path,
+                          env.content_digest)
+    hits, truncated = codebrowse.query_symbol(
+        codebrowse.build_index(env.source_root), "chain", "references")
+    want = {"result": {"locations": hits, "truncated": truncated}}
+    assert hits
+    builds = _count_builds(monkeypatch)
+    srv = _server(env_and_task)
+    assert "result" in srv.dispatch_call("code.query",
+                                         {"name": "nft_chain_lookup"})
+    assert builds == []  # a definition reads no posting
+    assert srv.dispatch_call("code.query", CHAIN_REFS) == want
+    assert builds == [env.source_root]
+    assert srv.dispatch_call("code.query", CHAIN_REFS) == want
+    assert _server(env_and_task).dispatch_call("code.query",
+                                               CHAIN_REFS) == want
+    assert builds == [env.source_root]
+
+
+def test_a_store_cut_during_a_session_is_rebuilt(env_and_task, monkeypatch):
+    """A saved store cut short after the session loaded it is answered
+    from a fresh build, as a spoiled posting is."""
+    env, _ = env_and_task
+    srv = _server(env_and_task)
+    want = srv.dispatch_call("code.query", CHAIN_REFS)
+    assert want["result"]["locations"]
+    srv = _server(env_and_task)
+    srv.dispatch_call("code.query", {"name": "nft_chain_lookup"})
+    builds = _count_builds(monkeypatch)
+    os.truncate(env.index_path, os.path.getsize(env.index_path) - 1)
+    assert srv.dispatch_call("code.query", CHAIN_REFS) == want
+    assert builds == [env.source_root]
+
+
+def test_a_spoiled_index_is_rebuilt_once_per_session(env_and_task,
+                                                     monkeypatch):
+    """A fresh build that fails its query too is that call's error, and
+    the session builds no more."""
+    env, _ = env_and_task
+    builds = _count_builds(monkeypatch, _spoiled_build)
+    srv = _server(env_and_task)
+    srv.dispatch_call("code.query", {"name": "nft_chain_lookup"})
+    for _ in range(2):
+        error = srv.dispatch_call("code.query", CHAIN_REFS)["error"]
+        assert "past the last" in error["message"]
+    assert builds == [env.source_root] * 2
 
 
 def test_builder_supplied_tree_is_reindexed_after_prepare(kernel_repo,
