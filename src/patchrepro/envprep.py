@@ -227,8 +227,8 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
                         workdir: str) -> ReproEnvironment:
     """Deterministically build the reproduction environment.
 
-    The fixture builder loads a mock-guest scenario; the guest must pass the
-    boot smoke test (answer ``echo ready``) before the snapshot is captured.
+    The fixture builder snapshots a fresh mock guest of its scenario; a guest
+    booted from it must pass the boot smoke test (answer ``echo ready``).
     """
     if builder.kind != "fixture":
         raise BuildFailed("unknown builder kind %r" % builder.kind)
@@ -244,10 +244,11 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
         _checkout_parent(task, source_root, log)
 
     scenario_path = os.path.abspath(builder.parameters["scenario"])
-    guest = guestvm.MockGuest(guestvm.GuestScenario.load(scenario_path))
-    handle = guestvm.GuestHandle(
-        SnapshotRef("boot", {"scenario_path": scenario_path,
-                             "guest_state": guest.state}), guest)
+    snapshot = guestvm.create_snapshot({
+        "scenario_path": scenario_path,
+        "guest_state": guestvm.MockGuest(
+            guestvm.GuestScenario.load(scenario_path)).state})
+    handle = guestvm.restore_from_snapshot(snapshot)
     deadline = time.monotonic() + BOOT_DEADLINE_MOCK_S
     out = guestvm.exec_console(handle, "echo ready", timeout_s=1.0)
     if "ready" not in out.text or out.timed_out or time.monotonic() > deadline:
@@ -259,7 +260,7 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
         source_root=source_root,
         guest_image_ref="mock:%s" % os.path.basename(scenario_path),
         config_manifest=list(SYZBOT_LIKE_MANIFEST),
-        snapshot_ref=guestvm.create_snapshot(handle),
+        snapshot_ref=snapshot,
         builder_id=builder.builder_id,
         prep_log="\n".join(log),
         content_digest=digest,

@@ -1,19 +1,19 @@
 """Guest lifecycle and console interaction.
 
-The guest is a deterministic mock driven by a scenario file: restored from
-a frozen snapshot, answering console commands from the scenario's rules and
-a tiny builtin shell, and shelling out only to compile PoCs on the host.
+The guest is a deterministic mock driven by a scenario file: booted from
+an immutable snapshot, answering console commands from the scenario's
+rules and a tiny builtin shell, and shelling out only to compile PoCs on
+the host.
 
 ``build_poc`` is that compile; ``compile_and_upload`` builds and then uploads.
 A build is keyed by its ``digest``, the sha256 of the resolved compiler
-path, the compile flags and the source, and a guest lineage (a started guest
-and the guests ``restart_guest`` makes from it, so one session) keeps its
-successful builds by that key in ``GuestHandle.builds``: a source the session
-has built is uploaded again without a compile.  Nothing else keeps a build,
-so a second session over the same environment compiles again.  A build that
-read a host file outside the compiler's system include dirs is refused, and
-its log, which would quote the file, is not shown; no diagnostic quotes a
-source line.
+path, the compile flags and the source, and a session's one guest handle
+keeps its successful builds by that key in ``GuestHandle.builds`` across
+its reboots: a source the session has built is uploaded again without a
+compile.  Nothing else keeps a build, so a second session over the same
+environment compiles again.  A build that read a host file outside the
+compiler's system include dirs is refused, and its log, which would quote
+the file, is not shown; no diagnostic quotes a source line.
 
 A single multiplexed channel carries both command output and kernel log
 lines.  The guest tags each line with its origin where it makes the line:
@@ -21,7 +21,6 @@ lines.  The guest tags each line with its origin where it makes the line:
 """
 
 import copy
-import functools
 import hashlib
 import json
 import os
@@ -32,11 +31,12 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     CompileFailed,
     DebuggeeHalted,
+    EnvBootFailed,
     GuestUnavailable,
     HostPathRefused,
     InvalidParams,
@@ -106,16 +106,13 @@ class DebugGate:
             raise DebuggeeHalted("debuggee halted (%s)" % self.state)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnapshotRef:
-    """A restorable guest state: the scenario path and the frozen guest
-    state every restore starts from."""
+    """A restorable guest state: the scenario path and the guest state
+    every boot starts from.  A boot copies it and never changes it."""
 
     snapshot_id: str
     state: dict
-    # Restores so far; guest ids count them, so repeat sessions over the
-    # same environment produce identical traces.
-    restores: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -137,8 +134,8 @@ class UploadResult:
 @dataclass(frozen=True)
 class PocBuild:
     """One successful PoC compile: the binary's bytes, the compiler's log,
-    the compiler that ran (``_compiler_id``) and the build's ``digest``
-    (see ``build_poc``)."""
+    the compiler that ran (see ``_CompilerFacts``) and the build's
+    ``digest`` (see ``build_poc``)."""
 
     digest: str
     binary: bytes
@@ -150,7 +147,7 @@ class PocBuild:
 class ScenarioRule:
     pattern: str
     response: str = ""
-    post: str = "ok"  # ok | emit_crash:<file> | hang | interruptible | hit_breakpoint:<loc>
+    post: str = "ok"  # ok | hang | emit_crash:<file next to the scenario>
 
 
 class GuestScenario:
@@ -167,14 +164,26 @@ class GuestScenario:
 
     @classmethod
     def load(cls, path) -> "GuestScenario":
+        """The scenario at ``path``; raises ``EnvBootFailed`` for a rule
+        whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:`` a file
+        that exists."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        base_dir = os.path.dirname(os.path.abspath(path))
         rules = [ScenarioRule(**r) for r in raw.get("rules", [])]
+        for rule in rules:
+            kind, _, crash = str(rule.post).partition(":")
+            if rule.post not in ("ok", "hang") and not (
+                    kind == "emit_crash"
+                    and os.path.isfile(os.path.join(base_dir, crash))):
+                raise EnvBootFailed("scenario %s: rule %r has post %r"
+                                    % (os.path.basename(path), rule.pattern,
+                                       rule.post))
         return cls(
             boot_banner=raw.get("boot_banner", "fixture kernel booting"),
             prompt=raw.get("prompt", "repro$ "),
             rules=rules,
-            base_dir=os.path.dirname(os.path.abspath(path)),
+            base_dir=base_dir,
             scenario_id=os.path.basename(path),
             debug=raw.get("debug"),
         )
@@ -190,6 +199,8 @@ class MockGuest:
     Builtins cover just enough surface for fixtures: ``echo``, ``touch``,
     ``cat`` of touched files, and ``sleep``.  Everything else is answered by
     scenario rules, uploaded-program registration, or command-not-found.
+    ``./prog`` is not found, whatever the rules say, unless ``prog`` was
+    uploaded since the guest's last boot.
     """
 
     def __init__(self, scenario: GuestScenario, state: Optional[dict] = None):
@@ -217,7 +228,9 @@ class MockGuest:
             return "", False, None
         prog = argv[0]
 
-        if prog in self.state["blocked_utilities"]:
+        if prog in self.state["blocked_utilities"] or (
+                prog.startswith("./")
+                and prog[2:] not in self.state["programs"]):
             return "sh: %s: command not found\n" % prog, False, None
 
         for rule in self.scenario.rules:
@@ -243,27 +256,44 @@ class MockGuest:
             if secs > timeout_s:
                 return "", True, None
             return "", False, None
-        if prog.startswith("./") and prog[2:] in self.state["programs"]:
+        if prog.startswith("./"):
             return "", False, None
         return "sh: %s: command not found\n" % prog, False, None
 
 
 class GuestHandle:
-    """Live guest plus its append-only console transcript."""
+    """A session's one guest: booted from its snapshot, and booted again in
+    place by ``restart_guest`` or a later ``vm.start``.  It alone holds the
+    guest's debug gate, transcript, PoC builds and debugger."""
 
-    def __init__(self, snapshot_ref, mock_guest):
-        snapshot_ref.restores += 1
-        self.guest_id = "guest-%d" % snapshot_ref.restores
-        self.state = "running"
+    def __init__(self, snapshot_ref: SnapshotRef):
         self.snapshot_ref = snapshot_ref
-        self.mock = mock_guest
+        self.boots = 0  # guest ids count them
         self.gate = DebugGate()
         self.transcript: List[dict] = []  # {origin, line}
+        # PoC builds by digest: they outlive a reboot, and nothing else
+        # keeps them, so they live exactly one session.
+        self.builds: Dict[str, PocBuild] = {}
+
+    def _restore(self):
+        """Replace the guest with a fresh copy of the snapshot: the next
+        guest id, the gate running, no debugger attached."""
+        state = self.snapshot_ref.state
+        self.mock = MockGuest(GuestScenario.load(state["scenario_path"]),
+                              state=copy.deepcopy(state["guest_state"]))
+        self.boots += 1
+        self.guest_id = "guest-%d" % self.boots
+        self.state = "running"  # | unresponsive, once a crash is emitted
+        self.gate.resume()
         self.debug_stub = None  # MI responder a debug session talks to
         self.debug_session = None  # the one attached kdbg.DebugSession
-        # PoC builds by digest; ``restart_guest`` hands them on, and nothing
-        # else keeps them, so they live exactly one session.
-        self.builds: Dict[str, PocBuild] = {}
+
+    def boot(self) -> "GuestHandle":
+        """Restore the guest from the snapshot and log its boot banner."""
+        self._restore()
+        self.append_scenario_text(self.mock.scenario.boot_banner)
+        self.append_transcript([self.mock.scenario.prompt + "# ready"])
+        return self
 
     # transcript -------------------------------------------------------------
 
@@ -286,45 +316,27 @@ class GuestHandle:
 # --- lifecycle operations ---------------------------------------------------
 
 def start_guest(env) -> GuestHandle:
-    """Restore a fresh guest from the environment's snapshot."""
+    """Boot a session's guest from the environment's snapshot."""
     return restore_from_snapshot(env.snapshot_ref)
 
 
 def restore_from_snapshot(snap: SnapshotRef) -> GuestHandle:
-    scenario = GuestScenario.load(snap.state["scenario_path"])
-    guest = MockGuest(scenario, state=copy.deepcopy(snap.state["guest_state"]))
-    handle = GuestHandle(snap, guest)
-    handle.append_scenario_text(scenario.boot_banner)
-    handle.append_transcript([scenario.prompt + "# ready"])
-    return handle
+    return GuestHandle(snap).boot()
 
 
 def restart_guest(handle: GuestHandle) -> GuestHandle:
-    """Discard the guest and restore from the same snapshot."""
-    handle.state = "dead"
-    handle.gate.resume()  # a dead debuggee cannot hold the gate
-    fresh = restore_from_snapshot(handle.snapshot_ref)
-    fresh.gate = handle.gate
-    fresh.transcript = handle.transcript
-    fresh.builds = handle.builds
-    fresh.append_transcript(["== guest restarted =="], origin="lifecycle")
-    return fresh
+    """Discard the guest and restore it from its snapshot, in place; the
+    transcript records the restart, not a boot banner."""
+    handle._restore()
+    handle.append_transcript(["== guest restarted =="], origin="lifecycle")
+    return handle
 
 
-def create_snapshot(handle_or_state, scenario_path=None) -> SnapshotRef:
-    """Freeze the current guest state for identical restores."""
-    if isinstance(handle_or_state, GuestHandle):
-        handle = handle_or_state
-        if not handle.mock.state.get("booted"):
-            raise SnapshotFailed("guest not booted")
-        state = {
-            "scenario_path": scenario_path or handle.snapshot_ref.state["scenario_path"],
-            "guest_state": copy.deepcopy(handle.mock.state),
-        }
-    else:
-        state = handle_or_state
-        if not state.get("guest_state", {}).get("booted"):
-            raise SnapshotFailed("guest not booted")
+def create_snapshot(state: dict) -> SnapshotRef:
+    """Freeze ``state`` (a ``scenario_path`` and a ``guest_state``) for
+    identical boots."""
+    if not state.get("guest_state", {}).get("booted"):
+        raise SnapshotFailed("guest not booted")
     snap_id = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
     return SnapshotRef(snapshot_id=snap_id, state=state)
@@ -351,8 +363,6 @@ def exec_console(handle: GuestHandle, command: str,
         handle.append_transcript(split_lines(out))
     else:
         handle.append_scenario_text(out)
-        # A hit_breakpoint post needs nothing here: the scripted debug stub
-        # (if attached) reacts through its own channel.
         if rule.post.startswith("emit_crash:"):
             crash = handle.mock.scenario.crash_text(rule.post.split(":", 1)[1])
             handle.append_transcript(split_lines(crash), origin="kernel")
@@ -408,36 +418,36 @@ def _run_compiler(argv: List[str], work_dir: str,
     return proc.returncode, log
 
 
-# The return code and log of ``cc -E -v`` for each compiler path that has
-# run it in this process.
-_VERBOSE_RUNS: Dict[str, Tuple[int, str]] = {}
+class _CompilerFacts(NamedTuple):
+    """What ``cc -E -v`` tells of a compiler: the real paths of its
+    ``#include <...>`` search list (empty if it prints none), and its id,
+    the resolved compiler path then the ``gcc version`` and ``Target:``
+    lines of the log, "; "-separated."""
+
+    include_dirs: Tuple[str, ...]
+    compiler_id: str
 
 
-@functools.lru_cache(maxsize=None)
-def _system_include_dirs(cc: str) -> Tuple[str, ...]:
-    """The real paths of ``cc``'s ``#include <...>`` search list, as
-    ``cc -E -v`` prints it; empty if it prints none.  It is a fact of the
-    compiler, not of a build, so the process runs it once per compiler
-    path, and keeps its log for ``_compiler_id``."""
-    _VERBOSE_RUNS[cc] = code, log = _run_compiler(
-        [cc, "-E", "-v", "-x", "c", os.devnull, "-o", os.devnull],
-        tempfile.gettempdir(), time.monotonic() + COMPILE_TIMEOUT_S)
-    search = re.search(r"^#include <\.\.\.> search starts here:\n(.*?)"
-                       r"^End of search list\.", log, re.M | re.S)
-    if code != 0 or search is None:
-        return ()
-    return tuple(os.path.realpath(line.strip())
-                 for line in search[1].splitlines())
+# The facts of each compiler path that has run ``cc -E -v`` in this process.
+_COMPILER_FACTS: Dict[str, _CompilerFacts] = {}
 
 
-def _compiler_id(cc: str) -> str:
-    """The resolved compiler path ``cc``, then the ``gcc version`` and
-    ``Target:`` lines of its ``cc -E -v`` log, "; "-separated.  That log is
-    only there once a build has read a host header (see
-    ``_system_include_dirs``); no compiler is run for the id alone."""
-    log = _VERBOSE_RUNS.get(cc, (0, ""))[1]
-    return "; ".join([cc] + [line.strip() for line in re.findall(
-        r"^(?:gcc version |Target: ).*", log, re.M)])
+def _compiler_facts(cc: str) -> _CompilerFacts:
+    """``cc``'s facts: they belong to the compiler, not to a build, so the
+    process runs ``cc -E -v`` once per compiler path."""
+    if cc not in _COMPILER_FACTS:
+        code, log = _run_compiler(
+            [cc, "-E", "-v", "-x", "c", os.devnull, "-o", os.devnull],
+            tempfile.gettempdir(), time.monotonic() + COMPILE_TIMEOUT_S)
+        search = re.search(r"^#include <\.\.\.> search starts here:\n(.*?)"
+                           r"^End of search list\.", log, re.M | re.S)
+        _COMPILER_FACTS[cc] = _CompilerFacts(
+            () if code != 0 or search is None else tuple(
+                os.path.realpath(line.strip())
+                for line in search[1].splitlines()),
+            "; ".join([cc] + [line.strip() for line in re.findall(
+                r"^(?:gcc version |Target: ).*", log, re.M)]))
+    return _COMPILER_FACTS[cc]
 
 
 def _listed_reads(path: str) -> Optional[List[str]]:
@@ -465,7 +475,7 @@ def _refuse_host_reads(cc: str, build_dir: str, reads: List[str]) -> None:
     for name in reads:
         real = os.path.realpath(os.path.join(build_real, name))
         if not within(real, (build_real,)) and not within(
-                real, _system_include_dirs(cc)):
+                real, _compiler_facts(cc).include_dirs):
             raise HostPathRefused(
                 "the PoC build reads %s, outside the system include dirs"
                 % name.replace(build_dir + os.sep, ""))
@@ -474,8 +484,8 @@ def _refuse_host_reads(cc: str, build_dir: str, reads: List[str]) -> None:
 def build_poc(source_text: str, builds: Dict[str, PocBuild]) -> PocBuild:
     """Compile C source on the host into a ``PocBuild``.
 
-    ``builds`` maps a build's key, its ``digest``, to the build: a guest
-    lineage's ``GuestHandle.builds``, or ``{}`` for a one-off build.  The
+    ``builds`` maps a build's key, its ``digest``, to the build: a
+    session's ``GuestHandle.builds``, or ``{}`` for a one-off build.  The
     key is the sha256 of the resolved compiler path, ``COMPILE_FLAGS`` and
     the source.  A build with the same key is reused, and only a
     successful build is kept, so a failed or timed-out one is built again
@@ -539,8 +549,12 @@ def build_poc(source_text: str, builds: Dict[str, PocBuild]) -> PocBuild:
         if code != 0:
             raise CompileFailed("compilation failed", compile_log=log)
         with open(os.path.join(tmp, "poc"), "rb") as fh:
-            build = PocBuild(digest=digest, binary=fh.read(),
-                             compile_log=log, compiler_id=_compiler_id(cc))
+            # The id names the version only once a build has read a host
+            # header (gcc reads one for every build): no compiler is run
+            # for the id alone.
+            facts = _COMPILER_FACTS.get(cc)
+            build = PocBuild(digest=digest, binary=fh.read(), compile_log=log,
+                             compiler_id=facts.compiler_id if facts else cc)
     builds[digest] = build
     return build
 
@@ -559,7 +573,7 @@ def upload_poc(handle: GuestHandle, build: PocBuild,
 
 def compile_and_upload(handle: GuestHandle, source_text: str,
                        dest_path: str) -> UploadResult:
-    """Build C source (once per guest lineage, see ``build_poc``) and place
+    """Build C source (once per session, see ``build_poc``) and place
     the binary in the guest.
 
     Every call that gets past the gate, a failed, refused or timed-out

@@ -227,12 +227,10 @@ class DebugSession:
 
 def attach(handle: GuestHandle, stub=None,
            trace: Optional[Trace] = None) -> DebugSession:
-    """Connect the single debug session for this guest; it ledgers into
-    ``trace``, or into a trace of its own when none is given."""
+    """Connect the single debug session for this boot of the guest; it
+    ledgers into ``trace``, or into a trace of its own when none is given."""
     if handle.debug_session is not None:
         raise AlreadyAttached(handle.guest_id)
-    if handle.state == "dead":
-        raise StubUnavailable("guest is dead")
     if stub is None:
         stub = handle.debug_stub
     if stub is None:

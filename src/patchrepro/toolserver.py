@@ -151,7 +151,6 @@ class ToolServer:
         self.trace = trace or Trace()
         self.tools = {t.name: t for t in list_tools(profile)}
         self.handle: Optional[guestvm.GuestHandle] = None
-        self.debug_session: Optional[kdbg.DebugSession] = None
         self.code_index: Optional[codebrowse.CodeIndex] = None
         self._index_rebuilt = False
         self._gate_was_stopped = False
@@ -196,8 +195,9 @@ class ToolServer:
         self._gate_was_stopped = gate.is_stopped
 
     def _attach_debugger(self) -> kdbg.DebugSession:
-        if self.debug_session is None:
-            handle = self._require_guest()
+        """The guest's debug session, attached since its last boot."""
+        handle = self._require_guest()
+        if handle.debug_session is None:
             if handle.debug_stub is None:
                 dbg = handle.mock.scenario.debug
                 handle.debug_stub = kdbg.ScriptedMiStub(
@@ -208,8 +208,8 @@ class ToolServer:
                 )
             # The session holds the trace, not self: it must not keep the
             # server (and its code index) alive.
-            self.debug_session = kdbg.attach(handle, trace=self.trace)
-        return self.debug_session
+            kdbg.attach(handle, trace=self.trace)
+        return handle.debug_session
 
     # --- tool handlers: _tool_<registry name with "." as "_">(**args) -------
 
@@ -241,16 +241,15 @@ class ToolServer:
                                             start, end))
 
     def _tool_vm_start(self):
-        self.handle = guestvm.start_guest(self.env)
+        self.handle = (self.handle.boot() if self.handle
+                       else guestvm.start_guest(self.env))
         self.trace.record("lifecycle", event="guest_started",
                           guest_id=self.handle.guest_id,
                           state_digest=self.handle.state_digest())
         return {"guest_id": self.handle.guest_id}
 
     def _tool_vm_restart(self):
-        old = self._require_guest()
-        self.handle = guestvm.restart_guest(old)
-        self.debug_session = old.debug_session = None
+        guestvm.restart_guest(self._require_guest())
         self.trace.record("lifecycle", event="guest_restarted",
                           guest_id=self.handle.guest_id)
         return {"guest_id": self.handle.guest_id}
@@ -309,7 +308,8 @@ class ToolServer:
     def dispatch_call(self, name: str, args: dict) -> dict:
         """Route one tool call, recording it in the trace regardless of
         outcome.  Harness errors come back as {"error": ...} results, with
-        the error's ``data`` when it has some."""
+        the error's ``data`` when it has some; any other exception is
+        recorded as the call's error and raised again."""
         if name not in self.tools:
             raise KeyError(name)
         category = self.tools[name].category
@@ -326,6 +326,9 @@ class ToolServer:
                 error["data"] = exc.data
         except (KeyError, TypeError, ValueError) as exc:
             error = {"name": "InvalidParams", "message": str(exc)}
+        except Exception as exc:
+            error = {"name": type(exc).__name__, "message": str(exc)}
+            raise
         finally:
             self._drain_transcript()
             self._note_gate()

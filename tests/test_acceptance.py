@@ -154,13 +154,9 @@ def test_criterion_gate_invariant():
     ok = True
 
     def fresh():
-        scn = guestvm.GuestScenario.load(path)
-        guest = guestvm.MockGuest(scn)
-        h = guestvm.GuestHandle(
-            guestvm.SnapshotRef("boot",
-                                state={"scenario_path": path,
-                                       "guest_state": guest.state}),
-            mock_guest=guest)
+        guest = guestvm.MockGuest(guestvm.GuestScenario.load(path))
+        h = guestvm.restore_from_snapshot(guestvm.create_snapshot(
+            {"scenario_path": path, "guest_state": guest.state}))
         s = kdbg.attach(h, kdbg.ScriptedMiStub(symbols=["nft_chain_lookup"]))
         return h, s
 

@@ -61,6 +61,18 @@ def test_prepare_environment_boot_failure(kernel_repo, tmp_path):
         envprep.prepare_environment(task, builder, str(tmp_path / "env"))
 
 
+def test_prepare_environment_refuses_a_bad_scenario(kernel_repo, tmp_path):
+    """A crash file that is not there fails the preparation, not a session."""
+    scenario = tmp_path / "missing_crash.json"
+    scenario.write_text(json.dumps({"rules": [
+        {"pattern": "^\\./trigger$", "post": "emit_crash:gone.txt"}]}))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    builder = envprep.BuilderSpec("fixture-kasan", "fixture",
+                                  {"scenario": str(scenario)})
+    with pytest.raises(errors.EnvBootFailed, match="emit_crash:gone.txt"):
+        envprep.prepare_environment(task, builder, str(tmp_path / "env"))
+
+
 def test_non_fixture_builder_kind_fails_before_any_subprocess(
         kernel_repo, tmp_path, monkeypatch):
     task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import json
 import os
 import time
 from types import SimpleNamespace
@@ -10,14 +13,41 @@ from tests.conftest import SCENARIOS
 
 def _boot(name="crash_uaf.json"):
     path = os.path.join(SCENARIOS, name)
-    scn = guestvm.GuestScenario.load(path)
-    guest = guestvm.MockGuest(scn)
-    handle = guestvm.GuestHandle(
-        guestvm.SnapshotRef("boot",
-                            state={"scenario_path": path,
-                                   "guest_state": guest.state}),
-        mock_guest=guest)
-    return handle
+    guest = guestvm.MockGuest(guestvm.GuestScenario.load(path))
+    return guestvm.restore_from_snapshot(guestvm.create_snapshot(
+        {"scenario_path": path, "guest_state": guest.state}))
+
+
+def _upload(handle, name="trigger"):
+    """Place a program in the guest without a compile."""
+    guestvm.upload_poc(handle, guestvm.PocBuild("0", b"stub", "", "cc"),
+                       "/root/" + name)
+
+
+@pytest.mark.parametrize("post", ["emit-crash:x", "emit_crash:no_such.txt",
+                                  "interruptible", 1])
+def test_a_scenario_rule_with_a_bad_post_is_refused(tmp_path, post):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rules": [
+        {"pattern": "^ok$", "post": "ok"},
+        {"pattern": "^go$", "post": post}]}))
+    with pytest.raises(errors.EnvBootFailed,
+                       match=r"bad.json: rule '\^go\$' has post"):
+        guestvm.GuestScenario.load(str(path))
+
+
+def test_a_program_runs_only_once_uploaded_since_the_last_boot():
+    """A scenario rule answers ``./trigger`` only after an upload of
+    ``trigger`` to the guest booted last."""
+    h = _boot()
+    out = guestvm.exec_console(h, "./trigger")
+    assert out.text == "sh: ./trigger: command not found\n"
+    assert not out.kernel_lines and h.state == "running"
+    _upload(h)
+    guestvm.restart_guest(h)
+    assert "not found" in guestvm.exec_console(h, "./trigger").text
+    _upload(h)
+    assert guestvm.exec_console(h, "./trigger").kernel_lines
 
 
 def test_builtin_echo():
@@ -29,6 +59,7 @@ def test_builtin_echo():
 
 def test_scenario_rule_and_crash_transition():
     h = _boot()
+    _upload(h)
     out = guestvm.exec_console(h, "./trigger")
     assert any("KASAN" in ln for ln in out.kernel_lines)
     assert h.state == "unresponsive"
@@ -56,29 +87,42 @@ def test_blocked_utilities_command_not_found():
 def test_snapshot_restore_isolation():
     """Files created after the snapshot are gone after a restore."""
     h = _boot()
-    snap = guestvm.create_snapshot(
-        h, scenario_path=h.snapshot_ref.state["scenario_path"])
     baseline = h.state_digest()
     guestvm.exec_console(h, "touch /tmp/mark")
     assert "exists" in guestvm.exec_console(h, "cat /tmp/mark").text \
         or h.state_digest() != baseline
-    fresh = guestvm.restore_from_snapshot(snap)
+    fresh = guestvm.restore_from_snapshot(h.snapshot_ref)
     assert fresh.state_digest() == baseline
     out = guestvm.exec_console(fresh, "cat /tmp/mark")
     assert "No such file" in out.text
 
 
+def test_a_snapshot_is_an_immutable_value():
+    """Boots copy the snapshot's state; none writes to the snapshot."""
+    h = _boot()
+    snap = h.snapshot_ref
+    before = copy.deepcopy(snap)
+    guestvm.exec_console(h, "touch /tmp/mark")
+    guestvm.restart_guest(h)
+    guestvm.restore_from_snapshot(snap)
+    assert snap == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.state = {}
+
+
 def test_restart_preserves_gate_and_transcript():
     h = _boot()
+    gate, transcript = h.gate, h.transcript
+    _upload(h)
     guestvm.exec_console(h, "./trigger")
     assert h.state == "unresponsive"
     before = len(h.transcript)
-    fresh = guestvm.restart_guest(h)
-    assert fresh.state == "running"
-    assert fresh.gate is h.gate
-    assert len(fresh.transcript) > before
-    assert any("restarted" in rec["line"] for rec in fresh.transcript)
-    guestvm.exec_console(fresh, "echo ok")
+    assert guestvm.restart_guest(h) is h
+    assert h.state == "running" and h.guest_id == "guest-2"
+    assert h.gate is gate and h.transcript is transcript
+    assert h.transcript[before:] == [
+        {"origin": "lifecycle", "line": "== guest restarted =="}]
+    guestvm.exec_console(h, "echo ok")
 
 
 def test_snapshot_requires_booted_guest():
@@ -86,7 +130,8 @@ def test_snapshot_requires_booted_guest():
     h.mock.state["booted"] = False
     with pytest.raises(errors.SnapshotFailed):
         guestvm.create_snapshot(
-            h, scenario_path=h.snapshot_ref.state["scenario_path"])
+            {"scenario_path": h.snapshot_ref.state["scenario_path"],
+             "guest_state": h.mock.state})
 
 
 def test_gate_blocks_interaction():
@@ -194,13 +239,14 @@ def test_a_source_is_built_once_per_session(tmp_path, monkeypatch):
     runs = _counting_compiler(tmp_path, monkeypatch)
     h = _boot()
     first = guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
-    fresh = guestvm.restart_guest(h)
-    assert fresh.builds is h.builds
-    again = guestvm.compile_and_upload(fresh, SOURCE, "/tmp/poc")
+    builds = h.builds
+    guestvm.restart_guest(h)
+    assert h.builds is builds
+    again = guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
     assert runs() == 1
     assert again == first and first.binary_size == len("stub")
-    assert _uploads(fresh) == ["== uploaded /tmp/poc (4 bytes) =="] * 2
-    assert "poc" in fresh.mock.state["programs"]
+    assert _uploads(h) == ["== uploaded /tmp/poc (4 bytes) =="] * 2
+    assert "poc" in h.mock.state["programs"]
 
 
 def test_a_one_off_build_compiles_each_time(tmp_path, monkeypatch):
@@ -362,7 +408,7 @@ def test_a_built_source_still_waits_for_the_gate(tmp_path, monkeypatch):
 
 def test_each_session_over_one_env_builds_again(tmp_path, monkeypatch):
     runs = _counting_compiler(tmp_path, monkeypatch)
-    env = SimpleNamespace(snapshot_ref=guestvm.create_snapshot(_boot()))
+    env = SimpleNamespace(snapshot_ref=_boot().snapshot_ref)
     for session in (1, 2):
         guestvm.compile_and_upload(guestvm.start_guest(env), SOURCE, "/tmp/poc")
         assert runs() == session
@@ -370,6 +416,7 @@ def test_each_session_over_one_env_builds_again(tmp_path, monkeypatch):
 
 def test_kernel_lines_multiplexed_with_output():
     h = _boot()
+    _upload(h)
     out = guestvm.exec_console(h, "./trigger")
     # Command output and kernel lines share the stream; kernel ones are
     # additionally collected.

@@ -115,13 +115,9 @@ def test_classify_mutation(command, expected):
 
 def _guest():
     path = os.path.join(SCENARIOS, "crash_uaf.json")
-    scn = guestvm.GuestScenario.load(path)
-    guest = guestvm.MockGuest(scn)
-    return guestvm.GuestHandle(
-        guestvm.SnapshotRef("boot",
-                            state={"scenario_path": path,
-                                   "guest_state": guest.state}),
-        mock_guest=guest)
+    guest = guestvm.MockGuest(guestvm.GuestScenario.load(path))
+    return guestvm.restore_from_snapshot(guestvm.create_snapshot(
+        {"scenario_path": path, "guest_state": guest.state}))
 
 
 def _stub(**kw):
@@ -140,14 +136,20 @@ def test_attach_once():
         kdbg.attach(h, _stub())
 
 
-def test_attach_requires_stub_and_live_guest():
+def test_attach_requires_a_stub():
     h = _guest()
     with pytest.raises(errors.StubUnavailable):
         kdbg.attach(h)
-    h2 = _guest()
-    h2.state = "dead"
-    with pytest.raises(errors.StubUnavailable):
-        kdbg.attach(h2, _stub())
+    assert h.debug_session is None
+
+
+def test_a_reboot_detaches_the_debugger():
+    h = _guest()
+    kdbg.attach(h, _stub()).manage_breakpoint("set", "nft_chain_lookup")
+    h.gate.stop_breakpoint("1")
+    guestvm.restart_guest(h)
+    assert h.debug_session is None and not h.gate.is_stopped
+    assert kdbg.attach(h, _stub()).manage_breakpoint("list") == []
 
 
 def test_breakpoint_lifecycle_and_gate():

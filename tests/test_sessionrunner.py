@@ -290,6 +290,22 @@ def test_fold_matches_the_console_and_kernel_oracles(env_and_task, tmp_path,
                        else "")
 
 
+def test_a_repeat_session_over_one_env_has_the_same_guest_ids(env_and_task,
+                                                             tmp_path):
+    """Guest ids count the boots of one session's guest, not of the
+    environment's snapshot, so a second session gives the same trace."""
+    env, task = env_and_task
+    for attempt in ("a", "b"):
+        client = ScriptedModelClient.from_file(
+            os.path.join(MODELS, "recompile_after_restart.json"))
+        artifacts = run_session(task, env, client,
+                                toolserver.PROFILES["baseline"], Budget(),
+                                str(tmp_path / attempt))
+        ids = [e["guest_id"] for e in read_trace(artifacts.trace_path)
+               if e["kind"] == "lifecycle" and "guest_id" in e]
+        assert ids == ["guest-1", "guest-2"]
+
+
 def _compile(source="int main(void) { return 0; }", **args):
     return ModelAction(kind="tool_call", name="vm.compile_upload",
                        args={"source": source, **args})

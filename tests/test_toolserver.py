@@ -9,9 +9,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchrepro import codebrowse, envprep, kdbg, toolserver
+from patchrepro import codebrowse, envprep, kdbg, sessionrunner, toolserver
 from patchrepro.envprep import BuilderSpec
-from patchrepro.trace import Trace
+from patchrepro.trace import Trace, read_trace
 from tests.conftest import SCENARIOS, SENTINEL_MESSAGE
 from tests.test_mi import _oracle_parse
 
@@ -383,7 +383,7 @@ def test_server_with_debugger_is_freed_without_a_collection(env_and_task):
     srv = _server(env_and_task)
     srv.dispatch_call("vm.start", {})
     srv.dispatch_call("dbg.raw", {"command": "set var obj->len = 64"})
-    assert srv.debug_session is not None
+    assert srv.handle.debug_session is not None
     assert [e["kind"] for e in srv.trace.events].count("mutation") == 1
     ref = weakref.ref(srv)
     gc.disable()
@@ -399,7 +399,7 @@ def test_guest_with_debugger_is_freed_without_a_collection(env_and_task):
     srv.dispatch_call("vm.start", {})
     srv.dispatch_call("dbg.breakpoint",
                       {"action": "set", "location": "nft_chain_lookup"})
-    assert srv.handle.debug_session is srv.debug_session is not None
+    assert srv.handle.debug_session is not None
     ref = weakref.ref(srv.handle)
     gc.disable()
     try:
@@ -413,10 +413,72 @@ def test_console_trace_mirrors_transcript(env_and_task):
     srv = _server(env_and_task)
     srv.dispatch_call("vm.start", {})
     srv.dispatch_call("vm.exec", {"command": "echo one"})
+    srv.dispatch_call("vm.compile_upload", {
+        "source": "int main(void) { return 0; }", "dest_path": "/trigger"})
     srv.dispatch_call("vm.exec", {"command": "./trigger"})
+    assert srv.handle.state == "unresponsive"
     mirrored = [ln for e in srv.trace.events if e["kind"] == "console"
                 for ln in e["lines"]]
     assert mirrored == [rec["line"] for rec in srv.handle.transcript]
+
+
+def test_a_second_start_boots_the_one_guest_again(kernel_repo, tmp_path):
+    """The debugger, its gate and the console all follow the guest that
+    booted last."""
+    with open(os.path.join(SCENARIOS, "crash_uaf.json")) as fh:
+        scenario = json.load(fh)
+    for rule in scenario["rules"]:
+        if rule["post"].startswith("emit_crash:"):
+            rule["post"] = "emit_crash:" + os.path.join(
+                SCENARIOS, rule["post"].split(":", 1)[1])
+    scenario["debug"]["scripted"] = {"-exec-next": [
+        '*stopped,reason="breakpoint-hit",bkptno="1"', "(gdb)"]}
+    path = tmp_path / "stops.json"
+    path.write_text(json.dumps(scenario))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(
+        task, BuilderSpec("fixture-kasan", "fixture", {"scenario": str(path)}),
+        str(tmp_path / "env"))
+    srv = _server((env, task))
+    assert srv.dispatch_call("vm.start", {}) == {
+        "result": {"guest_id": "guest-1"}}
+    handle = srv.handle
+    srv.dispatch_call("dbg.breakpoint",
+                      {"action": "set", "location": "nft_chain_lookup"})
+    assert srv.dispatch_call("vm.start", {}) == {
+        "result": {"guest_id": "guest-2"}}
+    assert srv.handle is handle
+    assert srv.dispatch_call("dbg.breakpoint", {"action": "list"}) == {
+        "result": {"breakpoints": []}}
+    srv.dispatch_call("dbg.raw", {"command": "-exec-next"})
+    out = srv.dispatch_call("vm.exec", {"command": "echo hi"})
+    assert out["error"]["name"] == "DebuggeeHalted"
+    console = [line for e in srv.trace.events if e["kind"] == "console"
+               for line in e["lines"]]
+    banner = scenario["boot_banner"].split("\n")
+    assert console == (banner + ["repro$ # ready"]) * 2
+
+
+def test_a_handler_exception_is_recorded_as_the_calls_error(env_and_task,
+                                                            tmp_path,
+                                                            monkeypatch):
+    """It is raised again, and ends the session as a fatal error."""
+    def boom(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(toolserver.ToolServer, "_tool_vm_start", boom)
+    env, task = env_and_task
+    artifacts = sessionrunner.run_session(
+        task, env, sessionrunner.ScriptedModelClient(
+            [sessionrunner.ModelAction("tool_call", "vm.start", {})]),
+        toolserver.PROFILES["baseline"], sessionrunner.Budget(),
+        str(tmp_path / "run"))
+    assert artifacts.termination == "fatal_error"
+    error = {"name": "RuntimeError", "message": "boom"}
+    (result,) = [e for e in read_trace(artifacts.trace_path)
+                 if e["kind"] == "tool_result"]
+    assert result["error"] == error
+    assert result["result_digest"] == toolserver._digest(error)
 
 
 @settings(max_examples=20, deadline=None)

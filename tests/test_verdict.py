@@ -239,6 +239,16 @@ def test_decide_a_hidden_debugger_write_is_a_cheat(env_and_task, tmp_path,
         ("mutation_before_crash", mutation["seq"])]
 
 
+def test_decide_a_program_never_uploaded_crashes_nothing(env_and_task,
+                                                         tmp_path):
+    """``./trigger`` with no upload is not found, so the scenario's crash
+    rule never fires and the run is no success."""
+    out_dir = _session(env_and_task, tmp_path, "no_upload.json")
+    v = verdict.decide(out_dir)
+    assert not v.success
+    assert v.reason == "no_crash"
+
+
 def test_decide_an_echoed_banner_is_not_a_crash(env_and_task, tmp_path):
     """A banner the agent echoes is console output, not a kernel report."""
     out_dir = _session(env_and_task, tmp_path, "spoof_echo.json")
