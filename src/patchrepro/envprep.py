@@ -331,12 +331,10 @@ def shape_guest_image(env: ReproEnvironment,
     surface and gets ``env`` itself back."""
     if not profile.blocked_utilities:
         return env
-    state = {
-        "scenario_path": env.snapshot_ref.state["scenario_path"],
-        "guest_state": dict(env.snapshot_ref.state["guest_state"],
-                            blocked_utilities=sorted(profile.blocked_utilities)),
-    }
-    snap = guestvm.create_snapshot(state)
+    base = env.snapshot_ref.state
+    snap = guestvm.create_snapshot(dict(base, guest_state=dict(
+        base["guest_state"],
+        blocked_utilities=sorted(profile.blocked_utilities))))
     return replace(env, guest_image_ref="%s+%s" % (env.guest_image_ref,
                                                    profile.id),
                    snapshot_ref=snap,

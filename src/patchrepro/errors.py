@@ -87,11 +87,18 @@ class DebuggeeHalted(HarnessError):
 
 
 class CompileFailed(HarnessError):
-    def __init__(self, message="", compile_log=""):
+    """A PoC build that gave no binary.  ``kind`` says what failed:
+    ``timeout``, ``compile`` (the compiler or the linker, or no compiler
+    was found), ``assembly`` or ``unlisted`` (the compiler listed no files
+    it read, so no log is shown); ``data`` holds it, and the log if any."""
+
+    def __init__(self, message="", compile_log="", kind="compile"):
         super().__init__(message)
         self.compile_log = compile_log
+        self.kind = kind
+        self.data = {"kind": kind}
         if compile_log:
-            self.data = {"compile_log": compile_log}
+            self.data["compile_log"] = compile_log
 
 
 class HostPathRefused(HarnessError):

@@ -5,15 +5,12 @@ an immutable snapshot, answering console commands from the scenario's
 rules and a tiny builtin shell, and shelling out only to compile PoCs on
 the host.
 
-``build_poc`` is that compile; ``compile_and_upload`` builds and then uploads.
-A build is keyed by its ``digest``, the sha256 of the resolved compiler
-path, the compile flags and the source, and a session's one guest handle
-keeps its successful builds by that key in ``GuestHandle.builds`` across
-its reboots: a source the session has built is uploaded again without a
-compile.  Nothing else keeps a build, so a second session over the same
-environment compiles again.  A build that read a host file outside the
-compiler's system include dirs is refused, and its log, which would quote
-the file, is not shown; no diagnostic quotes a source line.
+A snapshot pins its scenario file's content: ``create_snapshot`` records
+the file's sha256, and a boot whose scenario bytes no longer match raises
+``EnvBootFailed`` rather than answering from the edited file.
+
+``compile_and_upload`` builds a PoC with ``pocbuild.build_poc``, which
+keeps one build store per process, and then uploads it.
 
 A single multiplexed channel carries both command output and kernel log
 lines.  The guest tags each line with its origin where it makes the line:
@@ -21,38 +18,26 @@ lines.  The guest tags each line with its origin where it makes the line:
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 import re
-import shutil
-import signal
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
-    CompileFailed,
     DebuggeeHalted,
     EnvBootFailed,
     GuestUnavailable,
-    HostPathRefused,
     InvalidParams,
     SnapshotFailed,
     UploadFailed,
 )
+from .pocbuild import PocBuild, build_poc
 
 DEFAULT_EXEC_TIMEOUT_S = 30.0
-# The longest a PoC compile may take, in seconds of wall-clock time.
-COMPILE_TIMEOUT_S = 60.0
-# The most of a compiler's log a build keeps, in characters.
-COMPILE_LOG_MAX_CHARS = 8192
-# Passed before ``-o``; they are part of a build's key.  To draw a caret
-# under a diagnostic, gcc reads the source line from the file a ``#line``
-# directive names, which no dependency list shows, so no caret is drawn.
-COMPILE_FLAGS = ("-O1", "-fno-diagnostics-show-caret")
 
 # In scenario-authored text (boot banner, rule responses), a line that starts
 # with a printk timestamp is the kernel's.  No text taken from a tool
@@ -108,8 +93,9 @@ class DebugGate:
 
 @dataclass(frozen=True)
 class SnapshotRef:
-    """A restorable guest state: the scenario path and the guest state
-    every boot starts from.  A boot copies it and never changes it."""
+    """A restorable guest state: the scenario's path and sha256 and the
+    guest state every boot starts from.  A boot copies it and never
+    changes it."""
 
     snapshot_id: str
     state: dict
@@ -127,18 +113,6 @@ class ConsoleOutput:
 class UploadResult:
     guest_path: str
     binary_size: int
-    compile_log: str
-    compiler_id: str
-
-
-@dataclass(frozen=True)
-class PocBuild:
-    """One successful PoC compile: the binary's bytes, the compiler's log,
-    the compiler that ran (see ``_CompilerFacts``) and the build's
-    ``digest`` (see ``build_poc``)."""
-
-    digest: str
-    binary: bytes
     compile_log: str
     compiler_id: str
 
@@ -163,28 +137,42 @@ class GuestScenario:
         self.debug = debug or {}  # scripted debug-stub config
 
     @classmethod
-    def load(cls, path) -> "GuestScenario":
-        """The scenario at ``path``; raises ``EnvBootFailed`` for a rule
-        whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:`` a file
-        that exists."""
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+    def load(cls, path, sha256=None) -> "GuestScenario":
+        """The scenario at ``path``.  Raises ``EnvBootFailed`` if ``sha256``
+        is given and is not the file's, for a rule that is not an object
+        with a ``pattern`` and no keys but ``ScenarioRule``'s, and for a
+        rule whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:`` a
+        file that exists."""
+        name = os.path.basename(path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+            raise EnvBootFailed("scenario %s is not the content its snapshot "
+                                "pins" % name)
+        raw = json.loads(blob.decode("utf-8"))
         base_dir = os.path.dirname(os.path.abspath(path))
-        rules = [ScenarioRule(**r) for r in raw.get("rules", [])]
-        for rule in rules:
+        keys = {f.name for f in dataclasses.fields(ScenarioRule)}
+        rules = []
+        for r in raw.get("rules", []):
+            if not (isinstance(r, dict) and "pattern" in r
+                    and keys.issuperset(r)):
+                raise EnvBootFailed("scenario %s: rule %s is not an object "
+                                    "of pattern, response and post"
+                                    % (name, json.dumps(r)))
+            rule = ScenarioRule(**r)
             kind, _, crash = str(rule.post).partition(":")
             if rule.post not in ("ok", "hang") and not (
                     kind == "emit_crash"
                     and os.path.isfile(os.path.join(base_dir, crash))):
                 raise EnvBootFailed("scenario %s: rule %r has post %r"
-                                    % (os.path.basename(path), rule.pattern,
-                                       rule.post))
+                                    % (name, rule.pattern, rule.post))
+            rules.append(rule)
         return cls(
             boot_banner=raw.get("boot_banner", "fixture kernel booting"),
             prompt=raw.get("prompt", "repro$ "),
             rules=rules,
             base_dir=base_dir,
-            scenario_id=os.path.basename(path),
+            scenario_id=name,
             debug=raw.get("debug"),
         )
 
@@ -264,22 +252,27 @@ class MockGuest:
 class GuestHandle:
     """A session's one guest: booted from its snapshot, and booted again in
     place by ``restart_guest`` or a later ``vm.start``.  It alone holds the
-    guest's debug gate, transcript, PoC builds and debugger."""
+    guest's debug gate, transcript and debugger."""
 
     def __init__(self, snapshot_ref: SnapshotRef):
         self.snapshot_ref = snapshot_ref
         self.boots = 0  # guest ids count them
         self.gate = DebugGate()
         self.transcript: List[dict] = []  # {origin, line}
-        # PoC builds by digest: they outlive a reboot, and nothing else
-        # keeps them, so they live exactly one session.
-        self.builds: Dict[str, PocBuild] = {}
 
     def _restore(self):
         """Replace the guest with a fresh copy of the snapshot: the next
-        guest id, the gate running, no debugger attached."""
+        guest id, the gate running, no debugger attached.  A snapshot that
+        pins no scenario sha256 (one saved before snapshots pinned it) is
+        refused."""
         state = self.snapshot_ref.state
-        self.mock = MockGuest(GuestScenario.load(state["scenario_path"]),
+        if "scenario_sha256" not in state:
+            raise EnvBootFailed(
+                "snapshot %s pins no scenario content; prepare the "
+                "environment again" % self.snapshot_ref.snapshot_id)
+        scenario = GuestScenario.load(state["scenario_path"],
+                                      sha256=state["scenario_sha256"])
+        self.mock = MockGuest(scenario,
                               state=copy.deepcopy(state["guest_state"]))
         self.boots += 1
         self.guest_id = "guest-%d" % self.boots
@@ -334,9 +327,14 @@ def restart_guest(handle: GuestHandle) -> GuestHandle:
 
 def create_snapshot(state: dict) -> SnapshotRef:
     """Freeze ``state`` (a ``scenario_path`` and a ``guest_state``) for
-    identical boots."""
+    identical boots.  The snapshot's state also pins the scenario file's
+    content: its ``scenario_sha256``, read now unless ``state`` has one."""
     if not state.get("guest_state", {}).get("booted"):
         raise SnapshotFailed("guest not booted")
+    if "scenario_sha256" not in state:
+        with open(state["scenario_path"], "rb") as fh:
+            state = dict(state, scenario_sha256=hashlib.sha256(
+                fh.read()).hexdigest())
     snap_id = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
     return SnapshotRef(snapshot_id=snap_id, state=state)
@@ -393,172 +391,6 @@ def send_signal(handle: GuestHandle, signal: str) -> dict:
     return {"signal": signal, "prompt_regained": regained}
 
 
-def _run_compiler(argv: List[str], work_dir: str,
-                  deadline: float) -> Tuple[int, str]:
-    """Run one compiler command in ``work_dir``, which also holds its
-    temporary files, until ``deadline`` (a ``time.monotonic`` reading);
-    its return code and its log (stderr).
-
-    The compiler reads nothing from stdin, which under serve-tools is the
-    JSON-RPC stream, and runs in a process group of its own, so a timeout
-    ends cc1 and as along with the driver."""
-    with subprocess.Popen(argv, cwd=work_dir,
-                          env=dict(os.environ, TMPDIR=work_dir),
-                          stdin=subprocess.DEVNULL,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, start_new_session=True) as proc:
-        try:
-            log = proc.communicate(
-                timeout=max(0.0, deadline - time.monotonic()))[1]
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            raise CompileFailed("compilation timed out after %g s"
-                                % COMPILE_TIMEOUT_S)
-    return proc.returncode, log
-
-
-class _CompilerFacts(NamedTuple):
-    """What ``cc -E -v`` tells of a compiler: the real paths of its
-    ``#include <...>`` search list (empty if it prints none), and its id,
-    the resolved compiler path then the ``gcc version`` and ``Target:``
-    lines of the log, "; "-separated."""
-
-    include_dirs: Tuple[str, ...]
-    compiler_id: str
-
-
-# The facts of each compiler path that has run ``cc -E -v`` in this process.
-_COMPILER_FACTS: Dict[str, _CompilerFacts] = {}
-
-
-def _compiler_facts(cc: str) -> _CompilerFacts:
-    """``cc``'s facts: they belong to the compiler, not to a build, so the
-    process runs ``cc -E -v`` once per compiler path."""
-    if cc not in _COMPILER_FACTS:
-        code, log = _run_compiler(
-            [cc, "-E", "-v", "-x", "c", os.devnull, "-o", os.devnull],
-            tempfile.gettempdir(), time.monotonic() + COMPILE_TIMEOUT_S)
-        search = re.search(r"^#include <\.\.\.> search starts here:\n(.*?)"
-                           r"^End of search list\.", log, re.M | re.S)
-        _COMPILER_FACTS[cc] = _CompilerFacts(
-            () if code != 0 or search is None else tuple(
-                os.path.realpath(line.strip())
-                for line in search[1].splitlines()),
-            "; ".join([cc] + [line.strip() for line in re.findall(
-                r"^(?:gcc version |Target: ).*", log, re.M)]))
-    return _COMPILER_FACTS[cc]
-
-
-def _listed_reads(path: str) -> Optional[List[str]]:
-    """The files named in the make rule that ``gcc -MD`` or ``as --MD``
-    wrote at ``path`` (a backslash escapes the next character, and ends a
-    line that goes on), or None if none was written."""
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            rule = fh.read().replace("\\\n", " ")
-    except FileNotFoundError:
-        return None
-    return [re.sub(r"\\(.)", r"\1", name.replace("$$", "$"))
-            for name in re.findall(r"(?:\\.|[^\s\\])+",
-                                   rule.partition(": ")[2])]
-
-
-def _refuse_host_reads(cc: str, build_dir: str, reads: List[str]) -> None:
-    """Raise ``HostPathRefused`` unless each file a build read lies in
-    ``build_dir`` or under one of ``cc``'s system include dirs."""
-    def within(path, dirs):
-        return any(path == d or path.startswith(d.rstrip(os.sep) + os.sep)
-                   for d in dirs)
-
-    build_real = os.path.realpath(build_dir)
-    for name in reads:
-        real = os.path.realpath(os.path.join(build_real, name))
-        if not within(real, (build_real,)) and not within(
-                real, _compiler_facts(cc).include_dirs):
-            raise HostPathRefused(
-                "the PoC build reads %s, outside the system include dirs"
-                % name.replace(build_dir + os.sep, ""))
-
-
-def build_poc(source_text: str, builds: Dict[str, PocBuild]) -> PocBuild:
-    """Compile C source on the host into a ``PocBuild``.
-
-    ``builds`` maps a build's key, its ``digest``, to the build: a
-    session's ``GuestHandle.builds``, or ``{}`` for a one-off build.  The
-    key is the sha256 of the resolved compiler path, ``COMPILE_FLAGS`` and
-    the source.  A build with the same key is reused, and only a
-    successful build is kept, so a failed or timed-out one is built again
-    the next time.  A host header that changes in the middle of a session
-    is not in the key, so a reuse does not see it.
-
-    The compiler (``-MD``) and the assembler (``--MD``) list every file
-    they read.  A build that read a file outside the build dir and the
-    compiler's system include dirs raises ``HostPathRefused`` with no log,
-    as the log of an ``#include`` or ``.include`` quotes the file.  GNU as
-    lists its reads only when it succeeds, so a failed assembly shows no
-    log either.  A ``__has_include`` probe reads no file content and is
-    not listed.  The log is capped at ``COMPILE_LOG_MAX_CHARS``, and all
-    the compiler runs of a build share one ``COMPILE_TIMEOUT_S``.
-    """
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        raise CompileFailed("no host C compiler available")
-    digest = hashlib.sha256(
-        json.dumps([cc, *COMPILE_FLAGS, source_text]).encode()).hexdigest()
-    if digest in builds:
-        return builds[digest]
-    deadline = time.monotonic() + COMPILE_TIMEOUT_S
-    with tempfile.TemporaryDirectory(prefix="pocbuild-") as tmp:
-        with open(os.path.join(tmp, "poc.c"), "w", encoding="utf-8") as fh:
-            fh.write(source_text)
-
-        def run(*args):
-            return _run_compiler([cc, *COMPILE_FLAGS, *args], tmp, deadline)
-
-        def listed(name):
-            return _listed_reads(os.path.join(tmp, name))
-
-        code, log = run("-MD", "-MF", "poc.c.d", "-Wa,--MD,poc.s.d",
-                        "-o", "poc", "poc.c")
-        as_reads = listed("poc.s.d")
-        if as_reads is None and code != 0:
-            # cc1 or as failed, and as lists nothing when it fails.  Compiled
-            # again to assembly only, a failure is cc1's, and its log is all.
-            code_s, log = run("-S", "-MD", "-MF", "poc.c.d", "-o", "poc.s",
-                              "poc.c")
-            if code_s == 0:
-                raise CompileFailed("assembly failed; the assembler lists no "
-                                    "files it read, so no log is shown")
-            as_reads = []
-        reads = listed("poc.c.d")
-        if reads is None and code != 0:
-            # A fatal preprocessor error (a missing header, say) lists
-            # nothing; -MG lists what the source reads without stopping.
-            run("-M", "-MG", "-MF", "poc.c.d", "poc.c")
-            reads = listed("poc.c.d")
-        if reads is None or as_reads is None:
-            raise CompileFailed("compilation failed; the compiler did not "
-                                "list the files it read, so no log is shown")
-        reads += as_reads
-        _refuse_host_reads(cc, tmp, reads)
-        log = log.replace(tmp + os.sep, "")
-        if len(log) > COMPILE_LOG_MAX_CHARS:
-            log = (log[:COMPILE_LOG_MAX_CHARS]
-                   + "\n[log cut at %d characters]\n" % COMPILE_LOG_MAX_CHARS)
-        if code != 0:
-            raise CompileFailed("compilation failed", compile_log=log)
-        with open(os.path.join(tmp, "poc"), "rb") as fh:
-            # The id names the version only once a build has read a host
-            # header (gcc reads one for every build): no compiler is run
-            # for the id alone.
-            facts = _COMPILER_FACTS.get(cc)
-            build = PocBuild(digest=digest, binary=fh.read(), compile_log=log,
-                             compiler_id=facts.compiler_id if facts else cc)
-    builds[digest] = build
-    return build
-
-
 def upload_poc(handle: GuestHandle, build: PocBuild,
                dest_path: str) -> UploadResult:
     """Place a built PoC in the guest at ``dest_path``."""
@@ -573,8 +405,8 @@ def upload_poc(handle: GuestHandle, build: PocBuild,
 
 def compile_and_upload(handle: GuestHandle, source_text: str,
                        dest_path: str) -> UploadResult:
-    """Build C source (once per session, see ``build_poc``) and place
-    the binary in the guest.
+    """Build C source (once per process while the host files it read are
+    unchanged, see ``pocbuild``) and place the binary in the guest.
 
     Every call that gets past the gate, a failed, refused or timed-out
     build included, is one PoC iteration (counted by ``trace.fold``).
@@ -584,4 +416,4 @@ def compile_and_upload(handle: GuestHandle, source_text: str,
     handle.gate.check()
     if handle.state != "running":
         raise UploadFailed("guest state is %s" % handle.state)
-    return upload_poc(handle, build_poc(source_text, handle.builds), dest_path)
+    return upload_poc(handle, build_poc(source_text), dest_path)

@@ -98,3 +98,11 @@ def scenario(request):
     def path(name):
         return os.path.join(SCENARIOS, name)
     return path
+
+
+@pytest.fixture
+def build_store():
+    """The process's PoC build store, emptied for the test."""
+    from patchrepro import pocbuild
+    pocbuild._STORE.clear()
+    return pocbuild._STORE

@@ -2,12 +2,13 @@ import copy
 import dataclasses
 import json
 import os
+import shutil
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from patchrepro import guestvm, errors
+from patchrepro import envprep, errors, guestvm, pocbuild
 from tests.conftest import SCENARIOS
 
 
@@ -20,7 +21,7 @@ def _boot(name="crash_uaf.json"):
 
 def _upload(handle, name="trigger"):
     """Place a program in the guest without a compile."""
-    guestvm.upload_poc(handle, guestvm.PocBuild("0", b"stub", "", "cc"),
+    guestvm.upload_poc(handle, pocbuild.PocBuild("0", b"stub", "", "cc"),
                        "/root/" + name)
 
 
@@ -34,6 +35,72 @@ def test_a_scenario_rule_with_a_bad_post_is_refused(tmp_path, post):
     with pytest.raises(errors.EnvBootFailed,
                        match=r"bad.json: rule '\^go\$' has post"):
         guestvm.GuestScenario.load(str(path))
+
+
+@pytest.mark.parametrize("rule", [{"pattern": "^x$", "posts": "ok"},
+                                  {"response": "no pattern"}, ["^x$", "ok"]],
+                         ids=["unknown_key", "no_pattern", "not_an_object"])
+def test_a_scenario_rule_of_other_keys_is_refused_by_name(tmp_path, rule):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rules": [rule]}))
+    with pytest.raises(errors.EnvBootFailed) as ei:
+        guestvm.GuestScenario.load(str(path))
+    assert str(ei.value) == ("scenario bad.json: rule %s is not an object of "
+                             "pattern, response and post" % json.dumps(rule))
+
+
+def test_a_snapshot_boots_only_the_scenario_content_it_pins(kernel_repo,
+                                                            tmp_path):
+    """A scenario edited after ``prepare_environment`` is refused by every
+    later boot of that environment, rather than answered from."""
+    path = tmp_path / "no_crash.json"
+    shutil.copy(os.path.join(SCENARIOS, "no_crash.json"), path)
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(
+        task, envprep.BuilderSpec("fixture-kasan", "fixture",
+                                  {"scenario": str(path)}),
+        str(tmp_path / "env"))
+    h = guestvm.start_guest(env)
+    _upload(h)
+    assert "without incident" in guestvm.exec_console(h, "./trigger").text
+    path.write_text(path.read_text().replace(
+        "trigger: completed without incident", "EDITED"))
+    _, loaded = envprep.load_environment(env.env_dir)
+    for boot in (lambda: guestvm.restart_guest(h),
+                 lambda: guestvm.start_guest(env),
+                 lambda: guestvm.start_guest(loaded)):
+        with pytest.raises(errors.EnvBootFailed,
+                           match="no_crash.json is not the content its "
+                                 "snapshot pins"):
+            boot()
+    state = dict(env.snapshot_ref.state)
+    del state["scenario_sha256"]
+    assert guestvm.create_snapshot(state).snapshot_id != \
+        env.snapshot_ref.snapshot_id
+
+
+def test_an_env_whose_snapshot_pins_no_scenario_content_is_refused(
+        kernel_repo, tmp_path):
+    """An env dir saved before snapshots pinned their scenario's sha256
+    fails to boot, and says to prepare it again."""
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(
+        task, envprep.BuilderSpec("fixture-kasan", "fixture",
+                                  {"scenario": os.path.join(
+                                      SCENARIOS, "no_crash.json")}),
+        str(tmp_path / "env"))
+    manifest_path = os.path.join(env.env_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    del manifest["snapshot"]["state"]["scenario_sha256"]
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    _, loaded = envprep.load_environment(env.env_dir)
+    with pytest.raises(errors.EnvBootFailed,
+                       match="snapshot %s pins no scenario content; prepare "
+                             "the environment again"
+                             % loaded.snapshot_ref.snapshot_id):
+        guestvm.start_guest(loaded)
 
 
 def test_a_program_runs_only_once_uploaded_since_the_last_boot():
@@ -219,7 +286,7 @@ def test_compile_timeout_ends_the_whole_compiler(tmp_path, monkeypatch):
     child = tmp_path / "child.pid"
     _stand_in_compiler(tmp_path, 'sleep 120 &\necho $! > "%s"\nwait\n' % child)
     _lead_path(monkeypatch, tmp_path)
-    monkeypatch.setattr(guestvm, "COMPILE_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(pocbuild, "COMPILE_TIMEOUT_S", 0.5)
     h = _boot()
     started = time.monotonic()
     with pytest.raises(errors.CompileFailed, match="timed out after 0.5 s"):
@@ -239,9 +306,7 @@ def test_a_source_is_built_once_per_session(tmp_path, monkeypatch):
     runs = _counting_compiler(tmp_path, monkeypatch)
     h = _boot()
     first = guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
-    builds = h.builds
     guestvm.restart_guest(h)
-    assert h.builds is builds
     again = guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
     assert runs() == 1
     assert again == first and first.binary_size == len("stub")
@@ -249,16 +314,8 @@ def test_a_source_is_built_once_per_session(tmp_path, monkeypatch):
     assert "poc" in h.mock.state["programs"]
 
 
-def test_a_one_off_build_compiles_each_time(tmp_path, monkeypatch):
-    runs = _counting_compiler(tmp_path, monkeypatch)
-    builds = {}
-    kept = guestvm.build_poc(SOURCE, builds)
-    assert builds == {kept.digest: kept}
-    assert guestvm.build_poc(SOURCE, {}) == guestvm.build_poc(SOURCE, {}) == kept
-    assert runs() == 3
-
-
-def test_a_new_source_or_compiler_is_built_again(tmp_path, monkeypatch):
+def test_a_new_source_or_compiler_is_built_again(tmp_path, monkeypatch,
+                                                 build_store):
     runs = _counting_compiler(tmp_path / "a", monkeypatch)
     h = _boot()
     guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
@@ -267,7 +324,7 @@ def test_a_new_source_or_compiler_is_built_again(tmp_path, monkeypatch):
     other = _counting_compiler(tmp_path / "b", monkeypatch)
     guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
     assert (runs(), other()) == (2, 1)
-    assert len(h.builds) == 3
+    assert len(build_store) == 3
 
 
 def test_an_upload_names_the_compiler_that_ran(tmp_path, monkeypatch):
@@ -307,15 +364,15 @@ FAILS = 'echo "$src:1:1: error: no" >&2\nexit 1\n'
     ("sleep 30\n", 0.3, "timed out after 0.3 s")])
 def test_a_failed_or_timed_out_compile_is_built_again(tmp_path, monkeypatch,
                                                       body, timeout_s,
-                                                      message):
+                                                      message, build_store):
     runs = _counting_compiler(tmp_path, monkeypatch, body=body)
-    monkeypatch.setattr(guestvm, "COMPILE_TIMEOUT_S", timeout_s)
+    monkeypatch.setattr(pocbuild, "COMPILE_TIMEOUT_S", timeout_s)
     h = _boot()
     for attempt in (1, 2):
         with pytest.raises(errors.CompileFailed, match=message):
             guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
         assert runs() == attempt
-    assert h.builds == {} and _uploads(h) == []
+    assert not build_store and _uploads(h) == []
 
 
 def test_a_failed_compile_log_names_the_source_poc_c(tmp_path, monkeypatch):
@@ -323,13 +380,14 @@ def test_a_failed_compile_log_names_the_source_poc_c(tmp_path, monkeypatch):
     with pytest.raises(errors.CompileFailed) as ei:
         guestvm.compile_and_upload(_boot(), SOURCE, "/tmp/poc")
     assert ei.value.compile_log == "poc.c:1:1: error: no\n"
-    assert ei.value.data == {"compile_log": ei.value.compile_log}
+    assert ei.value.data == {"kind": "compile",
+                             "compile_log": ei.value.compile_log}
 
 
 def test_a_long_compile_log_is_cut(tmp_path, monkeypatch):
     _counting_compiler(tmp_path, monkeypatch, body=(
         "printf '%0300d' 0 >&2\nexit 1\n"))
-    monkeypatch.setattr(guestvm, "COMPILE_LOG_MAX_CHARS", 100)
+    monkeypatch.setattr(pocbuild, "COMPILE_LOG_MAX_CHARS", 100)
     with pytest.raises(errors.CompileFailed) as ei:
         guestvm.compile_and_upload(_boot(), SOURCE, "/tmp/poc")
     assert ei.value.compile_log == "0" * 100 + "\n[log cut at 100 characters]\n"
@@ -340,7 +398,7 @@ MARKER = "host_file_marker_7c1e"
 
 NOT_C = "%s is not C\n" % MARKER
 WARNS = "#warning %s\nint %s;\n" % (MARKER, MARKER)
-REFUSED = (errors.HostPathRefused, "outside the system include dirs")
+REFUSED = (errors.HostPathRefused, "outside the system include dirs", None)
 
 
 @pytest.mark.parametrize("host_text,reads,refusal", [
@@ -348,11 +406,12 @@ REFUSED = (errors.HostPathRefused, "outside the system include dirs")
     (WARNS, '#include "%s"\n', REFUSED),
     (NOT_C, 'asm(".incbin \\"%s\\"");\n', REFUSED),
     (NOT_C, 'asm(".include \\"%s\\"");\n',
-     (errors.CompileFailed, "assembly failed"))],
+     (errors.CompileFailed, "assembly failed", {"kind": "assembly"}))],
     ids=["include_fails", "include_builds", "incbin_builds",
          "asm_include_fails"])
 def test_a_build_that_reads_a_host_file_shows_none_of_it(tmp_path, host_text,
-                                                         reads, refusal):
+                                                         reads, refusal,
+                                                         build_store):
     """The file's text would be in the log; the build is refused, or fails
     with no log, and nothing is uploaded or kept."""
     host = tmp_path / "host.h"
@@ -360,8 +419,9 @@ def test_a_build_that_reads_a_host_file_shows_none_of_it(tmp_path, host_text,
     h = _boot()
     with pytest.raises(refusal[0], match=refusal[1]) as ei:
         guestvm.compile_and_upload(h, reads % host + SOURCE, "/tmp/poc")
-    assert MARKER not in str(ei.value) and ei.value.data is None
-    assert h.builds == {} and _uploads(h) == []
+    assert MARKER not in str(ei.value)
+    assert ei.value.data == refusal[2]
+    assert not build_store and _uploads(h) == []
 
 
 @pytest.mark.parametrize("directive", ['#line 1 "%s"\n', '# 1 "%s"\n'],
@@ -406,12 +466,15 @@ def test_a_built_source_still_waits_for_the_gate(tmp_path, monkeypatch):
     assert len(_uploads(h)) == 1
 
 
-def test_each_session_over_one_env_builds_again(tmp_path, monkeypatch):
+def test_a_later_session_over_one_env_compiles_nothing(tmp_path,
+                                                       monkeypatch):
     runs = _counting_compiler(tmp_path, monkeypatch)
     env = SimpleNamespace(snapshot_ref=_boot().snapshot_ref)
-    for session in (1, 2):
-        guestvm.compile_and_upload(guestvm.start_guest(env), SOURCE, "/tmp/poc")
-        assert runs() == session
+    for _session in (1, 2):
+        h = guestvm.start_guest(env)
+        guestvm.compile_and_upload(h, SOURCE, "/tmp/poc")
+        assert _uploads(h) == ["== uploaded /tmp/poc (4 bytes) =="]
+    assert runs() == 1
 
 
 def test_kernel_lines_multiplexed_with_output():
