@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import time
@@ -130,6 +131,11 @@ def _git(repo, *args):
     return proc.stdout
 
 
+# What ``rev-parse --verify`` prints for one commit: a full SHA-1 or
+# SHA-256 object id.  It also prints ``^X`` for an ``^X`` argument.
+_OBJECT_ID_RE = re.compile(r"(?:[0-9a-f]{40}|[0-9a-f]{64})")
+
+
 def load_case_metadata(path) -> Dict[str, dict]:
     """Sidecar metadata: one record per case keyed by case_id."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -147,9 +153,20 @@ def resolve_task(repo_ref, commit_id,
     because "one commit prior" is ambiguous for them.  The task always
     carries the commit message; a profile that withholds it does so when the
     prompt is assembled.
+
+    Raises ``UnknownCommit`` unless ``commit_id`` names one commit (a range
+    or an ``^X`` does not), ``MergeCommitRejected`` for a root or a merge
+    commit and ``EmptyDiff`` for a commit that changes nothing.
     """
-    full_id = _git(repo_ref, "rev-parse", "%s^{commit}" % commit_id).strip()
-    parents = _git(repo_ref, "log", "-1", "--format=%P", full_id).split()
+    full_id = _git(repo_ref, "rev-parse", "--verify",
+                   "%s^{commit}" % commit_id).strip()
+    if not _OBJECT_ID_RE.fullmatch(full_id):
+        raise UnknownCommit("%r names no single commit" % commit_id)
+    # One log gives the parents and the message; %B is followed by the
+    # newline that ends the entry.
+    head, _, message = _git(repo_ref, "log", "-1", "--format=%P%n%B",
+                            full_id).partition("\n")
+    parents = head.split()
     if len(parents) != 1:
         raise MergeCommitRejected(
             "commit %s has %d parents" % (full_id, len(parents)))
@@ -159,15 +176,13 @@ def resolve_task(repo_ref, commit_id,
     if not diff.strip():
         raise EmptyDiff(full_id)
 
-    message = _git(repo_ref, "log", "-1", "--format=%B", full_id).rstrip("\n")
-
     meta = dict(metadata or {})
     return PatchTask(
         case_id=meta.get("case_id", full_id[:12]),
         commit_id=full_id,
         parent_commit_id=parent,
         diff_text=diff,
-        commit_message=message,
+        commit_message=message.rstrip("\n"),
         subsystem_label=meta.get("subsystem"),
         vuln_type=meta.get("vuln_type"),
         is_race=meta.get("is_race"),
@@ -183,16 +198,33 @@ def content_digest(commit_id, builder_id, config_manifest) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _reset_checkout(dest: str, commit: str) -> bool:
+def _reset_checkout(dest: str, commit: str) -> Optional[str]:
     """Put an existing checkout back to exactly ``commit``: tracked files
-    restored, untracked and ignored ones removed.  False when git fails."""
+    restored, untracked and ignored ones removed.  Returns what was done for
+    ``prep.log``, or None when git fails.
+
+    One ``git status`` walk comes first.  A checkout at ``commit`` that it
+    shows no change in (no edited, deleted, staged, untracked or ignored
+    file) is left as it is; anything else takes ``reset --hard`` and
+    ``clean``.  Git sees files, not directories, so an empty untracked
+    directory survives a verified checkout.
+    """
     # Name the repository outright: with a broken dest/.git, git would
-    # otherwise search upwards and reset an enclosing repository.
+    # otherwise search upwards into an enclosing repository.
     git = ["git", "--git-dir", os.path.join(dest, ".git"), "--work-tree", dest]
+    proc = subprocess.run(
+        git + ["status", "--porcelain=v2", "--branch", "--ignored=matching",
+               "--untracked-files=all"],
+        capture_output=True)
+    if proc.returncode == 0:
+        lines = proc.stdout.splitlines()
+        if b"# branch.oid " + commit.encode() in lines and all(
+                line.startswith(b"# ") for line in lines):
+            return "checkout verified at %s" % commit
     for args in (["reset", "--hard", "--quiet", commit], ["clean", "-ffdxq"]):
         if subprocess.run(git + args, capture_output=True).returncode != 0:
-            return False
-    return True
+            return None
+    return "reset checkout to %s" % commit
 
 
 def _checkout_parent(task: PatchTask, dest: str, log: List[str]):
@@ -201,17 +233,21 @@ def _checkout_parent(task: PatchTask, dest: str, log: List[str]):
         os.makedirs(dest, exist_ok=True)
         log.append("no repository reference; source_root left empty")
         return
-    # Re-preparing the same environment resets its checkout in place, and
-    # re-clones only when that fails.
-    if (os.path.isdir(os.path.join(dest, ".git"))
-            and _reset_checkout(dest, task.parent_commit_id)):
-        log.append("reset checkout to %s" % task.parent_commit_id)
-        return
+    # Re-preparing the same environment verifies or resets its checkout in
+    # place, and re-clones only when that fails.
+    if os.path.isdir(os.path.join(dest, ".git")):
+        done = _reset_checkout(dest, task.parent_commit_id)
+        if done is not None:
+            log.append(done)
+            return
     if os.path.isdir(dest) and os.listdir(dest):
         shutil.rmtree(dest)
     os.makedirs(dest, exist_ok=True)
+    # An empty template: no hook from the host's git setup is copied into
+    # the checkout, so none runs at its checkout.
     proc = subprocess.run(
-        ["git", "clone", "--quiet", "--no-checkout", repo, dest],
+        ["git", "clone", "--quiet", "--no-checkout", "--template=", repo,
+         dest],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise BuildFailed("clone failed", prep_log=proc.stderr)
@@ -244,10 +280,10 @@ def prepare_environment(task: PatchTask, builder: BuilderSpec,
         _checkout_parent(task, source_root, log)
 
     scenario_path = os.path.abspath(builder.parameters["scenario"])
-    snapshot = guestvm.create_snapshot({
-        "scenario_path": scenario_path,
-        "guest_state": guestvm.MockGuest(
-            guestvm.GuestScenario.load(scenario_path)).state})
+    scenario = guestvm.GuestScenario.load(scenario_path)
+    snapshot = guestvm.create_snapshot(dict(
+        scenario.pins, scenario_path=scenario_path,
+        guest_state=guestvm.MockGuest(scenario).state))
     handle = guestvm.restore_from_snapshot(snapshot)
     deadline = time.monotonic() + BOOT_DEADLINE_MOCK_S
     out = guestvm.exec_console(handle, "echo ready", timeout_s=1.0)

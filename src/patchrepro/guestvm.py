@@ -5,9 +5,11 @@ an immutable snapshot, answering console commands from the scenario's
 rules and a tiny builtin shell, and shelling out only to compile PoCs on
 the host.
 
-A snapshot pins its scenario file's content: ``create_snapshot`` records
-the file's sha256, and a boot whose scenario bytes no longer match raises
-``EnvBootFailed`` rather than answering from the edited file.
+A snapshot pins its scenario file's content and that of each crash file
+the scenario's rules name: ``create_snapshot`` records their sha256, and a
+boot whose scenario or crash bytes no longer match raises ``EnvBootFailed``
+rather than answering from the edited file.  A boot reads each crash file
+once and keeps its text, so a crash emits what the boot checked.
 
 ``compile_and_upload`` builds a PoC with ``pocbuild.build_poc``, which
 keeps one build store per process, and then uploads it.
@@ -25,7 +27,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     DebuggeeHalted,
@@ -93,9 +95,9 @@ class DebugGate:
 
 @dataclass(frozen=True)
 class SnapshotRef:
-    """A restorable guest state: the scenario's path and sha256 and the
-    guest state every boot starts from.  A boot copies it and never
-    changes it."""
+    """A restorable guest state: the scenario's path, the sha256 of the
+    scenario and of each of its crash files, and the guest state every boot
+    starts from.  A boot copies it and never changes it."""
 
     snapshot_id: str
     state: dict
@@ -127,32 +129,39 @@ class ScenarioRule:
 class GuestScenario:
     """Deterministic mock-guest behaviour loaded from a JSON scenario file."""
 
-    def __init__(self, boot_banner, prompt, rules, base_dir, scenario_id,
-                 debug=None):
+    def __init__(self, boot_banner, prompt, rules, scenario_id, debug,
+                 crashes, pins):
         self.boot_banner = boot_banner
         self.prompt = prompt
         self.rules: List[ScenarioRule] = rules
-        self.base_dir = base_dir
         self.scenario_id = scenario_id  # the scenario file's name
         self.debug = debug or {}  # scripted debug-stub config
+        self.crashes: Dict[str, str] = crashes  # crash file -> its text
+        # scenario_sha256 and crash_sha256 (crash file -> sha256): what a
+        # snapshot of this scenario pins.
+        self.pins: dict = pins
 
     @classmethod
-    def load(cls, path, sha256=None) -> "GuestScenario":
-        """The scenario at ``path``.  Raises ``EnvBootFailed`` if ``sha256``
-        is given and is not the file's, for a rule that is not an object
-        with a ``pattern`` and no keys but ``ScenarioRule``'s, and for a
-        rule whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:`` a
-        file that exists."""
+    def load(cls, path, sha256=None, crash_sha256=None) -> "GuestScenario":
+        """The scenario at ``path``, with the text of each crash file its
+        rules name.  Raises ``EnvBootFailed`` if ``sha256`` is given and is
+        not the file's, if ``crash_sha256`` (crash file -> sha256) is given
+        and does not pin each crash file's content, for a rule that is not
+        an object with a ``pattern`` and no keys but ``ScenarioRule``'s, and
+        for a rule whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:``
+        a UTF-8 file that exists."""
         name = os.path.basename(path)
         with open(path, "rb") as fh:
             blob = fh.read()
-        if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        digest = hashlib.sha256(blob).hexdigest()
+        if sha256 is not None and digest != sha256:
             raise EnvBootFailed("scenario %s is not the content its snapshot "
                                 "pins" % name)
         raw = json.loads(blob.decode("utf-8"))
         base_dir = os.path.dirname(os.path.abspath(path))
         keys = {f.name for f in dataclasses.fields(ScenarioRule)}
         rules = []
+        crashes, crash_digests = {}, {}
         for r in raw.get("rules", []):
             if not (isinstance(r, dict) and "pattern" in r
                     and keys.issuperset(r)):
@@ -161,9 +170,25 @@ class GuestScenario:
                                     % (name, json.dumps(r)))
             rule = ScenarioRule(**r)
             kind, _, crash = str(rule.post).partition(":")
+            if kind == "emit_crash" and crash not in crashes:
+                try:
+                    with open(os.path.join(base_dir, crash), "rb") as fh:
+                        crash_blob = fh.read()
+                    # Newlines as a text-mode read gives them.
+                    crashes[crash] = crash_blob.decode("utf-8").replace(
+                        "\r\n", "\n").replace("\r", "\n")
+                except (OSError, UnicodeDecodeError):
+                    pass  # refused below
+                else:
+                    crash_digests[crash] = hashlib.sha256(
+                        crash_blob).hexdigest()
+                    if crash_sha256 is not None and \
+                            crash_sha256.get(crash) != crash_digests[crash]:
+                        raise EnvBootFailed("crash file %s is not the "
+                                            "content its snapshot pins"
+                                            % crash)
             if rule.post not in ("ok", "hang") and not (
-                    kind == "emit_crash"
-                    and os.path.isfile(os.path.join(base_dir, crash))):
+                    kind == "emit_crash" and crash in crashes):
                 raise EnvBootFailed("scenario %s: rule %r has post %r"
                                     % (name, rule.pattern, rule.post))
             rules.append(rule)
@@ -171,14 +196,11 @@ class GuestScenario:
             boot_banner=raw.get("boot_banner", "fixture kernel booting"),
             prompt=raw.get("prompt", "repro$ "),
             rules=rules,
-            base_dir=base_dir,
             scenario_id=name,
             debug=raw.get("debug"),
+            crashes=crashes,
+            pins={"scenario_sha256": digest, "crash_sha256": crash_digests},
         )
-
-    def crash_text(self, name) -> str:
-        with open(os.path.join(self.base_dir, name), "r", encoding="utf-8") as fh:
-            return fh.read()
 
 
 class MockGuest:
@@ -263,15 +285,18 @@ class GuestHandle:
     def _restore(self):
         """Replace the guest with a fresh copy of the snapshot: the next
         guest id, the gate running, no debugger attached.  A snapshot that
-        pins no scenario sha256 (one saved before snapshots pinned it) is
-        refused."""
+        pins no scenario or no crash file sha256 (one saved before snapshots
+        pinned them) is refused."""
         state = self.snapshot_ref.state
-        if "scenario_sha256" not in state:
-            raise EnvBootFailed(
-                "snapshot %s pins no scenario content; prepare the "
-                "environment again" % self.snapshot_ref.snapshot_id)
+        for key, what in (("scenario_sha256", "scenario"),
+                          ("crash_sha256", "crash file")):
+            if key not in state:
+                raise EnvBootFailed(
+                    "snapshot %s pins no %s content; prepare the environment "
+                    "again" % (self.snapshot_ref.snapshot_id, what))
         scenario = GuestScenario.load(state["scenario_path"],
-                                      sha256=state["scenario_sha256"])
+                                      sha256=state["scenario_sha256"],
+                                      crash_sha256=state["crash_sha256"])
         self.mock = MockGuest(scenario,
                               state=copy.deepcopy(state["guest_state"]))
         self.boots += 1
@@ -327,14 +352,14 @@ def restart_guest(handle: GuestHandle) -> GuestHandle:
 
 def create_snapshot(state: dict) -> SnapshotRef:
     """Freeze ``state`` (a ``scenario_path`` and a ``guest_state``) for
-    identical boots.  The snapshot's state also pins the scenario file's
-    content: its ``scenario_sha256``, read now unless ``state`` has one."""
+    identical boots.  The snapshot's state also pins the content of the
+    scenario file and of its crash files: ``GuestScenario.pins``, read now
+    unless ``state`` has a ``scenario_sha256``."""
     if not state.get("guest_state", {}).get("booted"):
         raise SnapshotFailed("guest not booted")
     if "scenario_sha256" not in state:
-        with open(state["scenario_path"], "rb") as fh:
-            state = dict(state, scenario_sha256=hashlib.sha256(
-                fh.read()).hexdigest())
+        state = dict(state,
+                     **GuestScenario.load(state["scenario_path"]).pins)
     snap_id = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
     return SnapshotRef(snapshot_id=snap_id, state=state)
@@ -362,7 +387,7 @@ def exec_console(handle: GuestHandle, command: str,
     else:
         handle.append_scenario_text(out)
         if rule.post.startswith("emit_crash:"):
-            crash = handle.mock.scenario.crash_text(rule.post.split(":", 1)[1])
+            crash = handle.mock.scenario.crashes[rule.post.split(":", 1)[1]]
             handle.append_transcript(split_lines(crash), origin="kernel")
             handle.state = "unresponsive"
     output = handle.transcript[first:]

@@ -56,6 +56,10 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def read_trace(path: str) -> List[dict]:
+    """The events of the trace at ``path``.  Raises ``MalformedTrace`` for
+    a file that cannot be read and, naming the line, for a line that is not
+    UTF-8, not JSON, not an event or out of sequence; blank lines are
+    skipped."""
     events = []
     last_seq = 0
     try:
@@ -83,7 +87,22 @@ def read_trace(path: str) -> List[dict]:
                 events.append(event)
     except OSError as exc:
         raise MalformedTrace(str(exc))
+    except UnicodeDecodeError:
+        raise MalformedTrace(_first_undecodable(path)) from None
     return events
+
+
+def _first_undecodable(path: str) -> str:
+    """``line N: …`` for the first line of ``path`` that is not UTF-8,
+    numbered as ``read_trace`` numbers lines."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                return "line %d: byte 0x%02x at column %d is not UTF-8" % (
+                    lineno, ord(line[exc.start]) - 0xdc00, exc.start + 1)
+    return "not UTF-8"
 
 
 class Folded(NamedTuple):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from patchrepro import envprep, errors
-from tests.conftest import SCENARIOS, SENTINEL_MESSAGE
+from tests.conftest import SCENARIOS, SENTINEL_MESSAGE, _git
 
 
 def _fixture_builder(scenario_name="crash_uaf.json"):
@@ -174,7 +174,7 @@ def _git_commands(monkeypatch):
     def run(cmd, *args, **kwargs):
         seen.append(next(a for a in cmd[1:] if a in
                          ("clone", "checkout", "reset", "clean", "status",
-                          "rev-parse")))
+                          "rev-parse", "log", "diff")))
         return real_run(cmd, *args, **kwargs)
 
     monkeypatch.setattr(envprep.subprocess, "run", run)
@@ -195,7 +195,7 @@ def test_reprepare_resets_the_checkout_in_place(kernel_repo, tmp_path,
     commands.clear()
     again = envprep.prepare_environment(task, _fixture_builder(),
                                         str(tmp_path / "env"))
-    assert commands == ["reset", "clean"]
+    assert commands == ["status", "reset", "clean"]
     assert again.source_root == env.source_root
     assert _git_out(env.source_root, "status", "--porcelain", "--ignored",
                     "--untracked-files=all") == ""
@@ -219,7 +219,7 @@ def test_broken_checkout_is_cloned_again(kernel_repo, monkeypatch):
         fh.write("garbage\n")
     commands = _git_commands(monkeypatch)
     again = envprep.prepare_environment(task, _fixture_builder(), workdir)
-    assert commands == ["reset", "clone", "checkout"]
+    assert commands == ["status", "reset", "clone", "checkout"]
     assert _git_out(again.source_root, "status", "--porcelain", "--ignored",
                     "--untracked-files=all") == ""
     assert _git_out(again.source_root, "rev-parse", "HEAD").strip() == \
@@ -227,3 +227,213 @@ def test_broken_checkout_is_cloned_again(kernel_repo, monkeypatch):
     assert not os.path.exists(os.path.join(again.source_root, "scratch"))
     assert (_git_out(repo, "rev-parse", "HEAD"),
             _git_out(repo, "status", "--porcelain")) == outer
+
+
+def _fresh_checkout(repo, commit, dest):
+    subprocess.run(["git", "clone", "--quiet", repo, dest], check=True,
+                   capture_output=True)
+    _git_out(dest, "checkout", "--quiet", commit)
+    return dest
+
+
+def _stat_tree(root):
+    """(inode, mtime) of every file and directory below ``root`` outside
+    .git, by relative path."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        if ".git" in dirnames:
+            dirnames.remove(".git")
+        for name in dirnames + filenames:
+            st = os.lstat(os.path.join(dirpath, name))
+            found[os.path.relpath(os.path.join(dirpath, name), root)] = (
+                st.st_ino, st.st_mtime_ns)
+    return found
+
+
+def _prep_log(env):
+    return Path(env.env_dir, "prep.log").read_text().splitlines()
+
+
+def test_a_clean_checkout_is_verified_by_one_git_and_left_as_it_is(
+        kernel_repo, tmp_path, monkeypatch):
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    before = _stat_tree(env.source_root)
+    commands = _git_commands(monkeypatch)
+    again = envprep.prepare_environment(task, _fixture_builder(),
+                                        str(tmp_path / "env"))
+    assert commands == ["status"]
+    assert _stat_tree(again.source_root) == before
+    assert _prep_log(again)[0] == \
+        "checkout verified at %s" % task.parent_commit_id
+
+
+def _edit(src):
+    with open(os.path.join(src, "net/netfilter/nf_tables_api.c"), "a") as fh:
+        fh.write("int planted;\n")
+
+
+def _delete(src):
+    os.remove(os.path.join(src, "include/nft_fixture.h"))
+
+
+def _untracked(src):
+    os.makedirs(os.path.join(src, "scratch", "deep"))
+    with open(os.path.join(src, "scratch", "deep", "new.c"), "w") as fh:
+        fh.write("int added;\n")
+
+
+def _ignored(src):
+    os.makedirs(os.path.join(src, ".git", "info"), exist_ok=True)
+    with open(os.path.join(src, ".git", "info", "exclude"), "w") as fh:
+        fh.write("*.o\n")
+    with open(os.path.join(src, "net", "built.o"), "w") as fh:
+        fh.write("object\n")
+
+
+def _staged_only(src):
+    """A change in the index alone: the work tree matches HEAD again."""
+    path = os.path.join(src, "net/netfilter/nf_tables_api.c")
+    original = Path(path).read_bytes()
+    Path(path).write_bytes(original + b"int staged;\n")
+    _git_out(src, "add", "net/netfilter/nf_tables_api.c")
+    Path(path).write_bytes(original)
+
+
+def _other_head(fix):
+    return lambda src: _git_out(src, "checkout", "--quiet", fix)
+
+
+@pytest.mark.parametrize("deviation", [
+    "edited", "deleted", "untracked", "ignored", "staged_only", "other_head"])
+def test_each_deviation_is_reset_to_a_fresh_clone(kernel_repo, tmp_path,
+                                                  monkeypatch, deviation):
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    {"edited": _edit, "deleted": _delete, "untracked": _untracked,
+     "ignored": _ignored, "staged_only": _staged_only,
+     "other_head": _other_head(kernel_repo["fix"])}[deviation](
+        env.source_root)
+    commands = _git_commands(monkeypatch)
+    again = envprep.prepare_environment(task, _fixture_builder(),
+                                        str(tmp_path / "env"))
+    assert commands == ["status", "reset", "clean"]
+    assert _prep_log(again)[0] == \
+        "reset checkout to %s" % task.parent_commit_id
+    assert _git_out(again.source_root, "status", "--porcelain", "--ignored",
+                    "--untracked-files=all") == ""
+    assert _git_out(again.source_root, "rev-parse", "HEAD").strip() == \
+        task.parent_commit_id
+    fresh = _fresh_checkout(kernel_repo["repo"], task.parent_commit_id,
+                            str(tmp_path / "fresh"))
+    assert _tree_bytes(again.source_root) == _tree_bytes(fresh)
+
+
+def test_an_empty_untracked_directory_survives_a_verified_checkout(
+        kernel_repo, tmp_path):
+    """Git sees no empty directory, so the verify step keeps one."""
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    os.mkdir(os.path.join(env.source_root, "empty"))
+    again = envprep.prepare_environment(task, _fixture_builder(),
+                                        str(tmp_path / "env"))
+    assert _prep_log(again)[0].startswith("checkout verified at ")
+    assert os.path.isdir(os.path.join(again.source_root, "empty"))
+
+
+def _hook_template(tmp_path):
+    """A git template whose post-checkout hook leaves a marker file."""
+    marker = tmp_path / "hook_ran"
+    hooks = tmp_path / "template" / "hooks"
+    hooks.mkdir(parents=True)
+    hook = hooks / "post-checkout"
+    hook.write_text("#!/bin/sh\ntouch '%s'\n" % marker)
+    hook.chmod(0o755)
+    return str(tmp_path / "template"), marker
+
+
+@pytest.mark.parametrize("source", ["GIT_TEMPLATE_DIR", "init.templateDir"])
+def test_a_host_template_hook_does_not_run_in_the_checkout(
+        kernel_repo, tmp_path, monkeypatch, source):
+    template, marker = _hook_template(tmp_path)
+    if source == "GIT_TEMPLATE_DIR":
+        monkeypatch.setenv("GIT_TEMPLATE_DIR", template)
+    else:
+        config = tmp_path / "gitconfig"
+        config.write_text("[init]\n\ttemplateDir = %s\n" % template)
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    assert _git_out(env.source_root, "rev-parse", "HEAD").strip() == \
+        task.parent_commit_id
+    assert not marker.exists()
+    assert not os.path.exists(os.path.join(env.source_root, ".git", "hooks",
+                                           "post-checkout"))
+
+
+def _commit(repo, message, *files, allow_empty=False):
+    """Commit ``files`` ((path, text) pairs) with ``message`` verbatim."""
+    for path, text in files:
+        Path(repo, path).write_text(text)
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "--quiet", "--cleanup=verbatim",
+         "--allow-empty-message", *(["--allow-empty"] if allow_empty else []),
+         "-m", message)
+    return _git_out(repo, "rev-parse", "HEAD").strip()
+
+
+def _resolve_in_four_calls(repo, commit_id):
+    """The fields ``resolve_task`` gave from four git calls: rev-parse,
+    log %P, diff and log %B."""
+    full = _git_out(repo, "rev-parse", "%s^{commit}" % commit_id).strip()
+    parent, = _git_out(repo, "log", "-1", "--format=%P", full).split()
+    return {"commit_id": full, "parent_commit_id": parent,
+            "diff_text": _git_out(repo, "diff", parent, full),
+            "commit_message": _git_out(repo, "log", "-1", "--format=%B",
+                                       full).rstrip("\n")}
+
+
+@pytest.mark.parametrize("message", [
+    "net: subject only",
+    "net: fix the chain\n\nFirst paragraph,\nwrapped.\n\n"
+    "Second paragraph.\n\nFixes: 0123456789ab (\"x\")\n\n\n\n",
+    "",
+    "0123456789abcdef0123456789abcdef01234567\n\nfirst line is an id\n"],
+    ids=["subject", "paragraphs_trailing_blanks", "empty", "id_subject"])
+def test_resolve_task_gives_the_old_fields_in_three_calls(
+        kernel_repo, monkeypatch, message):
+    repo = kernel_repo["repo"]
+    commit = _commit(repo, message, ("net/extra.c", "int x%d;\n" % len(message)))
+    commands = _git_commands(monkeypatch)
+    task = envprep.resolve_task(repo, commit[:12])
+    assert commands == ["rev-parse", "log", "diff"]
+    monkeypatch.undo()
+    want = _resolve_in_four_calls(repo, commit[:12])
+    assert {k: getattr(task, k) for k in want} == want
+    assert task.commit_message == message.rstrip("\n")
+    fix = envprep.resolve_task(repo, kernel_repo["fix"])
+    assert {k: getattr(fix, k) for k in want} == \
+        _resolve_in_four_calls(repo, kernel_repo["fix"])
+
+
+def test_a_range_or_a_negation_is_no_commit(kernel_repo):
+    repo, fix = kernel_repo["repo"], kernel_repo["fix"]
+    for spec in ("%s~1..%s" % (fix, fix), "^" + fix, "--all", "-q"):
+        with pytest.raises(errors.UnknownCommit):
+            envprep.resolve_task(repo, spec)
+
+
+def test_a_root_commit_is_rejected_and_an_empty_diff_refused(kernel_repo):
+    repo = kernel_repo["repo"]
+    root = _git_out(repo, "rev-list", "--max-parents=0", "HEAD").strip()
+    with pytest.raises(errors.MergeCommitRejected, match="has 0 parents"):
+        envprep.resolve_task(repo, root)
+    with pytest.raises(errors.MergeCommitRejected, match="has 2 parents"):
+        envprep.resolve_task(repo, kernel_repo["merge"])
+    empty = _commit(repo, "nothing", allow_empty=True)
+    with pytest.raises(errors.EmptyDiff):
+        envprep.resolve_task(repo, empty)

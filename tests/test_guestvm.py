@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import os
+import re
 import shutil
 import time
 from types import SimpleNamespace
@@ -32,6 +34,16 @@ def test_a_scenario_rule_with_a_bad_post_is_refused(tmp_path, post):
     path.write_text(json.dumps({"rules": [
         {"pattern": "^ok$", "post": "ok"},
         {"pattern": "^go$", "post": post}]}))
+    with pytest.raises(errors.EnvBootFailed,
+                       match=r"bad.json: rule '\^go\$' has post"):
+        guestvm.GuestScenario.load(str(path))
+
+
+def test_a_crash_file_that_is_not_utf8_is_refused_at_load(tmp_path):
+    (tmp_path / "crash.txt").write_bytes(b"[    1.0] BUG: \xff\n")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rules": [
+        {"pattern": "^go$", "post": "emit_crash:crash.txt"}]}))
     with pytest.raises(errors.EnvBootFailed,
                        match=r"bad.json: rule '\^go\$' has post"):
         guestvm.GuestScenario.load(str(path))
@@ -99,6 +111,76 @@ def test_an_env_whose_snapshot_pins_no_scenario_content_is_refused(
     with pytest.raises(errors.EnvBootFailed,
                        match="snapshot %s pins no scenario content; prepare "
                              "the environment again"
+                             % loaded.snapshot_ref.snapshot_id):
+        guestvm.start_guest(loaded)
+
+
+def _crash_env(kernel_repo, tmp_path):
+    """An environment of a copy of crash_uaf.json and its crash file."""
+    (tmp_path / "scenarios").mkdir()
+    path = tmp_path / "scenarios" / "crash_uaf.json"
+    shutil.copy(os.path.join(SCENARIOS, "crash_uaf.json"), path)
+    name = json.loads(path.read_text())["rules"][0]["post"].split(":", 1)[1]
+    crash = tmp_path / "scenarios" / name
+    crash.parent.mkdir(exist_ok=True)
+    shutil.copy(os.path.join(SCENARIOS, name), crash)
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(
+        task, envprep.BuilderSpec("fixture-kasan", "fixture",
+                                  {"scenario": str(path)}),
+        str(tmp_path / "env"))
+    return env, name, crash
+
+
+def test_a_snapshot_boots_only_the_crash_content_it_pins(kernel_repo,
+                                                         tmp_path):
+    """A crash file edited after ``prepare_environment`` is refused by every
+    later boot of that environment, rather than emitted."""
+    env, name, crash = _crash_env(kernel_repo, tmp_path)
+    assert env.snapshot_ref.state["crash_sha256"] == {
+        name: hashlib.sha256(crash.read_bytes()).hexdigest()}
+    h = guestvm.start_guest(env)
+    _upload(h)
+    kasan = guestvm.exec_console(h, "./trigger").kernel_lines
+    assert any("KASAN" in line for line in kasan)
+    crash.write_text("EDITED CRASH TEXT\n")
+    _, loaded = envprep.load_environment(env.env_dir)
+    for boot in (lambda: guestvm.restart_guest(h),
+                 lambda: guestvm.start_guest(env),
+                 lambda: guestvm.start_guest(loaded)):
+        with pytest.raises(errors.EnvBootFailed,
+                           match="crash file %s is not the content its "
+                                 "snapshot pins" % re.escape(name)):
+            boot()
+
+
+def test_a_boot_keeps_the_crash_text_it_checked(kernel_repo, tmp_path):
+    """A crash file edited after the boot does not change what that guest
+    emits: the boot read it once."""
+    env, _, crash = _crash_env(kernel_repo, tmp_path)
+    h = guestvm.start_guest(env)
+    want = crash.read_text()
+    crash.write_text("EDITED CRASH TEXT\n")
+    _upload(h)
+    out = guestvm.exec_console(h, "./trigger")
+    assert out.kernel_lines == guestvm.split_lines(want)
+
+
+def test_an_env_whose_snapshot_pins_no_crash_content_is_refused(
+        kernel_repo, tmp_path):
+    """An env dir saved before snapshots pinned their crash files fails to
+    boot, and says to prepare it again."""
+    env = _crash_env(kernel_repo, tmp_path)[0]
+    manifest_path = os.path.join(env.env_dir, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    del manifest["snapshot"]["state"]["crash_sha256"]
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    _, loaded = envprep.load_environment(env.env_dir)
+    with pytest.raises(errors.EnvBootFailed,
+                       match="snapshot %s pins no crash file content; "
+                             "prepare the environment again"
                              % loaded.snapshot_ref.snapshot_id):
         guestvm.start_guest(loaded)
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchrepro import verdict
 from patchrepro.errors import MalformedTrace
 from patchrepro.trace import Trace, fold, read_trace
 
@@ -157,6 +158,28 @@ def test_read_trace_accepts_json_whitespace_and_skips_blank_lines(tmp_path):
                     '{"seq": 2, "kind": "b"}')
     kind, events = _assert_same_as_oracle(str(path))
     assert kind == "events" and [e["seq"] for e in events] == [1, 2]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("before", [1, 400], ids=["early", "past_a_buffer"])
+def test_a_line_that_is_not_utf8_is_a_malformed_trace(tmp_path, newline,
+                                                      before):
+    """A non-UTF-8 line fails like any other malformed line, by number, in
+    ``read_trace`` and so in ``decide``; the lines before it are valid."""
+    lines = [json.dumps({"seq": i, "kind": "console", "lines": ["x" * 40]})
+             .encode() for i in range(1, before + 1)]
+    lines.append(b'{"seq": %d, "kind": "console", "lines": ["\xff"]}'
+                 % (before + 1))
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    want = "line %d: byte 0xff at column %d is not UTF-8" % (
+        before + 1, lines[-1].index(b"\xff") + 1)
+    with pytest.raises(MalformedTrace) as ei:
+        read_trace(str(path))
+    assert str(ei.value) == want
+    with pytest.raises(MalformedTrace) as ei:
+        verdict.decide(str(tmp_path))
+    assert str(ei.value) == want
 
 
 def test_kernel_lines_filters_by_origin_across_events():
