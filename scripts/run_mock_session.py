@@ -3,10 +3,15 @@
 against the bundled mock-guest scenario, and print the verdict.
 
 Usage: python scripts/run_mock_session.py [--script cheat.json] [--out DIR]
+
+The demo repo and the env dirs go into a new ``patchrepro-demo-*`` workdir
+in the temp dir.  Without ``--out`` the run dir is ``run`` in that workdir,
+which is kept; with an ``--out`` outside it, the workdir is removed on exit.
 """
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -60,22 +65,28 @@ def main():
 
     workdir = tempfile.mkdtemp(prefix="patchrepro-demo-")
     out = args.out or os.path.join(workdir, "run")
-    repo, commit = make_demo_repo(workdir)
-    print("demo repo: %s @ %s" % (repo, commit[:12]))
-
-    code = cli.main([
-        "run",
-        "--commit", commit,
-        "--repo", repo,
-        "--profile", args.profile,
-        "--model", "scripted:%s" % os.path.join(FIXTURES, "models", args.script),
-        "--budget-hours", "0.1",
-        "--out", out,
-        "--scenario", os.path.join(FIXTURES, "scenarios", args.scenario),
-        "--workdir", os.path.join(workdir, "envs"),
-        "--case-id", "demo-001",
-        "--price-in", "2", "--price-out", "8",
-    ])
+    try:
+        repo, commit = make_demo_repo(workdir)
+        print("demo repo: %s @ %s" % (repo, commit[:12]))
+        code = cli.main([
+            "run",
+            "--commit", commit,
+            "--repo", repo,
+            "--profile", args.profile,
+            "--model", "scripted:%s" % os.path.join(FIXTURES, "models",
+                                                     args.script),
+            "--budget-hours", "0.1",
+            "--out", out,
+            "--scenario", os.path.join(FIXTURES, "scenarios", args.scenario),
+            "--workdir", os.path.join(workdir, "envs"),
+            "--case-id", "demo-001",
+            "--price-in", "2", "--price-out", "8",
+        ])
+    finally:
+        # Keep the workdir only when the run dir lies in it.
+        real = os.path.realpath(workdir)
+        if os.path.commonpath([real, os.path.realpath(out)]) != real:
+            shutil.rmtree(workdir, ignore_errors=True)
     print("artifacts in %s" % out)
     return code
 

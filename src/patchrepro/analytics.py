@@ -292,9 +292,9 @@ def _read_json(path):
 
 
 def _run_measures(case_dir, session) -> dict:
-    """The trace measures of one run dir.  A session writes them into
-    session.json; a dir written before sessions did has them replayed from
-    its trace.jsonl."""
+    """The trace measures of one run dir decided before verdicts recorded
+    them.  A session writes them into session.json; a dir written before
+    sessions did has them replayed from its trace.jsonl."""
     if session is not _MISSING and "tool_counts" in session:
         return session
     trace_path = os.path.join(case_dir, sessionrunner.ARTIFACT_TRACE)
@@ -305,9 +305,11 @@ def _run_measures(case_dir, session) -> dict:
 
 def load_run_records(runs_dirs: Sequence[str],
                      metadata: Optional[dict] = None) -> List[RunRecord]:
-    """Ingest directories of per-case artifact sets (verdict.json, the
-    profile from session.json, and the trace measures of
-    ``_run_measures``); a dir without a verdict is skipped."""
+    """Ingest directories of per-case artifact sets; a dir without a verdict
+    is skipped.  A verdict.json that holds a ``measures`` object gives the
+    whole record.  For one decided before verdicts recorded them, the
+    profile comes from session.json and the measures from ``_run_measures``.
+    """
     records = []
     for runs_dir in runs_dirs:
         for name in sorted(os.listdir(runs_dir)):
@@ -316,15 +318,20 @@ def load_run_records(runs_dirs: Sequence[str],
                                         sessionrunner.ARTIFACT_VERDICT))
             if v is _MISSING:
                 continue
-            session = _read_json(os.path.join(case_dir,
-                                              sessionrunner.ARTIFACT_SESSION))
-            measures = _run_measures(case_dir, session)
+            measures = v.get("measures") if isinstance(v, dict) else None
+            if isinstance(measures, dict):
+                profile = v.get("profile", "baseline")
+            else:
+                session = _read_json(os.path.join(
+                    case_dir, sessionrunner.ARTIFACT_SESSION))
+                measures = _run_measures(case_dir, session)
+                profile = (session.get("profile", "baseline")
+                           if isinstance(session, dict) else "baseline")
             meta = (metadata or {}).get(v["case_id"], {})
             records.append(RunRecord(
                 case_id=v["case_id"],
                 success=v["success"],
-                profile=(session.get("profile", "baseline")
-                         if isinstance(session, dict) else "baseline"),
+                profile=profile,
                 elapsed_min=float(v.get("elapsed_min", 0.0)),
                 cost=float(v.get("cost_usd", 0.0)),
                 tool_counts=measures.get("tool_counts", {}),

@@ -123,8 +123,13 @@ class ReproEnvironment:
         return os.path.join(self.env_dir, "code_index.tsv")
 
 
+# Every git call: no hook and no file-system monitor that the host's git
+# configuration names runs in the fix repository or the env checkout.
+_GIT = ("git", "-c", "core.hooksPath=/dev/null", "-c", "core.fsmonitor=false")
+
+
 def _git(repo, *args):
-    proc = subprocess.run(["git", "-C", repo, *args],
+    proc = subprocess.run([*_GIT, "-C", repo, *args],
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise UnknownCommit(proc.stderr.strip())
@@ -211,7 +216,8 @@ def _reset_checkout(dest: str, commit: str) -> Optional[str]:
     """
     # Name the repository outright: with a broken dest/.git, git would
     # otherwise search upwards into an enclosing repository.
-    git = ["git", "--git-dir", os.path.join(dest, ".git"), "--work-tree", dest]
+    git = [*_GIT, "--git-dir", os.path.join(dest, ".git"), "--work-tree",
+           dest]
     proc = subprocess.run(
         git + ["status", "--porcelain=v2", "--branch", "--ignored=matching",
                "--untracked-files=all"],
@@ -246,13 +252,13 @@ def _checkout_parent(task: PatchTask, dest: str, log: List[str]):
     # An empty template: no hook from the host's git setup is copied into
     # the checkout, so none runs at its checkout.
     proc = subprocess.run(
-        ["git", "clone", "--quiet", "--no-checkout", "--template=", repo,
+        [*_GIT, "clone", "--quiet", "--no-checkout", "--template=", repo,
          dest],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise BuildFailed("clone failed", prep_log=proc.stderr)
     proc = subprocess.run(
-        ["git", "-C", dest, "checkout", "--quiet", task.parent_commit_id],
+        [*_GIT, "-C", dest, "checkout", "--quiet", task.parent_commit_id],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise BuildFailed("parent checkout failed", prep_log=proc.stderr)

@@ -43,6 +43,30 @@ def test_importing_the_cli_leaves_scipy_out():
     assert out.stdout == "[]\n"
 
 
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "scripts", "run_mock_session.py")
+
+
+def test_the_demo_keeps_its_workdir_only_for_a_run_dir_in_it(tmp_path):
+    """With ``--out`` elsewhere the demo repo and env dirs are removed; by
+    default the run dir is in the workdir, and both are kept."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+
+    def demo(*args):
+        subprocess.run([sys.executable, DEMO, *args], check=True,
+                       capture_output=True, env=dict(os.environ,
+                                                     TMPDIR=str(temp)))
+        return sorted(temp.iterdir())
+
+    assert demo("--out", str(tmp_path / "ok")) == []
+    assert json.loads((tmp_path / "ok" / "verdict.json").read_text())[
+        "success"]
+    workdir, = demo()
+    assert workdir.name.startswith("patchrepro-demo-")
+    assert (workdir / "run" / "verdict.json").is_file()
+
+
 def test_run_success(kernel_repo, tmp_path, capsys):
     code, out = _run_cli(kernel_repo, tmp_path)
     assert code == 0

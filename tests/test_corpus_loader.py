@@ -1,6 +1,6 @@
 """``analytics.load_run_records`` against a serial reader that replays every
 trace, over a corpus that mixes run dirs written with and without the trace
-measures in session.json."""
+measures in verdict.json and in session.json."""
 
 import codecs
 import json
@@ -77,6 +77,13 @@ def _template_trace(k):
 
 # How each dir's session.json is written, by case number mod 3.
 MEASURED, OLD_SESSION, NO_SESSION = range(3)
+
+
+def in_verdict(i):
+    """Whether case ``i``'s verdict.json holds its profile and measures, as
+    one decided since verdicts record them does; with each session.json
+    kind."""
+    return i % 4 == 1
 # Run dirs in each of the two runs dirs.
 COUNTS = (40, 35)
 
@@ -85,8 +92,8 @@ COUNTS = (40, 35)
 def corpus(tmp_path):
     """Two runs dirs of hard-linked traces with, in turn, a session.json
     that holds the trace measures, one written before sessions recorded
-    them, and none; also a dir without a verdict, a run without a trace
-    and an empty runs dir."""
+    them, and none, and some verdicts that hold the measures; also a dir
+    without a verdict, a run without a trace and an empty runs dir."""
     templates = []
     for k in range(3):
         path = tmp_path / "templates" / ("trace-%d.jsonl" % k)
@@ -100,13 +107,19 @@ def corpus(tmp_path):
             case_id = "case-%03d" % i
             case_dir = runs_dir / case_id
             case_dir.mkdir(parents=True)
-            (case_dir / "verdict.json").write_text(json.dumps(
-                {"case_id": case_id, "success": (i + r) % 3 == 0,
-                 "elapsed_min": i / 7.0, "cost_usd": "0.%02d" % i}))
-            session = {"case_id": case_id, "termination": "finalized"}
+            verdict = {"case_id": case_id, "success": (i + r) % 3 == 0,
+                       "elapsed_min": i / 7.0, "cost_usd": "0.%02d" % i}
+            session = {"case_id": case_id, "termination": "finalized",
+                       "profile": "no_gdb" if i % 2 else "baseline"}
             template = templates[(i // 3 + r) % 3]
             if (i, r) != (5, 1):
                 os.link(template, case_dir / "trace.jsonl")
+                if in_verdict(i):
+                    verdict.update(measures=replay_trace(str(template)),
+                                   profile=(session["profile"]
+                                            if i % 3 != NO_SESSION
+                                            else "baseline"))
+            (case_dir / "verdict.json").write_text(json.dumps(verdict))
             if i % 3 == MEASURED:
                 session.update(replay_trace(str(template)))
             if i % 3 == OLD_SESSION:
@@ -123,26 +136,53 @@ def corpus(tmp_path):
     return runs_dirs, metadata
 
 
+def _case_dirs(runs_dirs):
+    """The run dirs with a verdict, in the order they load."""
+    return [os.path.join(runs_dir, name) for runs_dir in runs_dirs
+            for name in sorted(os.listdir(runs_dir))
+            if os.path.isfile(os.path.join(runs_dir, name, "verdict.json"))]
+
+
+def _decided_since(case_dir):
+    """Whether the corpus dir's verdict holds its measures."""
+    i = int(os.path.basename(case_dir)[-3:])
+    return in_verdict(i) and not case_dir.endswith(
+        os.path.join("attempt-1", "case-005"))
+
+
 def test_records_equal_the_serial_reader_in_order(corpus, monkeypatch):
     runs_dirs, metadata = corpus
-    replayed = []
+    replayed, sessions_read = [], []
+    read_json = analytics._read_json
 
     def recording_replay(path):
-        replayed.append(os.path.basename(os.path.dirname(path)))
+        replayed.append(os.path.dirname(path))
         return replay_trace(path)
 
+    def recording_read(path):
+        if path.endswith("session.json"):
+            sessions_read.append(os.path.dirname(path))
+        return read_json(path)
+
     monkeypatch.setattr(sessionrunner, "replay_trace", recording_replay)
+    monkeypatch.setattr(analytics, "_read_json", recording_read)
     records = analytics.load_run_records(runs_dirs, metadata=metadata)
     monkeypatch.undo()
     assert records == _serial_load(runs_dirs, metadata)
     assert len(records) == sum(COUNTS)
     assert {r.breakpoints_set for r in records} == {0, 1, 2}
     assert {r.poc_iterations for r in records} == {0, 1, 2, 3}
-    # Only the dirs without measures in session.json are replayed.
-    assert replayed and all(int(name[-3:]) % 3 != MEASURED
-                            for name in replayed)
-    assert len(replayed) == sum(1 for count in COUNTS for i in range(count)
-                                if i % 3 != MEASURED) - 1  # one lacks a trace
+    assert {r.profile for r in records} == {"baseline", "no_gdb"}
+    # A dir whose verdict holds the measures is read from verdict.json
+    # alone; only the dirs without measures in either file are replayed.
+    decided = [d for d in _case_dirs(runs_dirs) if _decided_since(d)]
+    assert len(decided) == sum(1 for count in COUNTS for i in range(count)
+                               if in_verdict(i)) - 1  # one lacks a trace
+    assert sessions_read == [d for d in _case_dirs(runs_dirs)
+                             if d not in decided]
+    assert replayed and replayed == [
+        d for d in sessions_read if int(d[-3:]) % 3 != MEASURED
+        and os.path.isfile(os.path.join(d, "trace.jsonl"))]
 
 
 def test_measures_come_from_session_json(corpus, tmp_path):
@@ -157,6 +197,37 @@ def test_measures_come_from_session_json(corpus, tmp_path):
               if r.case_id == "case-003" and r.runs_dir.endswith("attempt-0")]
     assert record[0].tool_counts == session["tool_counts"]
     assert record[0].poc_iterations == session["poc_iterations"]
+
+
+def test_a_verdict_with_measures_needs_no_other_file(corpus, tmp_path):
+    """case-001's verdict holds the profile and measures, so its record is
+    the same with session.json and trace.jsonl gone."""
+    runs_dirs, metadata = corpus
+    before = analytics.load_run_records(runs_dirs, metadata=metadata)
+    case_dir = tmp_path / "attempt-0" / "case-001"
+    assert json.loads((case_dir / "session.json").read_text())["profile"] \
+        == "no_gdb"
+    os.unlink(case_dir / "session.json")
+    os.unlink(case_dir / "trace.jsonl")
+    after = analytics.load_run_records(runs_dirs, metadata=metadata)
+    assert after == before
+    record, = [r for r in after if r.case_id == "case-001"
+               and r.runs_dir.endswith("attempt-0")]
+    assert (record.profile, record.poc_iterations) == ("no_gdb", 1)
+
+
+@pytest.mark.parametrize("measures", [None, [], "x"])
+def test_a_verdict_whose_measures_are_no_object_is_read_as_an_old_one(
+        corpus, tmp_path, measures):
+    """Such a verdict takes the profile from session.json and the measures
+    from it or from the trace, as the oracle does."""
+    runs_dirs, metadata = corpus
+    path = tmp_path / "attempt-1" / "case-009" / "verdict.json"
+    verdict = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(verdict, measures=measures,
+                                    profile="forged")))
+    records = analytics.load_run_records(runs_dirs, metadata=metadata)
+    assert records == _serial_load(runs_dirs, metadata)
 
 
 def _error_of(load, runs_dirs):
@@ -286,12 +357,19 @@ def test_an_undecodable_file_raises_the_serial_error(corpus, tmp_path, name,
 
 
 def test_the_profile_comes_from_session_json(kernel_repo, tmp_path):
-    """A no_gdb session's record says so, as does an old session.json
-    without the trace measures; with no session.json it is baseline."""
+    """A no_gdb session's record says so, from its verdict.  For a verdict
+    decided before verdicts recorded the profile, so does an old
+    session.json without the trace measures; with no session.json it is
+    baseline."""
     for i, profile in enumerate(("no_gdb", "baseline", "no_gdb")):
         code, out = _run_cli(kernel_repo, tmp_path, profile=profile,
                              subdir=os.path.join("runs", "case-%d" % i))
         assert code == 0
+    for i in (1, 2):
+        path = tmp_path / "runs" / ("case-%d" % i) / "verdict.json"
+        decided = json.loads(path.read_text())
+        del decided["profile"], decided["measures"]
+        path.write_text(json.dumps(decided))
     old = tmp_path / "runs" / "case-2" / "session.json"
     session = json.loads(old.read_text())
     old.write_text(json.dumps({"case_id": session["case_id"],

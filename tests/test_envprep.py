@@ -375,6 +375,29 @@ def test_a_host_template_hook_does_not_run_in_the_checkout(
                                            "post-checkout"))
 
 
+@pytest.mark.parametrize("key", ["hooksPath", "fsmonitor"])
+def test_a_host_config_program_does_not_run_in_the_checkout(
+        kernel_repo, tmp_path, monkeypatch, key):
+    """A hooks dir or a file-system monitor named by the host's git
+    configuration runs neither at the resolve, the clone and checkout of a
+    first preparation, nor at the status, reset and clean of a second."""
+    template, marker = _hook_template(tmp_path)
+    hook = os.path.join(template, "hooks", "post-checkout")
+    config = tmp_path / "gitconfig"
+    config.write_text("[core]\n\t%s = %s\n" % (
+        key, os.path.dirname(hook) if key == "hooksPath" else hook))
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    _spoil_checkout(env.source_root)
+    again = envprep.prepare_environment(task, _fixture_builder(),
+                                        str(tmp_path / "env"))
+    assert _prep_log(again)[0] == \
+        "reset checkout to %s" % task.parent_commit_id
+    assert not marker.exists()
+
+
 def _commit(repo, message, *files, allow_empty=False):
     """Commit ``files`` ((path, text) pairs) with ``message`` verbatim."""
     for path, text in files:

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -418,3 +420,143 @@ def test_class_sequence_invariant_under_noise_prefix(prefix):
     base = [r.crash_class for r in verdict.parse_crash_reports(text)]
     mixed = verdict.parse_crash_reports("\n".join(prefix) + "\n" + text)
     assert [r.crash_class for r in mixed] == base
+
+
+# --- the banner scan against the per-line parser -----------------------------
+
+_PER_LINE_LOCATION_RE = re.compile(r"([\w/.\-]+\.[ch]):(\d+)")
+
+
+def _parse_crash_reports_per_line(kernel_text):
+    """The parser that classifies every line, kept as the oracle of the
+    literal scan; it also keeps the location pattern without look-behind."""
+    lines = kernel_text.split("\n")
+    reports = []
+    i = 0
+    while i < len(lines):
+        hit = verdict._classify_banner(lines[i])
+        if hit is None:
+            i += 1
+            continue
+        crash_class, sanitizer, func = hit
+        block = [lines[i]]
+        j = i + 1
+        while j < len(lines) and len(block) < verdict._REPORT_LINE_CAP:
+            block.append(lines[j])
+            if any(rx.search(lines[j]) for rx in verdict._END_DELIMITERS):
+                j += 1
+                break
+            if verdict._classify_banner(lines[j]) is not None:
+                block.pop()
+                break
+            j += 1
+        raw = "\n".join(block)
+        loc_m = _PER_LINE_LOCATION_RE.search(raw)
+        reports.append(verdict.CrashReport(
+            crash_class=crash_class, sanitizer=sanitizer, crash_function=func,
+            location=loc_m.group(0) if loc_m else None,
+            first_line_index=i, raw_block=raw))
+        i = max(j, i + 1)
+    return reports
+
+
+def test_the_crash_corpus_parses_as_the_per_line_parser_does():
+    texts = [Path(CRASHES, name).read_text()
+             for name in sorted(os.listdir(CRASHES)) if name.endswith(".txt")]
+    for text in texts + ["\n".join(texts), "\n\n".join(reversed(texts))]:
+        assert verdict.parse_crash_reports(text) == \
+            _parse_crash_reports_per_line(text)
+
+
+# Pieces of kernel lines: each literal, near misses of each, delimiters,
+# locations and noise, so that lines hold literals anywhere, more than one
+# literal, or almost one.
+_LINE_PIECE = st.one_of(
+    st.sampled_from(verdict._BANNER_LITERALS),
+    st.sampled_from([
+        "[   12.3] ", "  ", "BUG: KASAN: slab-use-after-free in f+0x1/0x2",
+        "BUG: KASAN: double-free", "BUG: KASAN:", "BUG: KASAN: !", "Oops",
+        "Oops: 0000 [#1] SMP", "kernel BUG", "Kernel panic", "====",
+        "[ 1.0] =====", "---[ end trace 0 ]---",
+        "---[ end Kernel panic - not syncing: Fatal exception ]---",
+        "net/core/sock.c:42", "a.c:", "x.h:7", " in ", "\r", "\t"]),
+    _NOISE_LINE,
+)
+_KERNEL_LINE = st.lists(_LINE_PIECE, max_size=3).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(_KERNEL_LINE, st.integers(1, 70)),
+                     max_size=12),
+       trailing_newline=st.booleans())
+def test_reports_equal_the_per_line_parser(runs, trailing_newline):
+    """Runs of repeated lines reach the block's line cap, too."""
+    text = "\n".join(line for line, count in runs for _ in range(count))
+    if trailing_newline:
+        text += "\n"
+    assert verdict.parse_crash_reports(text) == \
+        _parse_crash_reports_per_line(text)
+
+
+@pytest.mark.parametrize("pattern", [verdict._KASAN_BANNER]
+                         + [rx for rx, _ in verdict.BANNERS],
+                         ids=lambda rx: rx.pattern)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_banner_line_holds_a_scanned_literal(pattern, data):
+    """A banner pattern matches only lines that the literal scan finds, so
+    a new banner cannot be missed by it."""
+    for line in data.draw(st.from_regex(pattern)).split("\n"):
+        if pattern.search(line):
+            assert any(literal in line
+                       for literal in verdict._BANNER_LITERALS), line
+
+
+@pytest.mark.parametrize("token", ["x" * 32000, "a." * 16000,
+                                   "net/" * 8000, "a-b.h" * 6400])
+def test_a_long_token_in_a_crash_block_parses_in_linear_time(token):
+    """A run of path characters without ``.c:`` or ``.h:``, as a PoC may
+    write it to the kernel log, costs time linear in its length."""
+    text = "BUG: kernel NULL pointer dereference\n%s\n%s.c:1" % (token, token)
+    started = time.perf_counter()
+    (report,) = verdict.parse_crash_reports(text)
+    assert time.perf_counter() - started < 1.0
+    assert report.location == token + ".c:1"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet="ab/.-_ch:01 \n", max_size=80))
+def test_the_location_pattern_matches_as_without_its_look_behind(text):
+    old = _PER_LINE_LOCATION_RE.search(text)
+    new = verdict._LOCATION_RE.search(text)
+    assert (old and (old.span(), old.groups())) == \
+        (new and (new.span(), new.groups()))
+
+
+# --- the profile and measures in verdict.json --------------------------------
+
+@pytest.mark.parametrize("script", sorted(os.listdir(MODELS)))
+def test_verdict_json_holds_the_session_profile_and_measures(
+        env_and_task, tmp_path, script):
+    out_dir = _session(env_and_task, tmp_path, script)
+    verdict.write_verdict(out_dir, verdict.decide(out_dir))
+    written = json.loads(Path(out_dir, "verdict.json").read_text())
+    session = json.loads(Path(out_dir, "session.json").read_text())
+    measures = written["measures"]
+    assert measures == {k: session[k] for k in measures}
+    assert measures == fold(read_trace(os.path.join(out_dir,
+                                                    "trace.jsonl"))).measures
+    assert written["profile"] == session["profile"] == "baseline"
+
+
+def test_a_verdict_without_session_json_is_baseline(env_and_task, tmp_path):
+    env, task = env_and_task
+    out_dir = str(tmp_path / "run")
+    run_session(task, env, ScriptedModelClient.from_file(
+                    os.path.join(MODELS, "success.json")),
+                toolserver.PROFILES["no_gdb"], Budget(), out_dir)
+    assert verdict.decide(out_dir).profile == "no_gdb"
+    os.unlink(os.path.join(out_dir, "session.json"))
+    v = verdict.decide(out_dir, case_id="case-001")
+    assert (v.profile, v.measures["tool_counts"]["vm_management"] > 0) == \
+        ("baseline", True)
