@@ -22,6 +22,7 @@ lines.  The guest tags each line with its origin where it makes the line:
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -125,6 +126,11 @@ class ScenarioRule:
     response: str = ""
     post: str = "ok"  # ok | hang | emit_crash:<file next to the scenario>
 
+    def __post_init__(self):
+        # Compiled once; an attribute, not a field, so no scenario key
+        # names it.
+        self.regex = re.compile(self.pattern)
+
 
 class GuestScenario:
     """Deterministic mock-guest behaviour loaded from a JSON scenario file."""
@@ -149,7 +155,9 @@ class GuestScenario:
         and does not pin each crash file's content, for a rule that is not
         an object with a ``pattern`` and no keys but ``ScenarioRule``'s, and
         for a rule whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:``
-        a UTF-8 file that exists."""
+        a UTF-8 file that exists.  A rule whose ``pattern`` is not a string
+        that compiles as a regular expression, or whose ``response`` is not a
+        string, is refused too, by name."""
         name = os.path.basename(path)
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -168,7 +176,20 @@ class GuestScenario:
                 raise EnvBootFailed("scenario %s: rule %s is not an object "
                                     "of pattern, response and post"
                                     % (name, json.dumps(r)))
-            rule = ScenarioRule(**r)
+            if not isinstance(r["pattern"], str):
+                raise EnvBootFailed("scenario %s: rule %s has a pattern that "
+                                    "is not a string" % (name, json.dumps(r)))
+            if not isinstance(r.get("response", ""), str):
+                raise EnvBootFailed("scenario %s: rule %s has a response that "
+                                    "is not a string" % (name, json.dumps(r)))
+            try:
+                rule = ScenarioRule(**r)
+            # re.compile raises OverflowError for a repeat count past its
+            # limit and RecursionError for deeply nested groups.
+            except (re.error, OverflowError, RecursionError) as exc:
+                raise EnvBootFailed("scenario %s: rule %s has a pattern that "
+                                    "does not compile: %s"
+                                    % (name, json.dumps(r), exc)) from None
             kind, _, crash = str(rule.post).partition(":")
             if kind == "emit_crash" and crash not in crashes:
                 try:
@@ -244,7 +265,7 @@ class MockGuest:
             return "sh: %s: command not found\n" % prog, False, None
 
         for rule in self.scenario.rules:
-            if re.search(rule.pattern, cmd):
+            if rule.regex.search(cmd):
                 if rule.post == "hang":
                     self.hung = True
                 return rule.response, rule.post == "hang", rule
@@ -274,13 +295,16 @@ class MockGuest:
 class GuestHandle:
     """A session's one guest: booted from its snapshot, and booted again in
     place by ``restart_guest`` or a later ``vm.start``.  It alone holds the
-    guest's debug gate, transcript and debugger."""
+    guest's debug gate, transcript and debugger.  The transcript is two
+    columns, a row per line: ``transcript`` holds the lines, ``origins``
+    each line's origin."""
 
     def __init__(self, snapshot_ref: SnapshotRef):
         self.snapshot_ref = snapshot_ref
         self.boots = 0  # guest ids count them
         self.gate = DebugGate()
-        self.transcript: List[dict] = []  # {origin, line}
+        self.transcript: List[str] = []
+        self.origins: List[str] = []
 
     def _restore(self):
         """Replace the guest with a fresh copy of the snapshot: the next
@@ -315,17 +339,17 @@ class GuestHandle:
 
     # transcript -------------------------------------------------------------
 
-    def append_transcript(self, lines, origin="console"):
-        for line in lines:
-            self.transcript.append({"origin": origin, "line": line})
+    def append_transcript(self, lines: List[str], origin="console"):
+        self.transcript += lines
+        self.origins += [origin] * len(lines)
 
     def append_scenario_text(self, text):
         """Append scenario-authored text: its printk-stamped lines are the
         kernel's, the rest are console output."""
-        for line in split_lines(text):
-            self.transcript.append({
-                "origin": "kernel" if _PRINTK_TS_RE.match(line) else "console",
-                "line": line})
+        lines = split_lines(text)
+        self.transcript += lines
+        self.origins += ["kernel" if stamped else "console"
+                         for stamped in map(_PRINTK_TS_RE.match, lines)]
 
     def state_digest(self) -> str:
         return self.mock.state_digest()
@@ -390,14 +414,15 @@ def exec_console(handle: GuestHandle, command: str,
             crash = handle.mock.scenario.crashes[rule.post.split(":", 1)[1]]
             handle.append_transcript(split_lines(crash), origin="kernel")
             handle.state = "unresponsive"
-    output = handle.transcript[first:]
+    lines = handle.transcript[first:]
 
     duration_ms = int((time.monotonic() - started) * 1000)
     return ConsoleOutput(
-        text="".join(e["line"] + "\n" for e in output),
+        text="\n".join(lines) + "\n" if lines else "",
         duration_ms=duration_ms,
         timed_out=timed_out,
-        kernel_lines=[e["line"] for e in output if e["origin"] == "kernel"],
+        kernel_lines=list(itertools.compress(
+            lines, map("kernel".__eq__, handle.origins[first:]))),
     )
 
 

@@ -135,9 +135,21 @@ def assemble_prompts(task: PatchTask, profile: CapabilityProfile) -> PromptBundl
     )
 
 
+# ``json.dumps(obj, sort_keys=True, default=str)``, without building an
+# encoder per call.
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def _digest(obj) -> str:
     return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+        _DIGEST_ENCODER.encode(obj).encode()).hexdigest()[:16]
+
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields as a dict, in field order: what
+    ``asdict`` gives for one whose fields hold no dataclass, without its
+    deep copy of each list and dict."""
+    return dict(vars(obj))
 
 
 class ToolServer:
@@ -177,11 +189,12 @@ class ToolServer:
         trace console event: the one record of the console."""
         if self.handle is None:
             return
-        entries = self.handle.transcript[self._transcript_cursor:]
-        self._transcript_cursor = len(self.handle.transcript)
-        if entries:
-            self.trace.record("console", lines=[e["line"] for e in entries],
-                              origins=[e["origin"] for e in entries])
+        start, end = self._transcript_cursor, len(self.handle.transcript)
+        self._transcript_cursor = end
+        if end > start:
+            self.trace.record("console",
+                              lines=self.handle.transcript[start:end],
+                              origins=self.handle.origins[start:end])
 
     def _note_gate(self):
         gate = self.handle.gate if self.handle else None
@@ -237,8 +250,8 @@ class ToolServer:
         return {"locations": hits, "truncated": truncated}
 
     def _tool_code_read(self, file, start, end):
-        return asdict(codebrowse.read_range(self.env.source_root, file,
-                                            start, end))
+        return _fields(codebrowse.read_range(self.env.source_root, file,
+                                             start, end))
 
     def _tool_vm_start(self):
         self.handle = (self.handle.boot() if self.handle
@@ -265,8 +278,8 @@ class ToolServer:
         return guestvm.send_signal(self._require_guest(), signal)
 
     def _tool_vm_compile_upload(self, source, dest_path):
-        return asdict(guestvm.compile_and_upload(self._require_guest(),
-                                                 source, dest_path))
+        return _fields(guestvm.compile_and_upload(self._require_guest(),
+                                                  source, dest_path))
 
     def _tool_dbg_breakpoint(self, action, location=None, id=None):
         session = self._attach_debugger()
@@ -278,7 +291,7 @@ class ToolServer:
             session.manage_breakpoint("delete", _given(id=id))
             return {"deleted": id}
         if action == "list":
-            return {"breakpoints": [asdict(b) for b in
+            return {"breakpoints": [_fields(b) for b in
                                     session.manage_breakpoint("list")]}
         raise ValueError("unknown breakpoint action %r" % action)
 

@@ -26,6 +26,11 @@ POC_ATTEMPT_ERRORS = (CompileFailed.name, HostPathRefused.name,
                       UploadFailed.name)
 
 
+# ``json.dumps(event, sort_keys=True)``, without building an encoder per
+# event.
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class Trace:
     def __init__(self):
         self.events: List[dict] = []
@@ -43,9 +48,10 @@ class Trace:
         return event
 
     def write(self, path: str):
+        encode = _EVENT_ENCODER.encode
         with open(path, "w", encoding="utf-8") as fh:
             for event in self.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+                fh.write(encode(event) + "\n")
 
 
 # The scanner behind ``json.loads``, without its per-call wrapper.  A line

@@ -61,6 +61,63 @@ def test_a_scenario_rule_of_other_keys_is_refused_by_name(tmp_path, rule):
                              "pattern, response and post" % json.dumps(rule))
 
 
+_UNUSABLE_RULES = [
+    pytest.param({"pattern": "("}, "has a pattern that does not compile: "
+                 "missing \\), unterminated subpattern at position 0",
+                 id="unbalanced"),
+    pytest.param({"pattern": "a{4294967296}"}, "has a pattern that does not "
+                 "compile: the repetition number is too large",
+                 id="huge_repeat"),
+    pytest.param({"pattern": "(" * 5000 + ")" * 5000}, "has a pattern that "
+                 "does not compile: maximum recursion depth exceeded.*",
+                 id="deep_nesting"),
+    pytest.param({"pattern": 5}, "has a pattern that is not a string",
+                 id="number"),
+    pytest.param({"pattern": "^x$", "response": 5},
+                 "has a response that is not a string", id="numeric_response"),
+]
+
+
+@pytest.mark.parametrize("rule, why", _UNUSABLE_RULES)
+def test_a_rule_that_cannot_answer_is_refused_at_load(tmp_path, rule, why):
+    """A rule is checked when its scenario loads, not when a command first
+    reaches it."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rules": [{"pattern": "^ok$"}, rule]}))
+    with pytest.raises(errors.EnvBootFailed,
+                       match="^scenario bad.json: rule %s %s$"
+                             % (re.escape(json.dumps(rule)), why)):
+        guestvm.GuestScenario.load(str(path))
+
+
+@pytest.mark.parametrize("rule, why", _UNUSABLE_RULES)
+def test_a_rule_that_cannot_answer_fails_the_preparation(kernel_repo,
+                                                         tmp_path, rule, why):
+    """The boot smoke test never meets such a rule: the preparation fails
+    first, naming it."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rules": [rule]}))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    with pytest.raises(errors.EnvBootFailed,
+                       match=re.escape(json.dumps(rule)) + " " + why):
+        envprep.prepare_environment(
+            task, envprep.BuilderSpec("fixture-kasan", "fixture",
+                                      {"scenario": str(path)}),
+            str(tmp_path / "env"))
+
+
+def test_a_rule_keeps_its_compiled_pattern_out_of_its_fields(tmp_path):
+    """The compiled pattern is no scenario key: a rule naming ``regex`` is
+    refused like any other unknown key."""
+    assert [f.name for f in dataclasses.fields(guestvm.ScenarioRule)] == [
+        "pattern", "response", "post"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rules": [{"pattern": "^x$",
+                                           "regex": "^x$"}]}))
+    with pytest.raises(errors.EnvBootFailed, match="is not an object of"):
+        guestvm.GuestScenario.load(str(path))
+
+
 def test_a_snapshot_boots_only_the_scenario_content_it_pins(kernel_repo,
                                                             tmp_path):
     """A scenario edited after ``prepare_environment`` is refused by every
@@ -261,16 +318,17 @@ def test_a_snapshot_is_an_immutable_value():
 
 def test_restart_preserves_gate_and_transcript():
     h = _boot()
-    gate, transcript = h.gate, h.transcript
+    gate, transcript, origins = h.gate, h.transcript, h.origins
     _upload(h)
     guestvm.exec_console(h, "./trigger")
     assert h.state == "unresponsive"
     before = len(h.transcript)
     assert guestvm.restart_guest(h) is h
     assert h.state == "running" and h.guest_id == "guest-2"
-    assert h.gate is gate and h.transcript is transcript
-    assert h.transcript[before:] == [
-        {"origin": "lifecycle", "line": "== guest restarted =="}]
+    assert h.gate is gate and h.transcript is transcript \
+        and h.origins is origins
+    assert h.transcript[before:] == ["== guest restarted =="]
+    assert h.origins[before:] == ["lifecycle"]
     guestvm.exec_console(h, "echo ok")
 
 
@@ -341,8 +399,8 @@ def _counting_compiler(directory, monkeypatch, body=""):
 
 
 def _uploads(handle):
-    return [r["line"] for r in handle.transcript if r["origin"] == "lifecycle"
-            and r["line"].startswith("== uploaded")]
+    return [line for line, origin in zip(handle.transcript, handle.origins)
+            if origin == "lifecycle" and line.startswith("== uploaded")]
 
 
 def _alive(pid):

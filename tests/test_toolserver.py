@@ -1,18 +1,23 @@
 import bisect
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import os
+import tempfile
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchrepro import codebrowse, envprep, kdbg, sessionrunner, toolserver
+from patchrepro import (codebrowse, envprep, guestvm, kdbg, sessionrunner,
+                        toolserver)
 from patchrepro.envprep import BuilderSpec
 from patchrepro.trace import Trace, read_trace
 from tests.conftest import SCENARIOS, SENTINEL_MESSAGE
+from tests.test_guestvm import _upload
 from tests.test_mi import _oracle_parse
 
 
@@ -417,9 +422,9 @@ def test_console_trace_mirrors_transcript(env_and_task):
         "source": "int main(void) { return 0; }", "dest_path": "/trigger"})
     srv.dispatch_call("vm.exec", {"command": "./trigger"})
     assert srv.handle.state == "unresponsive"
-    mirrored = [ln for e in srv.trace.events if e["kind"] == "console"
-                for ln in e["lines"]]
-    assert mirrored == [rec["line"] for rec in srv.handle.transcript]
+    events = [e for e in srv.trace.events if e["kind"] == "console"]
+    assert [ln for e in events for ln in e["lines"]] == srv.handle.transcript
+    assert [o for e in events for o in e["origins"]] == srv.handle.origins
 
 
 def test_a_second_start_boots_the_one_guest_again(kernel_repo, tmp_path):
@@ -581,3 +586,183 @@ def test_list_symbols_answer_is_plain_json(env_and_task):
         for e in entries]
     assert [list(s) for s in out["result"]["symbols"]] == \
         [["name", "kind", "file", "line"]] * len(entries)
+
+
+def _keeping(made, fn):
+    """``fn``, keeping each value it returns in ``made``."""
+    def call(*args, **kwargs):
+        made.append(fn(*args, **kwargs))
+        return made[-1]
+    return call
+
+
+def test_dataclass_results_equal_asdict_in_value_order_and_digest(
+        env_and_task, monkeypatch):
+    """``code.read``, ``vm.compile_upload`` and ``dbg.breakpoint list``
+    answer with what ``dataclasses.asdict`` gives for the value they
+    build, key order and ``result_digest`` included."""
+    made = []
+    monkeypatch.setattr(codebrowse, "read_range",
+                        _keeping(made, codebrowse.read_range))
+    monkeypatch.setattr(guestvm, "compile_and_upload",
+                        _keeping(made, guestvm.compile_and_upload))
+    monkeypatch.setattr(kdbg.DebugSession, "manage_breakpoint",
+                        _keeping(made, kdbg.DebugSession.manage_breakpoint))
+    srv = _server(env_and_task)
+    srv.dispatch_call("vm.start", {})
+    srv.dispatch_call("dbg.breakpoint",
+                      {"action": "set", "location": "nft_chain_lookup"})
+    calls = [
+        ("code.read", {"file": "net/netfilter/nf_tables_api.c",
+                       "start": 1, "end": 40}, dataclasses.asdict),
+        ("vm.compile_upload", {"source": "int main(void) { return 0; }",
+                               "dest_path": "/trigger"}, dataclasses.asdict),
+        ("dbg.breakpoint", {"action": "list"},
+         lambda bps: {"breakpoints": [dataclasses.asdict(b) for b in bps]}),
+    ]
+    for name, args, want_of in calls:
+        got = srv.dispatch_call(name, args)["result"]
+        want = want_of(made[-1])
+        assert got == want and list(got) == list(want)
+        if name == "dbg.breakpoint":
+            assert [list(b) for b in got["breakpoints"]] == \
+                [["bp_id", "location", "enabled", "hit_count"]]
+        result = srv.trace.events[-1]
+        assert result["kind"] == "tool_result" and result["name"] == name
+        assert result["result_digest"] == toolserver._digest(want)
+    assert len(made[1].lines) > 1  # made[0] is the set breakpoint
+
+
+# --- the transcript's two columns against the per-line dict rule ----------
+
+_PLAIN = st.text(st.characters(blacklist_characters="\n\r",
+                               blacklist_categories=("Cs",)), max_size=12)
+_STAMPED = st.builds("[{}{}.{:06d}] {}".format,
+                     st.sampled_from(["", " ", "    "]),
+                     st.integers(0, 99999), st.integers(0, 999999), _PLAIN)
+_NEAR_MISS = st.sampled_from(["[1.x] no", " [1.0] indented", "[ 1.0 ] spaced",
+                              "[1] no fraction", "1.0] no bracket"])
+_LINE = st.one_of(_STAMPED, _PLAIN, st.just(""), _NEAR_MISS)
+_REPLY = st.builds(lambda lines, end: "\n".join(lines) + end,
+                   st.lists(_LINE, max_size=6), st.sampled_from(["", "\n"]))
+_STEP = st.one_of(st.tuples(st.just("say"), st.integers(0, 2)),
+                  st.tuples(st.just("echo"),
+                            st.text("abc XYZ", min_size=1, max_size=5)),
+                  st.sampled_from([("start",), ("restart",), ("upload",),
+                                   ("trigger",)]))
+
+
+def _dict_rows(text, origin=None):
+    """The old per-line dict rule: one ``{origin, line}`` per line of
+    ``text``; scenario-authored text (``origin`` None) by its printk
+    stamps."""
+    return [{"origin": origin or ("kernel" if guestvm._PRINTK_TS_RE.match(ln)
+                                  else "console"), "line": ln}
+            for ln in guestvm.split_lines(text)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(banner=_REPLY, replies=st.lists(_REPLY, min_size=3, max_size=3),
+       crash_reply=_REPLY, crash=_REPLY,
+       steps=st.lists(_STEP, max_size=12))
+def test_console_columns_equal_the_per_line_dict_rule(banner, replies,
+                                                      crash_reply, crash,
+                                                      steps):
+    """Each ``vm.exec`` answer's ``text`` and ``kernel_lines`` and each
+    drained console event's ``lines`` and ``origins`` are what rows of
+    ``{origin, line}`` dicts, built line by line, give."""
+    prompt = "repro$ "
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "crash.txt"), "w", newline="") as fh:
+            fh.write(crash)
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump({"boot_banner": banner, "prompt": prompt, "rules": [
+                {"pattern": "^say%d$" % i, "response": r}
+                for i, r in enumerate(replies)] + [
+                {"pattern": "^\\./trigger$", "response": crash_reply,
+                 "post": "emit_crash:crash.txt"}]}, fh)
+        snap = guestvm.create_snapshot({
+            "scenario_path": path, "guest_state": guestvm.MockGuest(
+                guestvm.GuestScenario.load(path)).state})
+        srv = toolserver.ToolServer(SimpleNamespace(snapshot_ref=snap), None,
+                                    toolserver.PROFILES["baseline"],
+                                    trace=Trace())
+        rows, drained, seen = [], 0, 0
+        for step in [("start",)] + steps:
+            handle = srv.handle
+            running = handle is not None and handle.state == "running"
+            kind = step[0]
+            if kind == "upload":
+                if running:
+                    _upload(handle)
+                    rows += _dict_rows(
+                        "== uploaded /root/trigger (4 bytes) ==", "lifecycle")
+                continue
+            if kind == "start":
+                srv.dispatch_call("vm.start", {})
+                rows += _dict_rows(banner) + _dict_rows(prompt + "# ready",
+                                                        "console")
+            elif kind == "restart":
+                srv.dispatch_call("vm.restart", {})
+                if handle is not None:
+                    rows += _dict_rows("== guest restarted ==", "lifecycle")
+            else:
+                command = {"say": lambda: "say%d" % step[1],
+                           "echo": lambda: "echo " + step[1],
+                           "trigger": lambda: "./trigger"}[kind]()
+                out = srv.dispatch_call("vm.exec", {"command": command})
+                if running:
+                    rows += _dict_rows(prompt + command, "console")
+                    added = len(rows)
+                    if kind == "say":
+                        rows += _dict_rows(replies[step[1]])
+                    elif kind == "echo":
+                        rows += _dict_rows(step[1].strip() + "\n", "console")
+                    elif "trigger" in handle.mock.state["programs"]:
+                        rows += _dict_rows(crash_reply) + _dict_rows(
+                            crash, "kernel")
+                    else:
+                        rows += _dict_rows("sh: ./trigger: command not "
+                                           "found\n", "console")
+                    output = rows[added:]
+                    assert out["result"]["text"] == "".join(
+                        r["line"] + "\n" for r in output)
+                    assert out["result"]["kernel_lines"] == [
+                        r["line"] for r in output if r["origin"] == "kernel"]
+                else:
+                    assert out["error"]["name"] == "GuestUnavailable"
+            events = [e for e in srv.trace.events[seen:]
+                      if e["kind"] == "console"]
+            seen = len(srv.trace.events)
+            new = rows[drained:]
+            drained = len(rows)
+            assert [(e["lines"], e["origins"]) for e in events] == (
+                [([r["line"] for r in new], [r["origin"] for r in new])]
+                if new else [])
+        assert srv.handle.transcript == [r["line"] for r in rows]
+        assert srv.handle.origins == [r["origin"] for r in rows]
+
+
+# --- one JSON encoder per process -------------------------------------------
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers()
+              | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+
+
+def json_values(leaf=_JSON_LEAF):
+    """Nested JSON-like values over ``leaf``, non-ASCII text and NaN
+    included."""
+    return st.recursive(leaf, lambda kids: st.lists(kids, max_size=4)
+                        | st.dictionaries(st.text(max_size=6), kids,
+                                          max_size=4), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=json_values(_JSON_LEAF | st.decimals()))
+def test_digest_equals_a_fresh_dumps(obj):
+    """The digest's one encoder writes what ``json.dumps`` with the same
+    options writes; a ``Decimal`` goes through ``default=str``."""
+    assert toolserver._digest(obj) == hashlib.sha256(
+        json.dumps(obj, sort_keys=True, default=str).encode()
+    ).hexdigest()[:16]

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from patchrepro import verdict
 from patchrepro.errors import MalformedTrace
 from patchrepro.trace import Trace, fold, read_trace
+from tests.test_toolserver import json_values
 
 
 def test_record_and_round_trip(tmp_path):
@@ -267,3 +270,20 @@ def test_measures_refuse_malformed_args_and_errors(name):
     folded = fold(MALFORMED_MEASURES[name])
     with pytest.raises(MalformedTrace):
         folded.measures
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(json_values(), max_size=5))
+def test_each_written_line_equals_a_fresh_dumps(values):
+    """``Trace.write``'s one encoder writes each event as ``json.dumps``
+    with ``sort_keys`` does: nested, non-ASCII and NaN values included."""
+    tr = Trace()
+    for value in values:
+        tr.record("lifecycle", event="probe", value=value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        tr.write(path)
+        with open(path, encoding="utf-8") as fh:
+            written = fh.read()
+    assert written.split("\n") == [
+        json.dumps(event, sort_keys=True) for event in tr.events] + [""]
