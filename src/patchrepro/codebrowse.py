@@ -11,9 +11,9 @@ feed, vertical tab or U+2028 stays inside its line, as it does for git and
 gcc.
 
 Reference queries read the index's store, a copy of the indexed files' bytes
-taken when the index was built, not the files in the tree.  A query for a
-name made only of ASCII word characters reads just the files that the
-index's word postings name; any other name scans the whole store.
+taken when the index was built, not the files in the tree.  A query reads
+just the files that the index's word postings name for every ASCII word of
+the name, and refuses a name that holds none.
 
 The index is held as columns, one row per definition; a ``SymbolEntry`` is
 made only for a row that a query returns.  Loading a saved index
@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import FileNotIndexed, RootUnreadable, SnippetFileNotFound, StartBeyondEof
+from .errors import (FileNotIndexed, InvalidParams, RootUnreadable,
+                     SnippetFileNotFound, StartBeyondEof)
 
 DEFAULT_MAX_LINES = 400
 DEFAULT_QUERY_LIMIT = 200
@@ -57,19 +58,15 @@ _COLUMNS = (("kinds", "b"), ("lines", "i"), ("file_rows", "i"),
 
 # A word is a maximal run of ASCII word characters in a file's bytes: what
 # split() returns once every other byte is made a space.  A reference query
-# for a name that is one word looks it up in the postings, which key a word
-# by this 32-bit hash; two words that share one only add candidate files.
-# A definition lookup keys a name's UTF-8 bytes by the same hash.
+# looks each word of its name up in the postings, which key a word by this
+# 32-bit hash; two words that share one only add candidate files.  A
+# definition lookup keys a name's UTF-8 bytes by the same hash.
 _ASCII_WORD = re.compile(r"[A-Za-z0-9_]+")
 _WORDS_ONLY = bytes(b if _ASCII_WORD.fullmatch(chr(b)) else 0x20
                     for b in range(256))
 _word_hash = zlib.crc32
 # The low half of a postings entry: a file number, or a row number.
 _LOW_BITS = 0xFFFFFFFF
-
-# A reference scan reads the store in chunks of whole files, each about this
-# many bytes; a larger file is a chunk of its own.
-_SCAN_CHUNK = 1 << 20
 
 _SOURCE_EXTS = (".c", ".h")
 
@@ -502,7 +499,10 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
                  limit: int = DEFAULT_QUERY_LIMIT) -> Tuple[List[dict], bool]:
     """Global definition or whole-word reference lookup, capped at ``limit``.
 
-    References are found in the index's store, not by a new tree walk.
+    References are found in the index's store, not by a new tree walk, in
+    the files that the postings name for every ASCII word of ``name``.
+    Raises ``InvalidParams`` for a reference query whose name holds no
+    ASCII letter, digit or underscore.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -516,22 +516,20 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
 
     if "\n" in name or "\r" in name:
         return [], False  # no line holds a line break
-    if _ASCII_WORD.fullmatch(name):
-        # The postings name every file with a hit.  A whole-word hit of an
-        # ASCII word in the decoded text is a word of the raw bytes:
-        # decoding keeps each ASCII byte as its own character, and every
-        # other character beside a hit (non-ASCII, U+FFFD, or the "\n" made
-        # of a "\r") comes from bytes that are not word bytes.
-        candidates = _read_files(index, index.word_files(name))
-    else:
-        # Every whole-word hit contains the name, so only files whose bytes
-        # contain the longest part of it between U+FFFDs (which decoding
-        # also makes of invalid UTF-8) are decoded and searched.
-        try:
-            needle = max(name.split("\ufffd"), key=len).encode("utf-8")
-        except UnicodeEncodeError:
-            return [], False  # a lone surrogate, which decoded text never holds
-        candidates = _files_holding(index, needle)
+    # At a whole-word hit in the decoded text, each word of the name is a
+    # word of the file's bytes, so the postings of every one name the file.
+    # Decoding keeps each ASCII byte as its own character, and every other
+    # character beside a word (non-ASCII, U+FFFD, punctuation, or the "\n"
+    # made of a "\r") comes from bytes that are not word bytes; each end of
+    # the word is the name's own \b or a character of the name.
+    postings = sorted(map(index.word_files, set(_ASCII_WORD.findall(name))),
+                      key=len)
+    if not postings:
+        raise InvalidParams("a reference query needs a name that holds an "
+                            "ASCII letter, digit or underscore")
+    numbers = postings[0]
+    for other in map(set, postings[1:]):
+        numbers = [i for i in numbers if i in other]
     defining = {(index.file_of(row), index.lines[row])
                 for row in index.definition_rows(name)}
     # The whole-word test, \bNAME\b, led by the name's literal: re finds a
@@ -543,7 +541,7 @@ def query_symbol(index: CodeIndex, name: str, mode: str = "definitions",
     word = re.compile(r"%s(?<=\b%s)\b" % (literal, literal))
     files = index.files
     hits = []
-    for i, raw in candidates:
+    for i, raw in _read_files(index, numbers):
         rel = files[i]
         for lineno, line in _word_lines(_decode(raw), word):
             if (rel, lineno) not in defining:
@@ -566,22 +564,6 @@ def _read_files(index: CodeIndex, numbers: List[int]):
         yield i, raw
 
 
-def _files_holding(index: CodeIndex, needle: bytes):
-    """(number, bytes) of each file whose bytes hold ``needle``, in order,
-    found by one pass over the whole store."""
-    offsets = index.offsets
-    for base, size, chunk in _store_chunks(index):
-        find = chunk.find
-        pos = 0
-        while pos < size:
-            at = find(needle, pos, size)
-            if at < 0:
-                break
-            i = bisect_right(offsets, base + at) - 1
-            pos = offsets[i + 1] - base
-            yield i, chunk[offsets[i] - base:pos]
-
-
 def _word_lines(text: str, word: "re.Pattern[str]"):
     """(line number, line) of each line of ``text`` where ``word`` matches,
     in order, each once, numbered as ``_split_lines`` numbers them.  A
@@ -602,31 +584,6 @@ def _word_lines(text: str, word: "re.Pattern[str]"):
         # A search from past the end would start at the end, where the
         # empty name can match again.
         m = end < size and search(text, end + 1)
-
-
-def _store_chunks(index: CodeIndex):
-    """(store offset, size, buffer) of each chunk of whole files, in order,
-    read from the index's open store file by position, as ``_read_files``
-    reads, so no bytes that a file object buffered before the store was cut
-    are read.  A chunk is the first ``size`` bytes of ``buffer``, which
-    later chunks overwrite: reusing one buffer saves the page faults of a
-    fresh one per chunk.  Raises ``CorruptIndex`` when the store ends
-    early."""
-    offsets, last = index.offsets, len(index.files)
-    # No bigger than a small store: a zero-filled buffer is resident memory.
-    buffer = bytearray(min(_SCAN_CHUNK, offsets[-1]))
-    fd, start = index.store.fileno(), index.store_start
-    i = 0
-    while i < last:
-        j = max(bisect_right(offsets, offsets[i] + _SCAN_CHUNK) - 1, i + 1)
-        size = offsets[j] - offsets[i]
-        if size > len(buffer):
-            buffer = bytearray(size)
-        if os.preadv(fd, [memoryview(buffer)[:size]],
-                     start + offsets[i]) != size:
-            raise CorruptIndex("the store of %s is truncated" % index.root)
-        yield offsets[i], size, buffer
-        i = j
 
 
 def read_range(source_root: str, file: str, start: int, end: int,
@@ -677,9 +634,17 @@ def save_index(index: CodeIndex, path: str, digest: str = ""):
         for column in columns:
             column.tofile(fh)
         start = fh.tell()
-        for _base, size, chunk in _store_chunks(index):
-            fh.write(memoryview(chunk)[:size])
         fh.flush()
+        # The store is copied by the kernel, from the store file by
+        # position, so no bytes that a file object buffered before the
+        # store was cut are read.
+        offset, end = index.store_start, index.store_start + index.offsets[-1]
+        while offset < end:
+            sent = os.sendfile(fh.fileno(), index.store.fileno(), offset,
+                               end - offset)
+            if not sent:
+                raise CorruptIndex("the store of %s is truncated" % index.root)
+            offset += sent
         os.replace(tmp, path)
     except BaseException:
         fh.close()

@@ -132,6 +132,15 @@ class ScenarioRule:
         self.regex = re.compile(self.pattern)
 
 
+# The top-level keys of a scenario that the load checks, each with the
+# types it may hold.  A key left out takes its default; only ``debug`` may
+# also be null.
+_SCENARIO_KEYS = (("rules", list, "a list"),
+                  ("boot_banner", str, "a string"),
+                  ("prompt", str, "a string"),
+                  ("debug", (dict, type(None)), "an object or null"))
+
+
 class GuestScenario:
     """Deterministic mock-guest behaviour loaded from a JSON scenario file."""
 
@@ -155,9 +164,11 @@ class GuestScenario:
         and does not pin each crash file's content, for a rule that is not
         an object with a ``pattern`` and no keys but ``ScenarioRule``'s, and
         for a rule whose ``post`` is not ``ok``, ``hang`` or ``emit_crash:``
-        a UTF-8 file that exists.  A rule whose ``pattern`` is not a string
-        that compiles as a regular expression, or whose ``response`` is not a
-        string, is refused too, by name."""
+        a UTF-8 file that exists, and for a scenario that is not a JSON
+        object or whose ``rules``, ``boot_banner``, ``prompt`` or ``debug``
+        is not of its kind (``_SCENARIO_KEYS``).  A rule whose ``pattern``
+        is not a string that compiles as a regular expression, or whose
+        ``response`` is not a string, is refused too, by name."""
         name = os.path.basename(path)
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -166,6 +177,12 @@ class GuestScenario:
             raise EnvBootFailed("scenario %s is not the content its snapshot "
                                 "pins" % name)
         raw = json.loads(blob.decode("utf-8"))
+        if not isinstance(raw, dict):
+            raise EnvBootFailed("scenario %s is not a JSON object" % name)
+        for key, kind, what in _SCENARIO_KEYS:
+            if key in raw and not isinstance(raw[key], kind):
+                raise EnvBootFailed("scenario %s: %s is %s, not %s"
+                                    % (name, key, json.dumps(raw[key]), what))
         base_dir = os.path.dirname(os.path.abspath(path))
         keys = {f.name for f in dataclasses.fields(ScenarioRule)}
         rules = []

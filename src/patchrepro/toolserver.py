@@ -7,12 +7,14 @@ records every call in the session trace.  Host-side shell execution is
 intentionally not a registered tool.
 """
 
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 from . import codebrowse, guestvm, kdbg
 # Re-exported: callers take a profile and its tools from this module.
@@ -60,12 +62,23 @@ Tool usage rules:
   DebuggeeHalted; use dbg.resume to continue."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolDescriptor:
+    """One registry tool.  Descriptors are shared by every caller, so they
+    are frozen and ``parameters`` is a read-only mapping of read-only
+    mappings."""
     name: str
     description: str
-    parameters: Dict[str, dict]
+    parameters: Mapping[str, Mapping]
     category: str
+
+    def as_dict(self) -> dict:
+        """The descriptor as ``tools/list`` gives it: what ``asdict`` gives
+        for the registry entry."""
+        return {"name": self.name, "description": self.description,
+                "parameters": {key: dict(spec) for key, spec
+                               in self.parameters.items()},
+                "category": self.category}
 
 
 # Registry parameter types; a JSON boolean is not an integer or a number.
@@ -80,14 +93,23 @@ class PromptBundle:
     constraints: List[str] = field(default_factory=list)
 
 
-def load_registry() -> List[ToolDescriptor]:
+@functools.cache
+def _registry() -> Tuple[ToolDescriptor, ...]:
+    """The registry file's tools, read and parsed once per process."""
     raw = json.loads(
         resources.files("patchrepro").joinpath("data/tool_registry.json")
         .read_text(encoding="utf-8"))
-    tools = [ToolDescriptor(**t) for t in raw["tools"]]
+    tools = tuple(ToolDescriptor(**dict(t, parameters=MappingProxyType({
+        key: MappingProxyType(spec) for key, spec in t["parameters"].items()
+    }))) for t in raw["tools"])
     names = [t.name for t in tools]
     assert len(names) == len(set(names)), "duplicate tool names in registry"
     return tools
+
+
+def load_registry() -> List[ToolDescriptor]:
+    """The registry's tools, in registry order."""
+    return list(_registry())
 
 
 def check_args(tool: ToolDescriptor, args: dict):
@@ -363,7 +385,7 @@ class ToolServer:
                               "not a JSON-RPC 2.0 request")
         if method == "tools/list":
             return _rpc_result(req_id, {
-                "tools": [asdict(t) for t in list_tools(self.profile)]})
+                "tools": [t.as_dict() for t in list_tools(self.profile)]})
         if method == "tools/call":
             params = request.get("params") or {}
             name = params.get("name")

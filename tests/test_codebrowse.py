@@ -168,18 +168,26 @@ def test_save_load_round_trip(tree, tmp_path):
         sorted(str(e) for es in again.entries.values() for e in es)
 
 
+def _references(idx, name, limit=codebrowse.DEFAULT_QUERY_LIMIT):
+    """A reference query's answer, or the name of the error that refused
+    the name."""
+    try:
+        return codebrowse.query_symbol(idx, name, "references", limit)
+    except errors.InvalidParams as exc:
+        return exc.name
+
+
 def _answers(idx, extra=()):
     """Every query's answer on an index, in the order the tools give it,
-    for every defined name and the names ``extra``."""
+    for every defined name and the names ``extra``; a refused reference
+    query is recorded as its error's name."""
     names = list(idx.entries) + list(extra)
     return {
         "files": idx.files,
         "definitions": [codebrowse.query_symbol(idx, n) for n in names],
         "symbols": [codebrowse.list_symbols(idx, f) for f in idx.files],
-        "references": [codebrowse.query_symbol(idx, n, mode="references")
-                       for n in names],
-        "truncated": [codebrowse.query_symbol(idx, n, mode="references",
-                                              limit=1) for n in names],
+        "references": [_references(idx, n) for n in names],
+        "truncated": [_references(idx, n, limit=1) for n in names],
     }
 
 
@@ -396,15 +404,78 @@ def test_a_store_cut_after_loading_fails_closed(tree, tmp_path):
 @pytest.mark.parametrize("name", ["lookup_chain", "lookup_chain("])
 def test_a_store_cut_after_loading_fails_every_query_path(tree, tmp_path,
                                                           name):
-    """A reference query by the postings and one by a scan of the whole
-    store both raise ``CorruptIndex`` once the store is cut short, although
-    the load's read-ahead holds all of this small store."""
+    """A reference query for one word and one for a name that also holds
+    punctuation both raise ``CorruptIndex`` once the store is cut short,
+    although the load's read-ahead holds all of this small store."""
     path = str(tmp_path / "index.idx")
     codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
     idx = codebrowse.load_index(tree, path, "d1")
     os.truncate(path, os.path.getsize(path) - 1)
     with pytest.raises(codebrowse.CorruptIndex, match="truncated"):
         codebrowse.query_symbol(idx, name, mode="references")
+
+
+def test_a_store_copied_in_small_pieces_saves_the_same_file(tree, tmp_path,
+                                                            monkeypatch):
+    """``save_index`` goes on copying the store however few bytes each
+    ``os.sendfile`` call sends."""
+    whole = tmp_path / "whole.idx"
+    codebrowse.save_index(codebrowse.build_index(tree), str(whole), "d1")
+    real_sendfile = os.sendfile
+    calls = []
+
+    def sendfile(out_fd, in_fd, offset, count):
+        calls.append(count)
+        return real_sendfile(out_fd, in_fd, offset, min(count, 7))
+
+    monkeypatch.setattr(os, "sendfile", sendfile)
+    pieces = tmp_path / "pieces.idx"
+    codebrowse.save_index(codebrowse.build_index(tree), str(pieces), "d1")
+    assert len(calls) > 1
+    assert pieces.read_bytes() == whole.read_bytes()
+
+
+def test_saving_an_index_whose_store_was_cut_fails_closed(tree, tmp_path):
+    """A loaded index whose store was cut short saves nothing: the copy
+    raises ``CorruptIndex`` and leaves no partial file beside the
+    target."""
+    path = str(tmp_path / "index.idx")
+    codebrowse.save_index(codebrowse.build_index(tree), path, "d1")
+    idx = codebrowse.load_index(tree, path, "d1")
+    os.truncate(path, os.path.getsize(path) - 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(codebrowse.CorruptIndex, match="truncated"):
+        codebrowse.save_index(idx, str(out / "again.idx"), "d1")
+    assert os.listdir(out) == []
+
+
+def test_a_reference_query_reads_only_the_posted_files(kernel_repo, tmp_path,
+                                                       monkeypatch):
+    """A name that is not one word is looked up in the postings too: the
+    query reads each file posted for its word, by position, and never the
+    whole store."""
+    root = kernel_repo["repo"]
+    fresh = codebrowse.build_index(root)
+    path = str(tmp_path / "index.idx")
+    codebrowse.save_index(codebrowse.build_index(root), path, "d1")
+    for idx in (fresh, codebrowse.load_index(root, path, "d1")):
+        offsets = idx.offsets
+        posted = [(offsets[i + 1] - offsets[i], idx.store_start + offsets[i])
+                  for i in idx.word_files("find_chain")]
+        assert 0 < len(posted) < idx.file_count
+        reads = []
+        real_pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, size, at: reads.append(
+            (size, at)) or real_pread(fd, size, at))
+        monkeypatch.setattr(os, "preadv", lambda *a: reads.append(a))
+        hits, truncated = codebrowse.query_symbol(idx, "find_chain(",
+                                                  "references")
+        monkeypatch.undo()
+        assert [h["text"] for h in hits] == [
+            "\tstruct nft_chain *chain = find_chain(name);"]
+        assert not truncated
+        assert reads == posted
 
 
 def test_loads_and_queries_leave_numpy_out(tree, tmp_path):
@@ -609,6 +680,14 @@ _REF_PIECES = (b"foo", b"foo_bar", b"bar", "caf\u00e9".encode(), b"x\xffy",
 _REF_NAMES = ("foo", "foo_bar", "bar", "caf\u00e9", "x\ufffdy", "\ufffd", "x",
               "y", "foo\nbar", "foo\rbar", "", "absent", "->x", "(foo",
               "foo;", "oo", "_bar", "-x-", "caf", "2x", "2")
+# Pieces that names are drawn from besides ``_REF_NAMES``: words, then
+# punctuation, "->", a space, "\u00e9", U+FFFD, U+2028 and a lone
+# surrogate, which decoded text never holds.  No pieces make the empty name.
+_NAME_PIECES = ("foo", "bar", "x", "y", "oo", "2", "_", "(", ";", "->", "-",
+                " ", "\u00e9", "\ufffd", "\u2028", "\ud800")
+_ref_name = st.one_of(st.sampled_from(_REF_NAMES),
+                      st.lists(st.sampled_from(_NAME_PIECES), max_size=4)
+                      .map("".join))
 _ref_line = st.tuples(st.sampled_from(_REF_LEADS),
                       st.lists(st.sampled_from(_REF_PIECES), max_size=6),
                       st.sampled_from((b"\n", b"\n", b"\r\n", b"\r")))
@@ -636,9 +715,8 @@ def _oracle_references(root, name):
     return hits
 
 
-@settings(max_examples=60, deadline=None)
-@given(files=st.lists(_ref_file, min_size=1, max_size=4),
-       name=st.sampled_from(_REF_NAMES))
+@settings(max_examples=100, deadline=None)
+@given(files=st.lists(_ref_file, min_size=1, max_size=4), name=_ref_name)
 # The first two names occur only in the decoded text, where invalid UTF-8
 # became U+FFFD.
 @example(files=[b"x\xffy;\r\n"], name="x\ufffdy")
@@ -650,11 +728,18 @@ def _oracle_references(root, name):
 @example(files=[b"--x-x-a\n"], name="-x-")
 # Posted for "caf", but "\u00e9" makes the decoded text one longer word.
 @example(files=[b"caf\xc3\xa9 caf\xff caf\n"], name="caf")
+# Each word of the name is a word of the bytes, beside punctuation, a
+# space, U+2028 or U+FFFD.
+@example(files=[b"a x->foo(bar; x\xe2\x80\xa8foo \xefx\n"],
+         name="x->foo(")
+@example(files=[b"a x->foo(bar; x\xe2\x80\xa8foo \xefx\n"],
+         name="x\u2028foo \ufffdx")
 def test_references_match_a_line_scan(tmp_path_factory, files, name):
     """A fresh index and a saved and loaded one give the same references as
     a brute-force line scan, also when truncated at ``limit``; covers CRLF,
     lone CR, invalid UTF-8, non-ASCII names, names no line can hold, and
-    names whose whole-word test looks beyond their own first occurrence."""
+    names whose whole-word test looks beyond their own first occurrence.
+    A name with no ASCII word character, and no line break, is refused."""
     root = tmp_path_factory.mktemp("refs")
     (root / "sub").mkdir()
     for i, raw in enumerate(files):
@@ -664,10 +749,12 @@ def test_references_match_a_line_scan(tmp_path_factory, files, name):
     codebrowse.save_index(codebrowse.build_index(str(root)), path, "d")
     loaded = codebrowse.load_index(str(root), path, "d")
     expected = _oracle_references(str(root), name)
+    refused = not re.search(r"[A-Za-z0-9_\n\r]", name)
     for limit in (1, 2, 10_000):
-        want = (expected[:limit], len(expected) > limit)
-        assert codebrowse.query_symbol(fresh, name, "references", limit) == want
-        assert codebrowse.query_symbol(loaded, name, "references", limit) == want
+        want = ("InvalidParams" if refused
+                else (expected[:limit], len(expected) > limit))
+        assert _references(fresh, name, limit) == want
+        assert _references(loaded, name, limit) == want
 
 
 # --- the candidate-line indexer against a line-by-line oracle -------------------

@@ -106,6 +106,51 @@ def test_a_rule_that_cannot_answer_fails_the_preparation(kernel_repo,
             str(tmp_path / "env"))
 
 
+@pytest.mark.parametrize("scenario, why", [
+    ("[]", "is not a JSON object"),
+    ('"rules"', "is not a JSON object"),
+    ('{"rules": 5}', "rules is 5, not a list"),
+    ('{"rules": {"pattern": "x"}}', 'rules is {"pattern": "x"}, not a list'),
+    ('{"rules": null}', "rules is null, not a list"),
+    ('{"boot_banner": 5}', "boot_banner is 5, not a string"),
+    ('{"prompt": 7}', "prompt is 7, not a string"),
+    ('{"prompt": null}', "prompt is null, not a string"),
+    ('{"debug": 5}', "debug is 5, not an object or null"),
+    ('{"debug": []}', "debug is \\[\\], not an object or null"),
+    ('{"debug": false}', "debug is false, not an object or null"),
+])
+def test_a_malformed_scenario_is_refused_at_load(kernel_repo, tmp_path,
+                                                 monkeypatch, scenario, why):
+    """A scenario whose top level is not an object, or holds a key of the
+    wrong kind, is refused by name when it loads, and so before the
+    preparation's boot smoke test sends a command."""
+    path = tmp_path / "bad.json"
+    path.write_text(scenario)
+    with pytest.raises(errors.EnvBootFailed, match="^scenario bad.json:? "
+                                                   + why + "$"):
+        guestvm.GuestScenario.load(str(path))
+    commands = []
+    monkeypatch.setattr(guestvm, "exec_console",
+                        lambda handle, command, **kw: commands.append(command))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    with pytest.raises(errors.EnvBootFailed, match=why):
+        envprep.prepare_environment(
+            task, envprep.BuilderSpec("fixture-kasan", "fixture",
+                                      {"scenario": str(path)}),
+            str(tmp_path / "env"))
+    assert commands == []
+
+
+@pytest.mark.parametrize("scenario", ['{}', '{"debug": null}',
+                                      '{"debug": {}, "rules": []}'])
+def test_a_scenario_may_leave_keys_out_and_debug_null(tmp_path, scenario):
+    """Each checked key may be left out, and ``debug`` may be null."""
+    path = tmp_path / "ok.json"
+    path.write_text(scenario)
+    loaded = guestvm.GuestScenario.load(str(path))
+    assert (loaded.rules, loaded.debug, loaded.prompt) == ([], {}, "repro$ ")
+
+
 def test_a_rule_keeps_its_compiled_pattern_out_of_its_fields(tmp_path):
     """The compiled pattern is no scenario key: a rule naming ``regex`` is
     refused like any other unknown key."""

@@ -45,6 +45,36 @@ def test_registry_has_twelve_unique_tools():
                     "debugging"}
 
 
+def test_the_registry_is_read_once_per_process(monkeypatch):
+    """Two servers and a ``tools/list`` read the registry file once; the
+    descriptors they share cannot be changed, and ``tools/list`` gives each
+    as the file holds it."""
+    reads = []
+    real_files = toolserver.resources.files
+    monkeypatch.setattr(toolserver, "resources", SimpleNamespace(
+        files=lambda package: reads.append(package) or real_files(package)))
+    toolserver._registry.cache_clear()
+    task = envprep.PatchTask(case_id="c", commit_id="a" * 40,
+                             parent_commit_id="b" * 40, diff_text="--- x")
+    servers = [toolserver.ToolServer(None, task,
+                                     toolserver.PROFILES["baseline"])
+               for _ in range(2)]
+    listed = servers[1].dispatch({"jsonrpc": "2.0", "id": 1,
+                                  "method": "tools/list"})
+    assert reads == ["patchrepro"]
+    raw = json.loads(real_files("patchrepro").joinpath(
+        "data/tool_registry.json").read_text(encoding="utf-8"))
+    assert listed["result"]["tools"] == raw["tools"]
+    tool = servers[0].tools["code.query"]
+    assert tool is servers[1].tools["code.query"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tool.category = "debugging"
+    with pytest.raises(TypeError):
+        tool.parameters["extra"] = {"type": "string"}
+    with pytest.raises(TypeError):
+        tool.parameters["name"]["required"] = False
+
+
 def test_profile_filters_debugging_tools():
     base = {t.name for t in toolserver.list_tools(toolserver.PROFILES["baseline"])}
     nogdb = {t.name for t in toolserver.list_tools(toolserver.PROFILES["no_gdb"])}
@@ -184,6 +214,18 @@ def _count_builds(monkeypatch, build=codebrowse.build_index):
 
 
 CHAIN_REFS = {"name": "chain", "mode": "references"}
+
+
+def test_a_reference_query_without_a_word_is_invalid_params(env_and_task):
+    """A reference query's name must hold an ASCII word character; the
+    same name still answers a definition query."""
+    srv = _server(env_and_task)
+    for name in ("(", "", "\u00e9", "\ufffd", "\ud800"):
+        out = srv.dispatch_call("code.query", {"name": name,
+                                               "mode": "references"})
+        assert out["error"]["name"] == "InvalidParams"
+        assert srv.dispatch_call("code.query", {"name": name}) == {
+            "result": {"locations": [], "truncated": False}}
 
 
 def test_a_spoiled_posting_is_rebuilt_by_the_query_that_reads_it(
