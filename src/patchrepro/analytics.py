@@ -6,8 +6,10 @@ paired discordant deltas, convergence curves, and timeout-filled runtime
 aggregation.  Descriptive summaries use nearest-rank percentiles.
 """
 
+import collections
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass, field
@@ -80,12 +82,15 @@ def fisher_exact(t: ContingencyTable2x2) -> FisherResult:
     lo, hi = max(0, c1 - r2), min(r1, c1)
     numerators = [math.comb(r1, lo) * math.comb(r2, c1 - lo)]
     for k in range(lo, hi):
-        numerators.append(numerators[-1] * (r1 - k) * (c1 - k)
+        # The small factors are multiplied first: one big-integer product.
+        numerators.append(numerators[-1] * ((r1 - k) * (c1 - k))
                           // ((k + 1) * (r2 - c1 + k + 1)))
-    # x <= observed * (1 + tol), with tol = num / den, in integers.
+    # x <= observed * (1 + tol), with tol = num / den: for an integer x,
+    # x <= floor(observed * (den + num) / den).
     tol = FISHER_REL_TOL
-    cutoff = numerators[t.a - lo] * (tol.denominator + tol.numerator)
-    kept = sum(x for x in numerators if x * tol.denominator <= cutoff)
+    limit = (numerators[t.a - lo] * (tol.denominator + tol.numerator)
+             // tol.denominator)
+    kept = sum(x for x in numerators if x <= limit)
     # The kept numerators are a subset of Vandermonde's sum, so p <= 1.
     p = Fraction(kept, math.comb(t.n, c1))
     return FisherResult(odds_ratio, float(p), undefined)
@@ -253,16 +258,26 @@ def expected_overall_time(success_durations: Sequence[float], n_fail: int,
 
 # What ``_read_json`` returns when there is no file; a file may hold null.
 _MISSING = object()
+# How much ``_read_json`` asks for per read once a file has outgrown its
+# fstat size.
+_READ_CHUNK = 1 << 16
+# The scanner behind ``json.loads``, without its per-call wrapper: a text
+# that is one value, with at most whitespace after it, decodes here.
+_scan_once = json.JSONDecoder().scan_once
+# What ends the path of a run dir's verdict and session files.
+_VERDICT_TAIL = os.sep + sessionrunner.ARTIFACT_VERDICT
+_SESSION_TAIL = os.sep + sessionrunner.ARTIFACT_SESSION
 
 
 def _read_json(path):
     """The JSON value in the regular file at ``path``, or ``_MISSING`` when
-    ``os.path.isfile`` would say there is none: one open, one fstat and
-    reads to EOF.  A directory, FIFO or device under that name is not read,
-    and O_NONBLOCK keeps the open of a FIFO from waiting for a writer.  The
-    text is what a text-mode read gives: strict UTF-8, so a BOM or a UTF-16
-    file is refused, and newlines translated, so a JSON error names the
-    same position."""
+    ``os.path.isfile`` would say there is none: one open, one fstat and one
+    read of the size the fstat gives, plus one byte; a file whose size
+    changed after the fstat is read on to EOF.  A directory, FIFO or device
+    under that name is not read, and O_NONBLOCK keeps the open of a FIFO
+    from waiting for a writer.  The text is what a text-mode read gives:
+    strict UTF-8, so a BOM or a UTF-16 file is refused, and newlines
+    translated, so a JSON error names the same position."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except (FileNotFoundError, NotADirectoryError):
@@ -277,17 +292,25 @@ def _read_json(path):
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             return _MISSING
-        chunks = []
-        while True:
-            chunk = os.read(fd, st.st_size + 1)
-            if not chunk:
-                break
-            chunks.append(chunk)
+        data = os.read(fd, st.st_size + 1)
+        if len(data) != st.st_size:
+            chunks = [data]
+            while chunks[-1]:
+                chunks.append(os.read(fd, _READ_CHUNK))
+            data = b"".join(chunks)
     finally:
         os.close(fd)
-    text = b"".join(chunks).decode("utf-8")
+    text = data.decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        value, end = _scan_once(text, 0)
+        if not text[end:].strip(" \t\n"):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    # Leading space, a BOM, trailing data or an error: json.loads gives the
+    # value or its own error.
     return json.loads(text)
 
 
@@ -310,78 +333,90 @@ def load_run_records(runs_dirs: Sequence[str],
     whole record.  For one decided before verdicts recorded them, the
     profile comes from session.json and the measures from ``_run_measures``.
     """
+    metadata = metadata or {}
     records = []
     for runs_dir in runs_dirs:
+        prefix = os.path.join(runs_dir, "")
         for name in sorted(os.listdir(runs_dir)):
-            case_dir = os.path.join(runs_dir, name)
-            v = _read_json(os.path.join(case_dir,
-                                        sessionrunner.ARTIFACT_VERDICT))
+            case_dir = prefix + name
+            v = _read_json(case_dir + _VERDICT_TAIL)
             if v is _MISSING:
                 continue
             measures = v.get("measures") if isinstance(v, dict) else None
             if isinstance(measures, dict):
                 profile = v.get("profile", "baseline")
             else:
-                session = _read_json(os.path.join(
-                    case_dir, sessionrunner.ARTIFACT_SESSION))
+                session = _read_json(case_dir + _SESSION_TAIL)
                 measures = _run_measures(case_dir, session)
                 profile = (session.get("profile", "baseline")
                            if isinstance(session, dict) else "baseline")
-            meta = (metadata or {}).get(v["case_id"], {})
+            meta = metadata.get(v["case_id"], {})
+            # Positional, in field order: a keyword call costs a record
+            # about a microsecond more.
             records.append(RunRecord(
-                case_id=v["case_id"],
-                success=v["success"],
-                profile=profile,
-                elapsed_min=float(v.get("elapsed_min", 0.0)),
-                cost=float(v.get("cost_usd", 0.0)),
-                tool_counts=measures.get("tool_counts", {}),
-                poc_iterations=measures.get("poc_iterations", 0),
-                breakpoints_set=measures.get("breakpoints_set", 0),
-                breakpoints_hit=measures.get("breakpoints_hit", 0),
-                subsystem=meta.get("subsystem"),
-                is_race=meta.get("is_race"),
-                vuln_type=meta.get("vuln_type"),
-                commit_msg_level=meta.get("commit_msg_level"),
-                submit_time=meta.get("submit_time"),
-                runs_dir=runs_dir,
-            ))
+                v["case_id"], v["success"], profile,
+                float(v.get("elapsed_min", 0.0)),
+                float(v.get("cost_usd", 0.0)),
+                measures.get("tool_counts", {}),
+                measures.get("poc_iterations", 0),
+                measures.get("breakpoints_set", 0),
+                measures.get("breakpoints_hit", 0),
+                meta.get("subsystem"), meta.get("is_race"),
+                meta.get("vuln_type"), meta.get("commit_msg_level"),
+                meta.get("submit_time"), runs_dir))
     return records
 
 
-def _success_table(exposed, unexposed) -> ContingencyTable2x2:
-    """Successes and failures of two record groups, as rows of a 2x2."""
-    a = sum(1 for r in exposed if r.success)
-    c = sum(1 for r in unexposed if r.success)
-    return ContingencyTable2x2(a, len(exposed) - a, c, len(unexposed) - c)
+_SUCCESS = operator.attrgetter("success")
+_SUBSYSTEM = operator.attrgetter("subsystem")
+# The vulnerability types the type strata count; OOB is the unexposed row.
+_STRATA_TYPES = ("UAF", "DF", "OOB")
+
+
+def _wins(outcomes) -> int:
+    """How many of ``outcomes`` are true."""
+    return len(list(filter(None, outcomes)))
 
 
 def subsystem_tables(records: Sequence[RunRecord]) -> Dict[str, ContingencyTable2x2]:
-    """One exposure-vs-rest table per subsystem label."""
-    labels = sorted({r.subsystem for r in records if r.subsystem})
-    return {label: _success_table(
-                [r for r in records if r.subsystem == label],
-                [r for r in records if r.subsystem != label])
-            for label in labels}
+    """One exposure-vs-rest table per subsystem label; a record without a
+    label is in the rest of every table."""
+    counts = collections.Counter(zip(map(_SUBSYSTEM, records),
+                                     map(bool, map(_SUCCESS, records))))
+    wins = sum(n for (_label, ok), n in counts.items() if ok)
+    fails = len(records) - wins
+    tables = {}
+    for label in sorted({label for label, _ok in counts if label}):
+        a, b = counts[label, True], counts[label, False]
+        tables[label] = ContingencyTable2x2(a, b, wins - a, fails - b)
+    return tables
 
 
 def type_race_strata(records: Sequence[RunRecord]) -> List[ContingencyTable2x2]:
-    """UAF/DF-vs-OOB success tables stratified by race status."""
+    """UAF/DF-vs-OOB success tables stratified by race status; a record
+    whose ``is_race`` is neither True nor False is in no stratum."""
+    # cells[race][type is OOB] = [successes, failures]
+    cells = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for r in records:
+        if (r.is_race is True or r.is_race is False) \
+                and r.vuln_type in _STRATA_TYPES:
+            cells[r.is_race][r.vuln_type == "OOB"][not r.success] += 1
     strata = []
     for race in (True, False):
-        rs = [r for r in records if r.is_race is race
-              and r.vuln_type in ("UAF", "DF", "OOB")]
-        if rs:
-            strata.append(_success_table(
-                [r for r in rs if r.vuln_type in ("UAF", "DF")],
-                [r for r in rs if r.vuln_type == "OOB"]))
+        (a, b), (c, d) = cells[race]
+        if a + b + c + d:
+            strata.append(ContingencyTable2x2(a, b, c, d))
     return strata
 
 
 def cutoff_table(records: Sequence[RunRecord], cutoff_date: str) -> ContingencyTable2x2:
-    """Pre-cutoff vs post-cutoff success table by submit time."""
-    return _success_table(
-        [r for r in records if (r.submit_time or "") <= cutoff_date],
-        [r for r in records if (r.submit_time or "") > cutoff_date])
+    """Pre-cutoff vs post-cutoff success table by submit time.  A submit
+    time is a string (a missing one sorts first), so a record that is not
+    pre-cutoff is post-cutoff."""
+    pre = [r.success for r in records if (r.submit_time or "") <= cutoff_date]
+    a, wins = _wins(pre), _wins(map(_SUCCESS, records))
+    return ContingencyTable2x2(a, len(pre) - a, wins - a,
+                               len(records) - len(pre) - (wins - a))
 
 
 # --- analyze tables ---------------------------------------------------------

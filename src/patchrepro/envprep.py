@@ -14,6 +14,7 @@ import os
 import re
 import shutil
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass, field, asdict, replace
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +29,7 @@ from .errors import (
     UnknownProfile,
 )
 from .guestvm import SnapshotRef
+from .pocbuild import subprocess_env
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,21 @@ class ReproEnvironment:
         return os.path.join(self.env_dir, "code_index.tsv")
 
 
-# Every git call: no hook and no file-system monitor that the host's git
-# configuration names runs in the fix repository or the env checkout.
+# Every git call: no hook and no file-system monitor that a repository's
+# own configuration names runs in the fix repository or the env checkout.
 _GIT = ("git", "-c", "core.hooksPath=/dev/null", "-c", "core.fsmonitor=false")
 
 
+def _run_git(args, text=True):
+    """One git call under the pinned environment (``subprocess_env``), so
+    no host ``GIT_DIR``, template dir or system or global config reaches
+    it; its output captured."""
+    return subprocess.run([*_GIT, *args], capture_output=True, text=text,
+                          env=subprocess_env(tempfile.gettempdir(), git=True))
+
+
 def _git(repo, *args):
-    proc = subprocess.run([*_GIT, "-C", repo, *args],
-                          capture_output=True, text=True)
+    proc = _run_git(["-C", repo, *args])
     if proc.returncode != 0:
         raise UnknownCommit(proc.stderr.strip())
     return proc.stdout
@@ -167,17 +176,24 @@ def resolve_task(repo_ref, commit_id,
                    "%s^{commit}" % commit_id).strip()
     if not _OBJECT_ID_RE.fullmatch(full_id):
         raise UnknownCommit("%r names no single commit" % commit_id)
-    # One log gives the parents and the message; %B is followed by the
-    # newline that ends the entry.
-    head, _, message = _git(repo_ref, "log", "-1", "--format=%P%n%B",
-                            full_id).partition("\n")
+    # One log gives the parents, the message and the patch against the
+    # parent (a merge's is empty, a root's against nothing; both are
+    # refused).  The patch holds no NUL and follows the message's NUL and a
+    # blank line; an empty commit's output ends at that NUL's newline.
+    head, _, rest = _git(
+        repo_ref, "log", "-1", "-p", "--no-ext-diff", "--no-textconv",
+        "--no-color", "--no-show-signature", "--format=%P%x00%B%x00",
+        full_id).partition("\0")
+    message, _, patch = rest.rpartition("\0")
     parents = head.split()
     if len(parents) != 1:
         raise MergeCommitRejected(
             "commit %s has %d parents" % (full_id, len(parents)))
     parent = parents[0]
 
-    diff = _git(repo_ref, "diff", parent, full_id)
+    if not patch.startswith("\n\n") and patch != "\n":
+        raise UnknownCommit("unexpected log of commit %s" % full_id)
+    diff = patch[2:]
     if not diff.strip():
         raise EmptyDiff(full_id)
 
@@ -216,19 +232,17 @@ def _reset_checkout(dest: str, commit: str) -> Optional[str]:
     """
     # Name the repository outright: with a broken dest/.git, git would
     # otherwise search upwards into an enclosing repository.
-    git = [*_GIT, "--git-dir", os.path.join(dest, ".git"), "--work-tree",
-           dest]
-    proc = subprocess.run(
-        git + ["status", "--porcelain=v2", "--branch", "--ignored=matching",
-               "--untracked-files=all"],
-        capture_output=True)
+    git = ["--git-dir", os.path.join(dest, ".git"), "--work-tree", dest]
+    proc = _run_git(git + ["status", "--porcelain=v2", "--branch",
+                           "--ignored=matching", "--untracked-files=all"],
+                    text=False)
     if proc.returncode == 0:
         lines = proc.stdout.splitlines()
         if b"# branch.oid " + commit.encode() in lines and all(
                 line.startswith(b"# ") for line in lines):
             return "checkout verified at %s" % commit
     for args in (["reset", "--hard", "--quiet", commit], ["clean", "-ffdxq"]):
-        if subprocess.run(git + args, capture_output=True).returncode != 0:
+        if _run_git(git + args, text=False).returncode != 0:
             return None
     return "reset checkout to %s" % commit
 
@@ -251,15 +265,12 @@ def _checkout_parent(task: PatchTask, dest: str, log: List[str]):
     os.makedirs(dest, exist_ok=True)
     # An empty template: no hook from the host's git setup is copied into
     # the checkout, so none runs at its checkout.
-    proc = subprocess.run(
-        [*_GIT, "clone", "--quiet", "--no-checkout", "--template=", repo,
-         dest],
-        capture_output=True, text=True)
+    proc = _run_git(["clone", "--quiet", "--no-checkout", "--template=",
+                     repo, dest])
     if proc.returncode != 0:
         raise BuildFailed("clone failed", prep_log=proc.stderr)
-    proc = subprocess.run(
-        [*_GIT, "-C", dest, "checkout", "--quiet", task.parent_commit_id],
-        capture_output=True, text=True)
+    proc = _run_git(["-C", dest, "checkout", "--quiet",
+                     task.parent_commit_id])
     if proc.returncode != 0:
         raise BuildFailed("parent checkout failed", prep_log=proc.stderr)
     log.append("checked out %s" % task.parent_commit_id)

@@ -150,6 +150,12 @@ class ArtifactsIncomplete(HarnessError):
     pass
 
 
+class MalformedModel(HarnessError):
+    """A scripted model file that is not a list of action objects, or an
+    action with a key that ``ModelAction`` has no field for or without a
+    ``kind``; the message names the action's index and the key."""
+
+
 class AllStrataDegenerate(HarnessError):
     pass
 

@@ -91,17 +91,30 @@ class PocBuild:
 _STORE: "collections.OrderedDict[str, PocBuild]" = collections.OrderedDict()
 
 
+def subprocess_env(tmpdir: str, git: bool = False) -> Dict[str, str]:
+    """The whole environment of a compiler or git process: the host's
+    ``PATH``, ``tmpdir`` as ``TMPDIR`` and the C locale, and nothing else
+    from the host, so no ``CPATH``, ``GCC_EXEC_PREFIX``, ``GIT_DIR`` or
+    ``LANG`` reaches it.  For git, also no system or global config."""
+    env = {"PATH": os.environ.get("PATH", os.defpath), "TMPDIR": tmpdir,
+           "LC_ALL": "C"}
+    if git:
+        env.update(GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull)
+    return env
+
+
 def _run_compiler(argv: List[str], work_dir: str,
                   deadline: float) -> Tuple[int, str]:
     """Run one compiler command in ``work_dir``, which also holds its
     temporary files, until ``deadline`` (a ``time.monotonic`` reading);
     its return code and its log (stderr).
 
-    The compiler reads nothing from stdin, which under serve-tools is the
-    JSON-RPC stream, and runs in a process group of its own, so a timeout
-    ends cc1 and as along with the driver."""
+    The compiler runs under ``subprocess_env``, reads nothing from stdin,
+    which under serve-tools is the JSON-RPC stream, and runs in a process
+    group of its own, so a timeout ends cc1 and as along with the
+    driver."""
     with subprocess.Popen(argv, cwd=work_dir,
-                          env=dict(os.environ, TMPDIR=work_dir),
+                          env=subprocess_env(work_dir),
                           stdin=subprocess.DEVNULL,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, start_new_session=True) as proc:

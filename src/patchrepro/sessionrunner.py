@@ -6,6 +6,7 @@ trace.jsonl, console.log, session.json, and verdict.json once decided) so
 the verdict engine and analytics need no discovery logic.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -15,6 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import envprep, toolserver
 from .envprep import CapabilityProfile
+from .errors import MalformedModel
 from .trace import Trace, fold, read_trace
 
 DEFAULT_WALL_CLOCK_LIMIT_S = 10 * 3600.0
@@ -37,6 +39,9 @@ class ModelAction:
     reason: Optional[str] = None
     input_tokens: int = 0
     output_tokens: int = 0
+
+
+_ACTION_KEYS = frozenset(f.name for f in dataclasses.fields(ModelAction))
 
 
 @dataclass
@@ -90,8 +95,21 @@ class ScriptedModelClient:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedModelClient":
+        """The client of the action list in the JSON file at ``path``;
+        raises ``MalformedModel`` for a file that is no list of actions."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, list):
+            raise MalformedModel("a model file holds a list of actions")
+        for i, action in enumerate(raw):
+            if not isinstance(action, dict):
+                raise MalformedModel("action %d is not an object" % i)
+            unknown = sorted(set(action) - _ACTION_KEYS)
+            if unknown:
+                raise MalformedModel("action %d: unknown key %r"
+                                     % (i, unknown[0]))
+            if "kind" not in action:
+                raise MalformedModel("action %d: no key 'kind'" % i)
         return cls([ModelAction(**a) for a in raw])
 
     def next_action(self, prompts, history) -> ModelAction:

@@ -20,7 +20,7 @@ from . import codebrowse, guestvm, kdbg
 # Re-exported: callers take a profile and its tools from this module.
 from .envprep import PROFILES, CapabilityProfile, PatchTask, ReproEnvironment
 from .errors import HarnessError, InvalidParams
-from .trace import Trace
+from .trace import WALL_CLOCK_FIELDS, Trace
 
 JSONRPC_METHOD_NOT_FOUND = -32601
 JSONRPC_INVALID_PARAMS = -32602
@@ -160,9 +160,14 @@ def assemble_prompts(task: PatchTask, profile: CapabilityProfile) -> PromptBundl
 # ``json.dumps(obj, sort_keys=True, default=str)``, without building an
 # encoder per call.
 _DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+_WALL_CLOCK = frozenset(WALL_CLOCK_FIELDS)
 
 
 def _digest(obj) -> str:
+    """The sha256 prefix of ``obj``'s JSON.  A result object is hashed
+    without its wall-clock fields, so a slow call digests as a fast one."""
+    if isinstance(obj, dict) and not _WALL_CLOCK.isdisjoint(obj):
+        obj = {k: v for k, v in obj.items() if k not in _WALL_CLOCK}
     return hashlib.sha256(
         _DIGEST_ENCODER.encode(obj).encode()).hexdigest()[:16]
 

@@ -21,6 +21,10 @@ from .errors import CompileFailed, HostPathRefused, MalformedTrace, UploadFailed
 EVENT_KINDS = ("tool_call", "tool_result", "console", "model_usage",
                "lifecycle", "mutation")
 DEFAULT_UTILITY_WATCHLIST = ("nft", "tc", "ip", "ethtool", "iptables")
+# The fields that hold wall-clock time: an event's ``t_rel_ms``, a session's
+# or verdict's ``elapsed_min`` and a ``vm.exec`` result's ``duration_ms``.  A
+# ``result_digest`` leaves them out, and a comparison of two runs drops them.
+WALL_CLOCK_FIELDS = ("t_rel_ms", "elapsed_min", "duration_ms")
 # Errors of a vm.compile_upload call that still count as a PoC iteration.
 POC_ATTEMPT_ERRORS = (CompileFailed.name, HostPathRefused.name,
                       UploadFailed.name)

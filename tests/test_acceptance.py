@@ -20,7 +20,7 @@ from patchrepro.envprep import BuilderSpec
 from patchrepro.errors import DebuggeeHalted, MalformedRecord
 from patchrepro.sessionrunner import (
     Budget, PriceTable, ScriptedModelClient, run_session)
-from patchrepro.trace import read_trace
+from patchrepro.trace import WALL_CLOCK_FIELDS, read_trace
 from tests.conftest import CRASHES, MI_DIR, MODELS, SCENARIOS
 
 
@@ -282,8 +282,7 @@ def test_criterion_determinism(kernel_repo, tmp_path):
     def strip(events):
         cleaned = []
         for e in events:
-            d = {k: v for k, v in e.items()
-                 if k not in ("t_rel_ms", "duration_ms")}
+            d = {k: v for k, v in e.items() if k not in WALL_CLOCK_FIELDS}
             cleaned.append(d)
         return cleaned
 

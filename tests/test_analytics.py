@@ -279,3 +279,69 @@ def test_subsystem_and_cutoff_tables():
     assert t.a + t.b == 6 and t.c + t.d == 4
     cut = analytics.cutoff_table(recs, "2024-05-15")
     assert cut.n == 10
+
+
+# --- counted tables against the per-label list comprehensions -------------
+
+def _success_table_oracle(exposed, unexposed):
+    a = sum(1 for r in exposed if r.success)
+    c = sum(1 for r in unexposed if r.success)
+    return T(a, len(exposed) - a, c, len(unexposed) - c)
+
+
+def _subsystem_tables_oracle(records):
+    labels = sorted({r.subsystem for r in records if r.subsystem})
+    return {label: _success_table_oracle(
+                [r for r in records if r.subsystem == label],
+                [r for r in records if r.subsystem != label])
+            for label in labels}
+
+
+def _type_race_strata_oracle(records):
+    strata = []
+    for race in (True, False):
+        rs = [r for r in records if r.is_race is race
+              and r.vuln_type in ("UAF", "DF", "OOB")]
+        if rs:
+            strata.append(_success_table_oracle(
+                [r for r in rs if r.vuln_type in ("UAF", "DF")],
+                [r for r in rs if r.vuln_type == "OOB"]))
+    return strata
+
+
+def _cutoff_table_oracle(records, cutoff_date):
+    return _success_table_oracle(
+        [r for r in records if (r.submit_time or "") <= cutoff_date],
+        [r for r in records if (r.submit_time or "") > cutoff_date])
+
+
+_DATES = ["2024-01-01", "2024-06-30", "2024-06-30T12:00:00Z", "2025-02-01"]
+_records = st.lists(st.builds(
+    RunRecord, case_id=st.just("c"),
+    # Truthy and falsy values that are not bools count by their truth.
+    success=st.sampled_from([True, False, 1, 0, 2, "", "yes", None, [0]]),
+    subsystem=st.sampled_from([None, "", "net", "fs", "bpf"]),
+    # 1 and 0 equal True and False but are no race status.
+    is_race=st.sampled_from([None, True, False, 1, 0]),
+    vuln_type=st.sampled_from([None, "UAF", "DF", "OOB", "OTHER"]),
+    submit_time=st.sampled_from([None, ""] + _DATES)), max_size=40)
+
+
+def _outcome(build, *args):
+    """What ``build`` gives, or the type of what it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_records, cutoff=st.sampled_from(_DATES))
+def test_counted_tables_equal_the_list_comprehensions(records, cutoff):
+    tables = analytics.subsystem_tables(records)
+    assert list(tables.items()) == \
+        list(_subsystem_tables_oracle(records).items())
+    assert analytics.type_race_strata(records) == \
+        _type_race_strata_oracle(records)
+    assert _outcome(analytics.cutoff_table, records, cutoff) == \
+        _outcome(_cutoff_table_oracle, records, cutoff)

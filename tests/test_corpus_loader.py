@@ -6,6 +6,7 @@ import codecs
 import json
 import os
 import signal
+from types import SimpleNamespace
 
 import pytest
 
@@ -331,6 +332,54 @@ def test_a_stray_file_in_a_runs_dir_is_skipped(corpus, tmp_path):
     records = analytics.load_run_records(runs_dirs, metadata=metadata)
     assert records == _serial_load(runs_dirs, metadata)
     assert len(records) == sum(COUNTS)
+
+
+def test_each_file_is_read_with_one_read(corpus, monkeypatch):
+    """One ``os.read`` per file read: each verdict, and each session.json
+    of a dir whose verdict holds no measures."""
+    runs_dirs, metadata = corpus
+    reads, files = [], []
+    real_read, read_json = os.read, analytics._read_json
+
+    def counting_read(fd, n):
+        reads.append(fd)
+        return real_read(fd, n)
+
+    def recording_read(path):
+        value = read_json(path)
+        if value is not analytics._MISSING:
+            files.append(path)
+        return value
+
+    monkeypatch.setattr(os, "read", counting_read)
+    monkeypatch.setattr(analytics, "_read_json", recording_read)
+    records = analytics.load_run_records(runs_dirs, metadata=metadata)
+    monkeypatch.undo()
+    assert records == _serial_load(runs_dirs, metadata)
+    assert sum(p.endswith("verdict.json") for p in files) == len(records)
+    assert len(files) > len(records)  # some session.json files too
+    assert len(reads) == len(files)
+
+
+@pytest.mark.parametrize("delta", [-1, -200, None, 7],
+                         ids=["grew_1", "grew_200", "size_0", "shrank"])
+def test_a_file_whose_size_changed_after_the_fstat_is_read_whole(
+        corpus, monkeypatch, delta):
+    """An fstat that reports less than the file holds (it grew since, or
+    it is a file whose size reads 0) or more (it shrank) still gives the
+    whole file."""
+    runs_dirs, metadata = corpus
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        size = 0 if delta is None else max(0, st.st_size + delta)
+        return SimpleNamespace(st_mode=st.st_mode, st_size=size)
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    records = analytics.load_run_records(runs_dirs, metadata=metadata)
+    monkeypatch.undo()
+    assert records == _serial_load(runs_dirs, metadata)
 
 
 _VERDICT = '{"case_id": "case-030", "success": true}'

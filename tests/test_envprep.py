@@ -398,6 +398,40 @@ def test_a_host_config_program_does_not_run_in_the_checkout(
     assert not marker.exists()
 
 
+@pytest.mark.parametrize("prepared", [False, True],
+                         ids=["first", "again"])
+def test_a_host_git_dir_does_not_redirect_a_preparation(
+        kernel_repo, tmp_path, monkeypatch, prepared):
+    """``GIT_DIR``, ``GIT_WORK_TREE`` and ``GIT_INDEX_FILE`` naming another
+    repository reach neither the resolve nor the clone and checkout of a
+    first preparation nor the status, reset and clean of a second; that
+    repository is left as it was."""
+    decoy = tmp_path / "decoy"
+    decoy.mkdir()
+    _git(decoy, "init", "--quiet", "-b", "main")
+    _git(decoy, "commit", "--quiet", "--allow-empty", "-m", "decoy")
+    decoy_head = _git_out(str(decoy), "rev-parse", "HEAD")
+    if prepared:
+        task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+        env = envprep.prepare_environment(task, _fixture_builder(),
+                                          str(tmp_path / "env"))
+        _spoil_checkout(env.source_root)
+    monkeypatch.setenv("GIT_DIR", str(decoy / ".git"))
+    monkeypatch.setenv("GIT_WORK_TREE", str(decoy))
+    monkeypatch.setenv("GIT_INDEX_FILE", str(decoy / ".git" / "index"))
+    task = envprep.resolve_task(kernel_repo["repo"], kernel_repo["fix"])
+    assert task.commit_id == kernel_repo["fix"]
+    env = envprep.prepare_environment(task, _fixture_builder(),
+                                      str(tmp_path / "env"))
+    monkeypatch.undo()
+    assert _prep_log(env)[0] == ("reset checkout to %s" if prepared
+                                 else "checked out %s") % task.parent_commit_id
+    assert _git_out(env.source_root, "rev-parse", "HEAD").strip() == \
+        task.parent_commit_id
+    assert _git_out(str(decoy), "rev-parse", "HEAD") == decoy_head
+    assert _git_out(str(decoy), "status", "--porcelain") == ""
+
+
 def _commit(repo, message, *files, allow_empty=False):
     """Commit ``files`` ((path, text) pairs) with ``message`` verbatim."""
     for path, text in files:
@@ -420,27 +454,68 @@ def _resolve_in_four_calls(repo, commit_id):
                                        full).rstrip("\n")}
 
 
-@pytest.mark.parametrize("message", [
-    "net: subject only",
-    "net: fix the chain\n\nFirst paragraph,\nwrapped.\n\n"
-    "Second paragraph.\n\nFixes: 0123456789ab (\"x\")\n\n\n\n",
-    "",
-    "0123456789abcdef0123456789abcdef01234567\n\nfirst line is an id\n"],
-    ids=["subject", "paragraphs_trailing_blanks", "empty", "id_subject"])
-def test_resolve_task_gives_the_old_fields_in_three_calls(
-        kernel_repo, monkeypatch, message):
+def _new_file(repo):
+    Path(repo, "net", "extra.c").write_text("int extra;\n")
+
+
+def _rename_with_edits(repo):
+    _git(repo, "mv", "include/nft_fixture.h", "include/nft_chain.h")
+    path = Path(repo, "include", "nft_chain.h")
+    path.write_text(path.read_text().replace("int nft_chain_use",
+                                             "long nft_chain_use"))
+
+
+def _binary_file(repo):
+    Path(repo, "firmware.bin").write_bytes(bytes(range(256)) * 4)
+
+
+def _mode_change(repo):
+    os.chmod(Path(repo, "net", "netfilter", "nf_tables_api.c"), 0o755)
+
+
+_NEW = (_new_file, "new file mode 100644")
+
+
+@pytest.mark.parametrize("message, change", [
+    ("net: subject only", _NEW),
+    ("net: fix the chain\n\nFirst paragraph,\nwrapped.\n\n"
+     "Second paragraph.\n\nFixes: 0123456789ab (\"x\")\n\n\n\n", _NEW),
+    ("", _NEW),
+    ("0123456789abcdef0123456789abcdef01234567\n\nfirst line is an id\n",
+     _NEW),
+    ("net: rename the header",
+     (_rename_with_edits, "rename from include/nft_fixture.h")),
+    ("net: add firmware", (_binary_file, "Binary files /dev/null and")),
+    ("net: make the source executable", (_mode_change, "old mode 100644")),
+], ids=["subject", "paragraphs_trailing_blanks", "empty", "id_subject",
+        "rename_with_edits", "binary_file", "mode_change"])
+def test_resolve_task_gives_the_old_fields_in_two_calls(
+        kernel_repo, monkeypatch, message, change):
+    """One ``rev-parse`` and one ``log -p`` give the message, the parent and
+    the patch that ``git diff <parent> <commit>`` gives."""
     repo = kernel_repo["repo"]
-    commit = _commit(repo, message, ("net/extra.c", "int x%d;\n" % len(message)))
+    make, marker = change
+    make(repo)
+    commit = _commit(repo, message)
     commands = _git_commands(monkeypatch)
     task = envprep.resolve_task(repo, commit[:12])
-    assert commands == ["rev-parse", "log", "diff"]
+    assert commands == ["rev-parse", "log"]
     monkeypatch.undo()
     want = _resolve_in_four_calls(repo, commit[:12])
     assert {k: getattr(task, k) for k in want} == want
     assert task.commit_message == message.rstrip("\n")
+    assert marker in task.diff_text
     fix = envprep.resolve_task(repo, kernel_repo["fix"])
     assert {k: getattr(fix, k) for k in want} == \
         _resolve_in_four_calls(repo, kernel_repo["fix"])
+
+
+def test_an_empty_commit_is_refused_in_two_calls(kernel_repo, monkeypatch):
+    empty = _commit(kernel_repo["repo"], "nothing", allow_empty=True)
+    commands = _git_commands(monkeypatch)
+    with pytest.raises(errors.EmptyDiff):
+        envprep.resolve_task(kernel_repo["repo"], empty)
+    assert commands == ["rev-parse", "log"]
 
 
 def test_a_range_or_a_negation_is_no_commit(kernel_repo):

@@ -33,6 +33,7 @@ WIRE_NAMES = {
     "NotStopped": "NotStopped",
     "MalformedTrace": "MalformedTrace",
     "ArtifactsIncomplete": "ArtifactsIncomplete",
+    "MalformedModel": "MalformedModel",
     "AllStrataDegenerate": "AllStrataDegenerate",
     "EmptyGroup": "EmptyGroup",
     "UnpairedCases": "UnpairedCases",

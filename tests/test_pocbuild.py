@@ -159,3 +159,38 @@ def test_a_failed_build_says_what_failed(tmp_path, monkeypatch, body, kind,
         pocbuild.build_poc(SOURCE)
     assert ei.value.kind == ei.value.data["kind"] == kind
     assert ("compile_log" in ei.value.data) == log
+
+
+# --- the pinned environment: real gcc --------------------------------------
+
+@pytest.mark.parametrize("variable", ["CPATH", "C_INCLUDE_PATH"])
+def test_a_host_include_path_reaches_no_build(tmp_path, monkeypatch,
+                                              variable):
+    """A header in a dir that ``CPATH`` or ``C_INCLUDE_PATH`` names is not
+    found, by the build or by the compiler facts, so no log quotes it."""
+    (tmp_path / "leak.h").write_text("#error LEAKED-HEADER-TEXT\n")
+    monkeypatch.setenv(variable, str(tmp_path))
+    monkeypatch.setattr(pocbuild, "_COMPILER_FACTS", {})
+    with pytest.raises(errors.CompileFailed) as ei:
+        pocbuild.build_poc("#include <leak.h>\n" + SOURCE)
+    assert "leak.h" in ei.value.compile_log
+    assert "LEAKED" not in str(ei.value.data)
+
+
+def test_a_build_log_is_the_same_under_any_locale(monkeypatch):
+    """gcc quotes with ``'`` under the C locale and with curly quotes under
+    a UTF-8 one; the harness's locale reaches no build."""
+    source = "int main(void) { return undeclared; }\n"
+    logs = []
+    for name, value in ((None, None), ("LANG", "C.UTF-8"),
+                        ("LC_ALL", "C.UTF-8"), ("LC_MESSAGES", "C.UTF-8")):
+        with monkeypatch.context() as m:
+            for variable in ("LANG", "LC_ALL", "LC_MESSAGES", "LANGUAGE"):
+                m.delenv(variable, raising=False)
+            if name:
+                m.setenv(name, value)
+            with pytest.raises(errors.CompileFailed) as ei:
+                pocbuild.build_poc(source)
+        logs.append(ei.value.compile_log)
+    assert "'undeclared' undeclared" in logs[0]
+    assert logs == [logs[0]] * 4

@@ -12,7 +12,7 @@ from patchrepro.envprep import BuilderSpec
 from patchrepro.sessionrunner import (
     Budget, ModelAction, PriceTable, ScriptedModelClient,
     account_usage, replay_trace, run_session)
-from patchrepro.errors import MalformedTrace
+from patchrepro.errors import MalformedModel, MalformedTrace
 from patchrepro.trace import fold, read_trace
 from tests.conftest import MODELS, SCENARIOS
 
@@ -489,3 +489,19 @@ def test_no_utils_session_guest_lacks_utilities(env_and_task, tmp_path,
     console = Path(artifacts.console_path).read_text(encoding="utf-8")
     assert "nft list ruleset" in console
     assert ("nft: command not found" in console) == blocked
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([{"kind": "tool_call", "name": "vm.start", "args": {}},
+      {"kind": "finalize", "poc": "int main;", "report": "r"}],
+     "action 1: unknown key 'poc'"),
+    ([{"name": "vm.start"}], "action 0: no key 'kind'"),
+    ([["tool_call"]], "action 0 is not an object"),
+    ({"kind": "give_up"}, "a model file holds a list of actions"),
+], ids=["unknown_key", "no_kind", "not_an_object", "not_a_list"])
+def test_a_malformed_model_file_names_what_is_wrong(tmp_path, raw, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(MalformedModel) as ei:
+        ScriptedModelClient.from_file(str(path))
+    assert str(ei.value) == message

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -467,6 +468,27 @@ def test_console_trace_mirrors_transcript(env_and_task):
     events = [e for e in srv.trace.events if e["kind"] == "console"]
     assert [ln for e in events for ln in e["lines"]] == srv.handle.transcript
     assert [o for e in events for o in e["origins"]] == srv.handle.origins
+
+
+def test_a_slow_command_digests_as_a_fast_one(env_and_task, monkeypatch):
+    """``./trigger`` takes 0 ms under one clock and 3 ms under another: the
+    agent sees each ``duration_ms``, and the trace's ``result_digest`` is
+    the same."""
+    seen, digests = [], []
+    for step in (0.0, 0.003):
+        clock = itertools.count(100.0, step)
+        monkeypatch.setattr(guestvm, "time",
+                            SimpleNamespace(monotonic=lambda: next(clock)))
+        srv = _server(env_and_task)
+        srv.dispatch_call("vm.start", {})
+        srv.dispatch_call("vm.compile_upload", {
+            "source": "int main(void) { return 0; }",
+            "dest_path": "/trigger"})
+        seen.append(srv.dispatch_call("vm.exec", {"command": "./trigger"})
+                    ["result"]["duration_ms"])
+        digests.append(srv.trace.events[-1]["result_digest"])
+    assert seen == [0, 3]
+    assert digests[0] == digests[1]
 
 
 def test_a_second_start_boots_the_one_guest_again(kernel_repo, tmp_path):
